@@ -15,18 +15,12 @@
 // with stale-factor refinement against the refactor-on-drift baseline,
 // checks trajectory and assignment equivalence, gates on
 // refactors/steps ≤ 5% and 0 allocs/step (nonzero exit otherwise), and
-// with -json writes BENCH_imex_ladder.json. The imex-batch experiment
-// (batch.go) measures the lockstep SoA ensemble engine — K members
-// integrated on one shared interleaved state with multi-RHS sparse
-// solves — against K independent scalar clones, gates on the aggregate
-// member-steps/sec speedup, 0 allocs/step, one blocked refactor per
-// step-size rung change per batch, and batched-vs-unbatched assignment
-// equivalence, and with -json writes BENCH_imex_batch.json. The
-// imex-spans experiment (spans.go) audits the deep-observability stack —
-// phase-span profiler plus flight recorder — gating hot-loop overhead
-// < 3% versus the uninstrumented baseline and 0 allocs/step, emits the
-// per-phase time breakdown on both the scalar and the lockstep batch
-// scheduler, and with -json writes BENCH_imex_spans.json.
+// with -json writes BENCH_imex_ladder.json. The imex-spans experiment
+// (spans.go) audits the deep-observability stack — phase-span profiler
+// plus flight recorder — gating hot-loop overhead < 3% versus the
+// uninstrumented baseline and 0 allocs/step, emits the per-phase time
+// breakdown of the IMEX step, and with -json writes
+// BENCH_imex_spans.json.
 package main
 
 import (
@@ -54,7 +48,7 @@ func main() {
 }
 
 func realMain() int {
-	exp := flag.String("exp", "all", "experiment id (all, tableI, tableII, fig4, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, info, scaling-factor, scaling-ssp, ensemble, baselines, energy, sat3, diversity, ablation-c, imex-sparse, imex-ladder, imex-batch, imex-spans)")
+	exp := flag.String("exp", "all", "experiment id (all, tableI, tableII, fig4, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, info, scaling-factor, scaling-ssp, ensemble, baselines, energy, sat3, diversity, ablation-c, imex-sparse, imex-ladder, imex-spans)")
 	tEnd := flag.Float64("tend", 150, "per-attempt time horizon for dynamical experiments")
 	attempts := flag.Int("attempts", 4, "random restarts per instance")
 	seeds := flag.Int("seeds", 4, "ensemble size for scaling/ensemble experiments")
@@ -64,8 +58,7 @@ func realMain() int {
 	dense := flag.Bool("dense", false, "use the dense-LU voltage solve instead of the sparse symbolic-once default (A/B comparison)")
 	hladder := flag.Float64("hladder", 0, "step-size ladder ratio: quantize h onto the geometric grid ratio^k and reuse cached shifted factors (0 = off; 1.1892 = 2^(1/4) recommended)")
 	factorCache := flag.Int("factor-cache", 0, "IMEX shifted-factor cache capacity in step-size rungs (0 = default 4)")
-	batch := flag.Int("batch", 0, "lockstep ensemble batch width: integrate restart attempts in shared-state batches of this many members (0/1 = unbatched; requires the imex stepper, sparse path)")
-	jsonOut := flag.Bool("json", false, "also write machine-readable BENCH_<exp>.json (supported: imex-sparse, imex-ladder, imex-batch, imex-spans)")
+	jsonOut := flag.Bool("json", false, "also write machine-readable BENCH_<exp>.json (supported: imex-sparse, imex-ladder, imex-spans)")
 	co := obs.BindFlags("dmm-bench", flag.CommandLine)
 	flag.Parse()
 
@@ -87,7 +80,6 @@ func realMain() int {
 	cfg.Dense = *dense
 	cfg.HLadder = *hladder
 	cfg.FactorCache = *factorCache
-	cfg.BatchSize = *batch
 	cfg.Telemetry = co.Telemetry
 
 	var bits []int
@@ -160,30 +152,14 @@ func realMain() int {
 
 	// run reports whether id names an experiment and whether it passed
 	// (the gated experiments can fail; the report-only ones cannot).
+	gated := map[string]func(bool) error{
+		"imex-sparse": imexSparse,
+		"imex-ladder": imexLadder,
+		"imex-spans":  imexSpans,
+	}
 	run := func(id string) (found, ok bool) {
-		if id == "imex-sparse" {
-			if err := imexSparse(*jsonOut); err != nil {
-				fmt.Fprintln(os.Stderr, "dmm-bench:", err)
-				return true, false
-			}
-			return true, true
-		}
-		if id == "imex-ladder" {
-			if err := imexLadder(*jsonOut); err != nil {
-				fmt.Fprintln(os.Stderr, "dmm-bench:", err)
-				return true, false
-			}
-			return true, true
-		}
-		if id == "imex-batch" {
-			if err := imexBatch(*jsonOut); err != nil {
-				fmt.Fprintln(os.Stderr, "dmm-bench:", err)
-				return true, false
-			}
-			return true, true
-		}
-		if id == "imex-spans" {
-			if err := imexSpans(*jsonOut); err != nil {
+		if fn, ok := gated[id]; ok {
+			if err := fn(*jsonOut); err != nil {
 				fmt.Fprintln(os.Stderr, "dmm-bench:", err)
 				return true, false
 			}

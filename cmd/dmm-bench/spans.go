@@ -23,12 +23,11 @@ type spansPathStats struct {
 
 // spansBench is the BENCH_imex_spans.json document: the deep-observability
 // overhead audit plus the per-phase time breakdown of the 6-bit
-// multiplier on both schedulers.
+// multiplier.
 type spansBench struct {
 	Name     string  `json:"name"`
 	Instance string  `json:"instance"`
 	HQuant   float64 `json:"h_quantized"`
-	K        int     `json:"k"`
 	Gates    int     `json:"gates"`
 	StateDim int     `json:"state_dim"`
 	// Off integrates 20k steps with telemetry disabled entirely; On runs
@@ -43,10 +42,9 @@ type spansBench struct {
 	// AllocsPerStep audits a warm instrumented step (spans + flight ring
 	// + step hooks); the gate is exactly 0.
 	AllocsPerStep float64 `json:"allocs_per_step"`
-	// Scalar and Batch are the per-phase breakdowns of the spans-on runs
-	// (the observability payload CI archives).
+	// Scalar is the per-phase breakdown of the fastest spans-on run (the
+	// observability payload CI archives).
 	Scalar   *obs.SpansSnapshot `json:"scalar_breakdown"`
-	Batch    *obs.SpansSnapshot `json:"batch_breakdown"`
 	Failures []string           `json:"failures,omitempty"`
 }
 
@@ -82,40 +80,6 @@ func runScalarSpans(steps int, h float64, sp *obs.Spans, fl *obs.Flight, tl *obs
 	}
 }
 
-// runBatchSpans integrates the K-member lockstep ensemble with the span
-// profiler attached and per-lane flight rings fed by the batch kernels,
-// returning the resulting phase breakdown.
-func runBatchSpans(k, steps int, h float64) *obs.SpansSnapshot {
-	be, b, _, X, alive := newBatchEnsemble(k, circuit.DefaultStaleMax, 0)
-	tl := obs.NewTelemetry()
-	tl.Spans = obs.NewSpans()
-	tl.Flight = obs.NewFlightSet(0, 0, nil)
-	b.Obs = tl.StepObs()
-	b.Spans = tl.Spans
-	flights := make([]*obs.Flight, k)
-	for m := range flights {
-		flights[m] = tl.FlightFor(m, 0)
-	}
-	b.Flights = flights
-	t := 0.0
-	for i := 0; i < steps; i++ {
-		if err := b.StepBatch(t, h, X, alive); err != nil {
-			break
-		}
-		// Post-step accept/clamp bookkeeping, charged as the scheduler
-		// charges it (solc.runBatch's bookkeeping phase).
-		tok := b.Obs.SpanBegin()
-		for m := range flights {
-			b.Obs.Accept(h)
-			flights[m].Record(h)
-		}
-		be.ClampBatch(X)
-		b.Obs.SpanEnd(obs.PhaseBookkeep, tok)
-		t += h
-	}
-	return tl.Spans.Snapshot()
-}
-
 // spansAllocsPerStep audits the steady-state allocation count of one
 // warm, fully instrumented scalar step (the zero allocs/step gate).
 func spansAllocsPerStep(h float64) float64 {
@@ -148,10 +112,9 @@ func spansAllocsPerStep(h float64) float64 {
 // imexSpans measures the deep-observability stack on the 6-bit
 // multiplier: hot-loop overhead of the span profiler + flight recorder
 // against the uninstrumented baseline (gated < 3%), zero steady-state
-// allocations per instrumented step, and a complete per-phase breakdown
-// on both the scalar and the lockstep batch scheduler. Prints the
-// breakdown table, optionally writes BENCH_imex_spans.json, and returns
-// an error when a gate fails.
+// allocations per instrumented step, and a complete per-phase breakdown.
+// Prints the breakdown table, optionally writes BENCH_imex_spans.json,
+// and returns an error when a gate fails.
 func imexSpans(writeJSON bool) error {
 	ladder, err := ode.NewHLadder(ode.DefaultLadderRatio)
 	if err != nil {
@@ -159,13 +122,11 @@ func imexSpans(writeJSON bool) error {
 	}
 	hq := ladder.Quantize(1e-3)
 	const steps = 20000
-	const k = 8
 	c := mult6()
 	doc := spansBench{
 		Name:         "imex_spans",
 		Instance:     "6-bit multiplier (12-bit product pinned to 2021 = 43*47)",
 		HQuant:       hq,
-		K:            k,
 		Gates:        c.NumGates(),
 		StateDim:     c.Dim(),
 		GateOverhead: 0.03,
@@ -174,7 +135,6 @@ func imexSpans(writeJSON bool) error {
 	// Interleave instrumented and uninstrumented repetitions and keep each
 	// side's fastest wall time; the overhead gate compares best against
 	// best, which is robust to one-sided clock drift.
-	var scalarSnap *obs.SpansSnapshot
 	for rep := 0; rep < 5; rep++ {
 		if s := runScalarSpans(steps, hq, nil, nil, nil); rep == 0 || s.SolveWallNs < doc.Off.SolveWallNs {
 			doc.Off = s
@@ -185,15 +145,13 @@ func imexSpans(writeJSON bool) error {
 		fl := tl.FlightFor(0, ode.DefaultLadderRatio)
 		if s := runScalarSpans(steps, hq, tl.Spans, fl, tl); rep == 0 || s.SolveWallNs < doc.On.SolveWallNs {
 			doc.On = s
-			scalarSnap = tl.Spans.Snapshot()
+			doc.Scalar = tl.Spans.Snapshot()
 		}
 	}
 	doc.Off.NsPerStep = doc.Off.SolveWallNs / int64(doc.Off.Steps)
 	doc.On.NsPerStep = doc.On.SolveWallNs / int64(doc.On.Steps)
 	doc.OverheadFrac = float64(doc.On.NsPerStep-doc.Off.NsPerStep) / float64(doc.Off.NsPerStep)
 	doc.AllocsPerStep = spansAllocsPerStep(hq)
-	doc.Scalar = scalarSnap
-	doc.Batch = runBatchSpans(k, steps/4, hq)
 
 	if doc.On.Steps != doc.Off.Steps {
 		doc.Failures = append(doc.Failures,
@@ -208,25 +166,16 @@ func imexSpans(writeJSON bool) error {
 		doc.Failures = append(doc.Failures,
 			fmt.Sprintf("instrumented step allocates %v allocs/step (want 0)", doc.AllocsPerStep))
 	}
-	for _, bd := range []struct {
-		name string
-		s    *obs.SpansSnapshot
-	}{{"scalar", doc.Scalar}, {"batch", doc.Batch}} {
-		if bd.s == nil {
-			doc.Failures = append(doc.Failures, fmt.Sprintf("%s breakdown missing", bd.name))
-			continue
-		}
-		for _, ph := range bd.s.Phases {
-			if ph.Count == 0 {
-				doc.Failures = append(doc.Failures,
-					fmt.Sprintf("%s breakdown: phase %q recorded no intervals", bd.name, ph.Phase))
-			}
+	for _, ph := range doc.Scalar.Phases {
+		if ph.Count == 0 {
+			doc.Failures = append(doc.Failures,
+				fmt.Sprintf("breakdown: phase %q recorded no intervals", ph.Phase))
 		}
 	}
 
 	fmt.Printf("IMEX deep observability: phase spans + flight recorder overhead\n")
 	fmt.Printf("instance: %s\n", doc.Instance)
-	fmt.Printf("h=%.6g steps=%d (scalar), k=%d steps=%d (batch)\n\n", doc.HQuant, steps, k, steps/4)
+	fmt.Printf("h=%.6g steps=%d\n\n", doc.HQuant, steps)
 	fmt.Printf("%-10s %12s %14s %8s\n", "config", "ns/step", "solve wall", "steps")
 	for _, row := range []struct {
 		name string
@@ -237,10 +186,7 @@ func imexSpans(writeJSON bool) error {
 	}
 	fmt.Printf("\noverhead: %.2f%% (gate < %.0f%%), instrumented allocs/step: %v\n\n",
 		100*doc.OverheadFrac, 100*doc.GateOverhead, doc.AllocsPerStep)
-	fmt.Printf("scalar ")
 	doc.Scalar.WriteTable(os.Stdout)
-	fmt.Printf("\nbatch (K=%d) ", k)
-	doc.Batch.WriteTable(os.Stdout)
 
 	if writeJSON {
 		out, err := json.MarshalIndent(doc, "", "  ")

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/classical"
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/obs"
@@ -40,7 +41,6 @@ func run() int {
 	dense := flag.Bool("dense", false, "use the dense-LU voltage solve instead of the sparse symbolic-once default (A/B comparison)")
 	hladder := flag.Float64("hladder", 0, "step-size ladder ratio: quantize h onto the geometric grid ratio^k and reuse cached shifted factors (0 = off; 1.1892 = 2^(1/4) recommended)")
 	factorCache := flag.Int("factor-cache", 0, "IMEX shifted-factor cache capacity in step-size rungs (0 = default 4)")
-	batch := flag.Int("batch", 0, "lockstep ensemble batch width: integrate restart attempts in shared-state batches of this many members (0/1 = unbatched; requires the imex stepper, sparse path)")
 	co := obs.BindFlags("dmm-factor", flag.CommandLine)
 	flag.Parse()
 
@@ -65,7 +65,6 @@ func run() int {
 	cfg.Dense = *dense
 	cfg.HLadder = *hladder
 	cfg.FactorCache = *factorCache
-	cfg.BatchSize = *batch
 	cfg.Telemetry = co.Telemetry
 	if *portfolio {
 		cfg.Portfolio = solc.DefaultPortfolio()
@@ -90,7 +89,7 @@ func run() int {
 				res.Metrics.Launched, res.Metrics.Cancelled)
 		}
 	} else {
-		fmt.Printf("no equilibrium reached (%s) — expected when n is prime (Fig. 13)\n", res.Reason)
+		fmt.Println(unsolvedNote(*n, res.Reason, *attempts, *tEnd))
 	}
 	if rec, ok := res.Trace.(*trace.Recorder); ok && rec.Len() > 0 {
 		fmt.Println("\nfactor-bit trajectories (−vc..+vc):")
@@ -113,4 +112,15 @@ func run() int {
 		return 2
 	}
 	return 0
+}
+
+// unsolvedNote explains an unsolved run. A prime n has no factoring
+// equilibrium, so non-convergence is the expected outcome (Fig. 13); for
+// any other n it only means the restart budget ran out.
+func unsolvedNote(n uint64, reason string, attempts int, tEnd float64) string {
+	if classical.IsPrime(n) {
+		return fmt.Sprintf("no equilibrium reached (%s) — expected when n is prime (Fig. 13)", reason)
+	}
+	return fmt.Sprintf("no equilibrium reached (%s) — %d is not prime, but no verified equilibrium was reached within -attempts %d × -tend %g",
+		reason, n, attempts, tEnd)
 }

@@ -41,7 +41,6 @@ func run() int {
 	dense := flag.Bool("dense", false, "use the dense-LU voltage solve instead of the sparse symbolic-once default (A/B comparison)")
 	hladder := flag.Float64("hladder", 0, "step-size ladder ratio: quantize h onto the geometric grid ratio^k and reuse cached shifted factors (0 = off; 1.1892 = 2^(1/4) recommended)")
 	factorCache := flag.Int("factor-cache", 0, "IMEX shifted-factor cache capacity in step-size rungs (0 = default 4)")
-	batch := flag.Int("batch", 0, "lockstep ensemble batch width: integrate restart attempts in shared-state batches of this many members (0/1 = unbatched; requires the imex stepper, sparse path)")
 	co := obs.BindFlags("dmm-sat", flag.CommandLine)
 	flag.Parse()
 
@@ -106,7 +105,6 @@ func run() int {
 	opts.Dense = *dense
 	opts.HLadderRatio = *hladder
 	opts.FactorCache = *factorCache
-	opts.BatchSize = *batch
 	opts.Telemetry = co.Telemetry
 	var res solc.SATResult
 	var err error

@@ -15,8 +15,6 @@
 //	chandisc        channels close once, never racing senders; hot sends buffered
 //	fparith         hot-path FMA-fusable float products carry an explicit
 //	                rounding barrier (or math.FMA, or a waiver)
-//	kernelpair      //dmmvet:pair scalar/batch kernels have identical
-//	                normalized float op sequences (bit-identity contract)
 //
 // Usage:
 //
@@ -44,12 +42,6 @@
 //	                                      justification is mandatory. fparith
 //	                                      traverses through it: off-step-path
 //	                                      arithmetic still feeds solver state.
-//	//dmmvet:pair name=<id> role=<r>      (doc comment) declares one member of a
-//	                                      scalar/batch kernel pair (role scalar
-//	                                      or batch); kernelpair proves the two
-//	                                      members' normalized float op sequences
-//	                                      identical under the lane mapping
-//	                                      [j] ↔ [j·K+m].
 //	//dmmvet:allow <analyzer> — <why>     waives one finding on the same or the
 //	                                      following line. An allow without a
 //	                                      justification is itself a finding and
@@ -82,7 +74,6 @@ import (
 	"repro/internal/analysis/fparith"
 	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/kernelpair"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nakedgoroutine"
 	"repro/internal/analysis/seeddet"
@@ -99,7 +90,6 @@ func all() []*analysis.Analyzer {
 		fparith.Analyzer,
 		goroleak.Analyzer,
 		hotalloc.Analyzer,
-		kernelpair.Analyzer,
 		lockorder.Analyzer,
 		nakedgoroutine.Analyzer,
 		seeddet.Analyzer,

@@ -22,7 +22,7 @@ type localDef struct {
 // copyDefs indexes every definition of every local variable in body,
 // distinguishing plain copies (rhs recorded) from value-mutating
 // definitions (rhs nil). Range key/value bindings record the ranged
-// operand, matching the lane-collapse of index loads.
+// operand, so a range value chases back to the slice it reads.
 func copyDefs(info *types.Info, body *ast.BlockStmt) map[*types.Var][]localDef {
 	m := make(map[*types.Var][]localDef)
 	mark := func(e ast.Expr, rhs ast.Expr) {

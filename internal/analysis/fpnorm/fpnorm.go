@@ -1,57 +1,21 @@
-// Package fpnorm is the shared IR under the floating-point determinism
-// analyzers (fparith, kernelpair): a canonical normal form for float
-// expressions over go/ast + go/types, and an event-stream fingerprint of
-// a function's float arithmetic.
+// Package fpnorm holds the floating-point helpers the determinism
+// analyzers share:
 //
-// The normal form is deliberately IEEE-sound rather than algebraic:
-//
-//   - Commutative normalization applies to `+` and `*` only — IEEE 754
-//     addition and multiplication commute bit-exactly, so operand order
-//     is canonical noise. Associativity is NOT normalized: (a+b)+c and
-//     a+(b+c) round differently and stay distinct trees.
-//   - An explicit floating-point conversion is a rounding barrier
-//     (the one tool the Go spec gives for suppressing FMA fusion) and is
-//     preserved as a KConv node when it wraps arithmetic. Around a bare
-//     load or constant the conversion is a bit-exact no-op and is elided.
-//   - Typed constants are folded to their exact values via go/constant,
-//     so `2 * m.Vt` and `vt2` spelled from the same constants agree.
-//   - Calls into packages without loaded syntax — math.Abs, math.Sqrt,
-//     math.Min and friends — are opaque single-rounding ops: one KCall
-//     node keyed by full name, never decomposed, so the same intrinsic
-//     on both sides of a kernel pair can never read as a diff.
-//   - Single-expression functions in loaded packages (accessor methods
-//     like branchSet.level or memristor.Model.G) are inlined with
-//     parameter substitution, so a scalar kernel calling the accessor
-//     fingerprints identically to a batch kernel that manually inlined
-//     the same expression.
-//   - Every index expression collapses to a load of its base array's
-//     root symbol: `x[j]` and `x[j*K+m]` are the same load. That is the
-//     lane-index mapping `[j] ↔ [j*K+m]` of the scalar/batch contract —
-//     integer index arithmetic is exact and invisible; what matters is
-//     which array feeds which float op.
-//
-// Symbols are canonicalized positionally: the first distinct value root
-// touched by the event stream is #0, the next #1, and so on. Two
-// functions that perform the same op sequence over differently named
-// state (power vs pw, vPrev vs vPrevB) therefore fingerprint equal,
-// which is exactly the equivalence the PR 8 scalar/batch bit-identity
-// contract needs.
+//   - IsSolverPkg names the packages under the Seed+k determinism
+//     contract (detflow guards them against nondeterminism sources,
+//     fparith against FMA-fusion hazards).
+//   - FuseSites classifies the FMA-fusable `a*b ± c` sites of one
+//     function, chasing products through plain local copies, for
+//     fparith.
 package fpnorm
 
-import (
-	"go/types"
-	"strings"
+import "strings"
 
-	"repro/internal/analysis"
-	"repro/internal/analysis/cfg"
-)
-
-// SolverPkgs are the import-path segments of the packages under the
-// Seed+k determinism contract. Shared by detflow (nondeterminism
-// sources) and fparith (FMA-fusion hazards): both guard the same
-// invariant — the trajectory is a pure function of Seed+attempt — from
-// different directions.
-var SolverPkgs = []string{
+// solverPkgs are the import-path segments of the packages under the
+// Seed+k determinism contract. Both analyzers that consult it guard the
+// same invariant — the trajectory is a pure function of Seed+attempt —
+// from different directions.
+var solverPkgs = []string{
 	"internal/circuit",
 	"internal/la",
 	"internal/ode",
@@ -64,59 +28,10 @@ var SolverPkgs = []string{
 // IsSolverPkg reports whether the import path belongs to a package under
 // the determinism contract.
 func IsSolverPkg(path string) bool {
-	for _, seg := range SolverPkgs {
+	for _, seg := range solverPkgs {
 		if strings.HasSuffix(path, seg) || strings.Contains(path, seg+"/") {
 			return true
 		}
 	}
 	return false
-}
-
-// Module is the normalization context shared across one analyzer run: a
-// call graph for declaration lookup (single-expression inlining) and the
-// pair registry that canonicalizes calls to either member of a declared
-// scalar/batch pair.
-type Module struct {
-	cg     *cfg.CallGraph
-	pairOf map[string]string // types.Func.FullName -> pair name
-}
-
-// NewModule builds a Module over the loaded packages.
-func NewModule(pkgs []*analysis.Package) *Module {
-	return FromGraph(cfg.BuildCallGraph(pkgs))
-}
-
-// FromGraph wraps an already-built call graph (analyzers that need one
-// anyway share it instead of building twice).
-func FromGraph(cg *cfg.CallGraph) *Module {
-	return &Module{cg: cg, pairOf: make(map[string]string)}
-}
-
-// SetPair registers fn (a types.Func.FullName) as a member of the named
-// kernel pair. Calls to any registered member normalize to the same
-// `pair:<name>` callee, so a scalar kernel calling Advance and its batch
-// twin calling AdvanceRow fingerprint as the same op. Register every
-// pair before the first Fingerprint call.
-func (m *Module) SetPair(fullName, pairName string) {
-	m.pairOf[fullName] = pairName
-}
-
-// Graph exposes the underlying call graph (fparith shares it for
-// hotpath reachability).
-func (m *Module) Graph() *cfg.CallGraph { return m.cg }
-
-// Fingerprint normalizes the float arithmetic of one declared function
-// into its event stream.
-func (m *Module) Fingerprint(node *cfg.CallNode) *Fingerprint {
-	n := &normer{
-		mod:     m,
-		syms:    make(map[string]int),
-		alias:   make(map[string]string),
-		chasing: make(map[*types.Var]bool),
-	}
-	if node.Decl.Body != nil {
-		n.copies = copyDefs(node.Pkg.TypesInfo, node.Decl.Body)
-		n.block(&env{pkg: node.Pkg}, node.Decl.Body)
-	}
-	return &Fingerprint{Events: n.events, Syms: n.names}
 }

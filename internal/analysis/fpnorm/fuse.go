@@ -55,6 +55,14 @@ func FuseSites(info *types.Info, fd *ast.FuncDecl) []FuseSite {
 	return out
 }
 
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
 func exprIsFloat(info *types.Info, e ast.Expr) bool {
 	if tv, ok := info.Types[e]; ok {
 		return isFloat(tv.Type)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/analysis/fparith"
 	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/kernelpair"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nakedgoroutine"
 	"repro/internal/analysis/seeddet"
@@ -45,7 +44,6 @@ func TestSelfVet(t *testing.T) {
 		fparith.Analyzer,
 		goroleak.Analyzer,
 		hotalloc.Analyzer,
-		kernelpair.Analyzer,
 		lockorder.Analyzer,
 		nakedgoroutine.Analyzer,
 		seeddet.Analyzer,

@@ -113,10 +113,8 @@ func (b *Builder) Build() *Circuit {
 
 // fillConductances writes the per-branch conductance buffer in plan order:
 // g[0:nm] the memristor branches evaluated at the clamped states starting
-// at x[xOff], g[nm:] the resistor branches at 1/R. Scalar twin of
-// fillConductancesBatch (kernel pair cond-fill).
+// at x[xOff], g[nm:] the resistor branches at 1/R.
 //
-//dmmvet:pair name=cond-fill role=scalar
 //dmmvet:hotpath
 func (c *Circuit) fillConductances(g la.Vector, x la.Vector, xOff int) {
 	p := &c.Params
@@ -126,30 +124,6 @@ func (c *Circuit) fillConductances(g la.Vector, x la.Vector, xOff int) {
 	invR := 1 / p.R
 	for j := c.nm; j < len(g); j++ {
 		g[j] = invR
-	}
-}
-
-// fillConductancesBatch writes the member-interleaved conductance buffer
-// gB (branch b of member m at b*k+m) for all K members of the batch
-// state X: memristor branches evaluated per lane at the clamped states,
-// resistor branches broadcast at 1/R. Per lane it is bit-identical to
-// fillConductances (kernel pair cond-fill).
-//
-//dmmvet:pair name=cond-fill role=batch
-//dmmvet:hotpath
-func (c *Circuit) fillConductancesBatch(gB []float64, k int, X []float64, xOff int) {
-	p := &c.Params
-	for j := 0; j < c.nm; j++ {
-		src := X[(xOff+j)*k:][:k]
-		dst := gB[j*k:][:len(src)]
-		for m, xv := range src {
-			dst[m] = p.Mem.G(memristor.Clamp(xv))
-		}
-	}
-	invR := 1 / p.R
-	res := gB[c.nm*k:]
-	for t := range res {
-		res[t] = invR
 	}
 }
 

@@ -430,13 +430,7 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 // advanceSlowStates performs the explicit update of the slow states —
 // memristor x through the Advance kernel, VCDCG currents i and controls
 // sv — from the freshly solved node voltages, accumulating the per-step
-// dissipation tally g·d² into the energy integral. It is the scalar
-// twin of (*BatchIMEXStepper).advanceSlowStatesBatch: the kernelpair
-// analyzer proves both advance slow state through the same normalized
-// float op sequence under the lane mapping [j] ↔ [j·K+m], and the
-// ladder/batch equivalence suites pin the bits at run time.
-//
-//dmmvet:pair name=imex-slow role=scalar
+// dissipation tally g·d² into the energy integral.
 func (s *IMEXStepper) advanceSlowStates(h float64, x la.Vector) {
 	c := s.c
 	p := &c.Params

@@ -186,9 +186,7 @@ func (p *stampPlan) valCSR() *la.CSR {
 
 // assemble writes shift·I + A(g) into vals, which is either a private CSR
 // value array (sparse path, indexed by mIdx) or a dense row-major array
-// (dense path, indexed by mDen). The two arms share every op; they are
-// split into named kernels so the sparse arm can carry the kernel-pair
-// contract with assembleBatch.
+// (dense path, indexed by mDen). The two arms share every op.
 func (p *stampPlan) assemble(vals []float64, dense bool, shift float64, g la.Vector) {
 	if dense {
 		p.assembleDense(vals, shift, g)
@@ -198,10 +196,8 @@ func (p *stampPlan) assemble(vals []float64, dense bool, shift float64, g la.Vec
 }
 
 // assembleSparse is the sparse assembly arm: zero, shift on the diagonal
-// CSR slots, then one multiply-accumulate per stamp op. It is the scalar
-// twin of assembleBatch (kernel pair imex-stamp).
+// CSR slots, then one multiply-accumulate per stamp op.
 //
-//dmmvet:pair name=imex-stamp role=scalar
 //dmmvet:hotpath
 func (p *stampPlan) assembleSparse(vals []float64, shift float64, g la.Vector) {
 	for i := range vals {
@@ -235,9 +231,7 @@ func (p *stampPlan) assembleDense(vals []float64, shift float64, g la.Vector) {
 // assembleRHS accumulates the branch contributions to the right-hand side:
 // pinned-terminal VCVG couplings and DC terms. rhs must be pre-zeroed;
 // further terms (VCDCG currents, the C/h·v history) are the caller's.
-// Scalar twin of assembleRHSBatch (kernel pair imex-rhs).
 //
-//dmmvet:pair name=imex-rhs role=scalar
 //dmmvet:hotpath
 func (p *stampPlan) assembleRHS(rhs la.Vector, g la.Vector, nodeV la.Vector) {
 	for k, fi := range p.rFi {
@@ -245,62 +239,6 @@ func (p *stampPlan) assembleRHS(rhs la.Vector, g la.Vector, nodeV la.Vector) {
 	}
 	for k, fi := range p.dFi {
 		rhs[fi] += float64(g[p.dBr[k]] * p.dDC[k])
-	}
-}
-
-// assembleBatch writes shift·I + A(g_m) for all K members into the
-// member-interleaved sparse value array valB (CSR entry t of member m at
-// t*k+m) from the interleaved conductance buffer gB (branch b of member m
-// at b*k+m). Per lane the op sequence is identical to assemble's sparse
-// path, so each lane's values are bit-identical to a scalar assembly of
-// that member (kernel pair imex-stamp).
-//
-//dmmvet:pair name=imex-stamp role=batch
-//dmmvet:hotpath
-func (p *stampPlan) assembleBatch(valB []float64, k int, shift float64, gB []float64) {
-	for i := range valB {
-		valB[i] = 0
-	}
-	for _, d := range p.diag {
-		dst := valB[int(d)*k:][:k]
-		for m := range dst {
-			dst[m] = shift
-		}
-	}
-	for op, idx := range p.mIdx {
-		dst := valB[int(idx)*k:][:k]
-		gb := gB[int(p.mBr[op])*k:][:len(dst)]
-		coef := p.mCoef[op]
-		for m, g := range gb {
-			dst[m] += float64(g * coef)
-		}
-	}
-}
-
-// assembleRHSBatch accumulates the branch RHS contributions for all K
-// members into the member-interleaved rhsB ([nv*k], pre-zeroed by the
-// caller) from interleaved conductances gB and node voltages nodeVB.
-// Per lane it is bit-identical to assembleRHS (kernel pair imex-rhs).
-//
-//dmmvet:pair name=imex-rhs role=batch
-//dmmvet:hotpath
-func (p *stampPlan) assembleRHSBatch(rhsB []float64, k int, gB, nodeVB []float64) {
-	for op, fi := range p.rFi {
-		dst := rhsB[int(fi)*k:][:k]
-		gb := gB[int(p.rBr[op])*k:][:len(dst)]
-		nv := nodeVB[int(p.rNode[op])*k:][:len(dst)]
-		coef := p.rCoef[op]
-		for m, g := range gb {
-			dst[m] += float64(g * coef * nv[m])
-		}
-	}
-	for op, fi := range p.dFi {
-		dst := rhsB[int(fi)*k:][:k]
-		gb := gB[int(p.dBr[op])*k:][:len(dst)]
-		dc := p.dDC[op]
-		for m, g := range gb {
-			dst[m] += float64(g * dc)
-		}
 	}
 }
 

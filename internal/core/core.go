@@ -66,11 +66,6 @@ type Config struct {
 	// FactorCache sets the IMEX shifted-factor cache capacity (0 selects
 	// the default); the cmds expose it as -factor-cache.
 	FactorCache int
-	// BatchSize, when > 1, integrates restart attempts in lockstep
-	// batches of up to this many ensemble members over one shared
-	// interleaved state with multi-RHS sparse solves (see
-	// solc.Options.BatchSize); the cmds expose it as -batch.
-	BatchSize int
 	// Telemetry, when non-nil, receives the run's metrics, lifecycle
 	// events and physics samples; the cmds wire it from -telemetry and
 	// -metrics-dump.
@@ -171,7 +166,6 @@ func (cfg Config) options() solc.Options {
 	opts.Dense = cfg.Dense
 	opts.HLadderRatio = cfg.HLadder
 	opts.FactorCache = cfg.FactorCache
-	opts.BatchSize = cfg.BatchSize
 	opts.Telemetry = cfg.Telemetry
 	return opts
 }

@@ -111,9 +111,8 @@ func (m *CSR) MulVecAdd(dst Vector, c float64, v Vector) {
 // single pass over the matrix — the inner kernel of iterative
 // refinement, fused so the residual costs one sweep of the nonzeros
 // instead of a copy, a multiply-add and a norm pass. dst may alias b but
-// not v. Scalar twin of residualNormLane (kernel pair residual).
+// not v.
 //
-//dmmvet:pair name=residual role=scalar
 //dmmvet:hotpath
 func (m *CSR) ResidualNormInto(dst, b, v Vector) float64 {
 	if len(v) != m.Cols || len(b) != m.Rows || len(dst) != m.Rows {

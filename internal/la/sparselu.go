@@ -247,9 +247,7 @@ func (f *SparseLU) SetFactor(nf *Factor) {
 
 // Refactor recomputes the numeric factorization from the bound matrix's
 // current values, reusing the symbolic structure. It allocates nothing.
-// Scalar twin of refactorLane (kernel pair sparse-refactor).
 //
-//dmmvet:pair name=sparse-refactor role=scalar
 //dmmvet:hotpath
 func (f *SparseLU) Refactor() error {
 	tok := f.Spans.Begin()
@@ -303,10 +301,8 @@ func (f *SparseLU) Refactor() error {
 }
 
 // SolveInto solves A·x = b into dst using the current factorization. dst
-// may alias b. It allocates nothing. Scalar twin of solveLaneInto
-// (kernel pair sparse-solve).
+// may alias b. It allocates nothing.
 //
-//dmmvet:pair name=sparse-solve role=scalar
 //dmmvet:hotpath
 func (f *SparseLU) SolveInto(dst, b Vector) {
 	if len(b) != f.n || len(dst) != f.n {

@@ -44,8 +44,8 @@ func (m Model) M(x float64) float64 { return float64(m.Ron*(1-x)) + float64(m.Ro
 // G returns the conductance g(x) = 1/(R1·x + Ron) (Eq. 26). The
 // float64(...) around the product is an explicit rounding barrier: it
 // keeps R1·x from fusing into the add as an FMA on arm64, so g(x) is
-// bit-identical across architectures (and to the flattened batch
-// kernels, which spell the same barrier).
+// bit-identical across architectures (and to the flattened Advance
+// kernel, which spells the same barrier).
 func (m Model) G(x float64) float64 { return 1 / (float64(m.R1()*x) + m.Ron) }
 
 // theta evaluates the voltage gate of Eq. (40): θ̃_r(v / 2Vt), reducing to
@@ -110,17 +110,15 @@ func (m Model) DxDt(x, vM float64) float64 {
 //
 //	Clamp(x' + h·DxDt(x', σ·d)),  x' = Clamp(x).
 //
-// It is the scalar twin of AdvanceRow — the identical operation
-// sequence minus the lane loop (the hoisted loop constants fold into
-// straight-line code), so the scalar and batch steppers advance slow
-// state through the same arithmetic. The kernelpair analyzer proves the
-// normalized op sequences equal at vet time; the property tests check
-// bit-identity against the Clamp/DxDt composition at run time. The
-// float64(...) barriers pin the FMA-fusable products to two roundings
+// The call tree of Clamp/DxDt/H/window/theta is flattened with the
+// model constants hoisted, so the IMEX hot loop pays no call frames; the
+// property tests check bit-identity against the Clamp/DxDt composition.
+// Dropping the θ factor on the hard-threshold branches is exact: θ is 1
+// there and w·1 ≡ w in IEEE arithmetic for every w including ±0 and NaN.
+// The float64(...) barriers pin the FMA-fusable products to two roundings
 // on every architecture (bit-neutral where the compiler was not fusing
 // anyway).
 //
-//dmmvet:pair name=mem-advance role=scalar
 //dmmvet:hotpath
 func (m Model) Advance(h, sigma, x, d float64) float64 {
 	hardK := math.IsInf(m.K, 1)
@@ -169,71 +167,6 @@ func (m Model) Advance(h, sigma, x, d float64) float64 {
 		xn = 1
 	}
 	return xn
-}
-
-// AdvanceRow performs the explicit memristor update
-//
-//	x[m] ← Clamp(x' + h·DxDt(x', σ·d[m])),  x' = Clamp(x[m]),
-//
-// over a row of ensemble lanes in one flattened pass. Per lane the
-// arithmetic is the exact operation sequence of Clamp/DxDt/H/window/theta
-// with the call tree flattened and the model constants hoisted out of the
-// lane loop, so results are bit-identical to the scalar composition
-// (property-tested) while the batch hot loop pays no call frames. Dropping
-// the θ factor on the hard-threshold branches is exact: θ is 1 there and
-// w·1 ≡ w in IEEE arithmetic for every w including ±0 and NaN.
-//
-//dmmvet:pair name=mem-advance role=batch
-//dmmvet:hotpath
-func (m Model) AdvanceRow(h, sigma float64, x, d []float64) {
-	hardK := math.IsInf(m.K, 1)
-	hardT := m.Vt <= 0 || m.Step == nil
-	nk := -m.K
-	na := -m.Alpha
-	r1 := m.Roff - m.Ron
-	ron := m.Ron
-	vt2 := 2 * m.Vt
-	step := m.Step
-	for i, di := range d {
-		xi := x[i]
-		if xi < 0 {
-			xi = 0
-		} else if xi > 1 {
-			xi = 1
-		}
-		vM := sigma * di
-		// h(x, vM) of Eq. (31)/(40), flattened: pick the blocking side,
-		// then its window and (for soft thresholds) the θ̃ gate.
-		var hv float64
-		if vM != 0 {
-			dist := xi // distance from the blocking boundary
-			if vM < 0 {
-				dist = 1 - xi
-			}
-			if hardK {
-				if dist > 0 {
-					hv = 1
-				}
-			} else if dist != 0 {
-				hv = 1 - math.Exp(nk*dist)
-			}
-			if !hardT {
-				av := vM
-				if av < 0 {
-					av = -av
-				}
-				hv *= step.Eval(av / vt2)
-			}
-		}
-		g := 1 / (float64(r1*xi) + ron)
-		xn := xi + float64(h*(na*hv*g*vM))
-		if xn < 0 {
-			xn = 0
-		} else if xn > 1 {
-			xn = 1
-		}
-		x[i] = xn
-	}
 }
 
 // Clamp returns x restricted to the invariant interval [0,1].

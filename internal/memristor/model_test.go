@@ -182,11 +182,9 @@ func TestWindowZeroFastPathBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAdvanceBitIdentical pins the scalar Advance kernel to the
-// composition Clamp(Clamp(x) + h·DxDt(Clamp(x), σ·d)) bitwise, and to
-// its batch twin AdvanceRow lane for lane — the runtime half of the
-// mem-advance kernel-pair contract (the kernelpair analyzer proves the
-// op sequences equal statically).
+// TestAdvanceBitIdentical pins the flattened Advance kernel to the
+// composition Clamp(Clamp(x) + h·DxDt(Clamp(x), σ·d)) bitwise, over hard
+// and soft windows and thresholds, boundary states, and zero drops.
 func TestAdvanceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	models := []Model{Default()}
@@ -216,63 +214,6 @@ func TestAdvanceBitIdentical(t *testing.T) {
 			if got := m.Advance(h, sigma, x, d); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("model %d trial %d: Advance %v (%#x), scalar composition %v (%#x) [x=%v d=%v]",
 					mi, trial, got, math.Float64bits(got), want, math.Float64bits(want), x, d)
-			}
-			row := []float64{x}
-			m.AdvanceRow(h, sigma, row, []float64{d})
-			if math.Float64bits(row[0]) != math.Float64bits(m.Advance(h, sigma, x, d)) {
-				t.Fatalf("model %d trial %d: AdvanceRow %v, Advance %v [x=%v d=%v]",
-					mi, trial, row[0], m.Advance(h, sigma, x, d), x, d)
-			}
-		}
-	}
-}
-
-// TestAdvanceRowBitIdentical pins the flattened batch row kernel to the
-// scalar composition Clamp(Clamp(x) + h·DxDt(Clamp(x), σ·d)) bitwise, over
-// hard and soft windows and thresholds, boundary states, and zero drops.
-func TestAdvanceRowBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	models := []Model{
-		Default(), // hard window, Vt = 0 (hard threshold)
-	}
-	soft := Default()
-	soft.Alpha, soft.K, soft.Vt = 0.5, 20, 0.05
-	models = append(models, soft)
-	hardStep := soft
-	hardStep.Step = nil // finite k, hard threshold via nil step
-	models = append(models, hardStep)
-	for mi, m := range models {
-		for trial := 0; trial < 200; trial++ {
-			const k = 7
-			h := 1e-3 * (0.5 + rng.Float64())
-			sigma := 1.0
-			if rng.Intn(2) == 0 {
-				sigma = -1
-			}
-			x := make([]float64, k)
-			d := make([]float64, k)
-			for i := range x {
-				x[i] = rng.Float64()*1.4 - 0.2 // exercise the input clamp
-				if rng.Intn(4) == 0 {
-					x[i] = float64(rng.Intn(2)) // pin boundaries often
-				}
-				d[i] = 2 * (rng.Float64() - 0.5)
-				if rng.Intn(5) == 0 {
-					d[i] = 0
-				}
-			}
-			want := make([]float64, k)
-			for i := range want {
-				xi := Clamp(x[i])
-				want[i] = Clamp(xi + h*m.DxDt(xi, sigma*d[i]))
-			}
-			got := append([]float64(nil), x...)
-			m.AdvanceRow(h, sigma, got, d)
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("model %d trial %d lane %d: AdvanceRow %v (%#x), scalar %v (%#x) [x=%v d=%v]",
-						mi, trial, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), x[i], d[i])
-				}
 			}
 		}
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // ConvStats aggregates convergence times (dynamical time-to-solution of
-// solved attempts) across a run's portfolio attempts and batch lanes,
-// for the self-averaging analysis of arXiv:2301.08787: end-of-run
+// solved attempts) across a run's portfolio attempts, for the
+// self-averaging analysis of arXiv:2301.08787: end-of-run
 // quantiles in the summary table plus the full CCDF in -json output.
 // Observe is cold-path (once per solved attempt) and safe for
 // concurrent attempts; a nil *ConvStats ignores observations.

@@ -82,10 +82,10 @@ const spanBuckets = len(spanBoundsNs) + 1
 
 // Spans is the zero-allocation phase-span profiler: per-phase nanosecond
 // totals, interval counts, and fixed-bucket interval histograms, all
-// atomic so one Spans can be shared by every racing attempt (and batch)
-// of a run. A nil *Spans disables profiling — every method is
-// nil-receiver safe and costs one nil check — so instrumented hot loops
-// need no spans-enabled branch.
+// atomic so one Spans can be shared by every racing attempt of a run. A
+// nil *Spans disables profiling — every method is nil-receiver safe and
+// costs one nil check — so instrumented hot loops need no spans-enabled
+// branch.
 //
 // Usage is lap-style: tok := sp.Begin() opens an interval; sp.Lap(p, tok)
 // charges the time since tok to phase p and re-opens at now; sp.End(p,

@@ -32,13 +32,6 @@ type Telemetry struct {
 	AttemptsCancelled *Counter
 	AttemptsDiverged  *Counter
 
-	// Batched lockstep ensembles: batches dispatched by the portfolio
-	// scheduler, and the live-member count of the most recent batch
-	// physics sample (members retire individually as they converge,
-	// diverge, or are cancelled).
-	BatchesLaunched *Counter
-	BatchLive       *Gauge
-
 	// Integration hot path.
 	Steps     *Counter
 	Rejected  *Counter
@@ -76,8 +69,6 @@ func NewTelemetry() *Telemetry {
 		AttemptsConverged: r.Counter("attempts.converged"),
 		AttemptsCancelled: r.Counter("attempts.cancelled"),
 		AttemptsDiverged:  r.Counter("attempts.diverged"),
-		BatchesLaunched:   r.Counter("batches.launched"),
-		BatchLive:         r.Gauge("batch.live_members"),
 		Steps:             r.Counter("steps.accepted"),
 		Rejected:          r.Counter("steps.rejected"),
 		FEvals:            r.Counter("fevals"),

@@ -87,12 +87,14 @@ func collectRecords(t *testing.T, buf *bytes.Buffer) []obs.FlightRecord {
 
 // TestFlightSolvedRunDoesNotDump pins the dump condition: solved
 // attempts retire their rings without writing post-mortems, and their
-// convergence times land in the ConvStats aggregate instead.
+// convergence times land in the ConvStats aggregate instead. The span
+// profiler rides along: a solved run must charge every phase.
 func TestFlightSolvedRunDoesNotDump(t *testing.T) {
 	cs := compileProduct(t, 3, 2, 15)
 	var sink bytes.Buffer
 	tl := obs.NewTelemetry()
 	tl.Flight = obs.NewFlightSet(0, 0, &sink)
+	tl.Spans = obs.NewSpans()
 
 	opts := ladderOpts(t, 7)
 	opts.MaxAttempts = 1
@@ -115,77 +117,13 @@ func TestFlightSolvedRunDoesNotDump(t *testing.T) {
 	if conv.Min != res.T {
 		t.Fatalf("ConvStats min %g != winner time %g", conv.Min, res.T)
 	}
-}
-
-// TestBatchFlightDump runs the forced-divergence scenario through the
-// lockstep batch scheduler: every lane keeps its own ring, all of them
-// dump on the shared horizon, and the interleaved stream validates.
-func TestBatchFlightDump(t *testing.T) {
-	cs := compileProduct(t, 3, 2, 15)
-	var sink bytes.Buffer
-	tl := obs.NewTelemetry()
-	tl.Flight = obs.NewFlightSet(0, 0, &sink)
-	tl.Spans = obs.NewSpans()
-
-	opts := batchOpts(t, 7)
-	opts.BatchSize = 4
-	opts.TEnd = 0.5
-	opts.Telemetry = tl
-
-	res, err := cs.Solve(opts)
-	if err != nil {
-		t.Fatal(err)
+	snap := tl.Spans.Snapshot()
+	if snap == nil {
+		t.Fatal("span profiler recorded nothing")
 	}
-	if res.Solved {
-		t.Fatal("test premise broken: batch solved before the forced horizon")
-	}
-	if tl.Flight.Dumped() == 0 {
-		t.Fatal("unsolved batch lanes produced no flight dump")
-	}
-	if err := obs.ValidateFlightJSONL(bytes.NewReader(sink.Bytes())); err != nil {
-		t.Fatalf("batch flight dump fails schema validation: %v", err)
-	}
-	// All four lanes must appear in the dump.
-	seen := map[int]bool{}
-	for _, r := range collectRecords(t, &sink) {
-		seen[r.Attempt] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("dump covers %d lanes, want 4: %v", len(seen), seen)
-	}
-	if snap := tl.Spans.Snapshot(); snap == nil || snap.TotalNs == 0 {
-		t.Fatal("batch span profiler recorded nothing")
-	}
-}
-
-// TestBatchSpansMatchScalarShape cross-checks the profiler on the two
-// schedulers: the batch path must charge the same set of phases the
-// scalar path does (every phase nonzero on both), so the breakdown
-// tables are comparable.
-func TestBatchSpansMatchScalarShape(t *testing.T) {
-	run := func(batch int) *obs.SpansSnapshot {
-		cs := compileProduct(t, 3, 2, 15)
-		tl := obs.NewTelemetry()
-		tl.Spans = obs.NewSpans()
-		opts := batchOpts(t, 7)
-		opts.BatchSize = batch
-		opts.Telemetry = tl
-		res, err := cs.Solve(opts)
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		if !res.Solved {
-			t.Fatalf("batch=%d not solved: %s", batch, res.Reason)
-		}
-		return tl.Spans.Snapshot()
-	}
-	scalar, batched := run(0), run(4)
-	for p := obs.Phase(0); p < obs.NumPhases; p++ {
-		if scalar.Phases[p].Count == 0 {
-			t.Errorf("scalar path: phase %q recorded no intervals", scalar.Phases[p].Phase)
-		}
-		if batched.Phases[p].Count == 0 {
-			t.Errorf("batch path: phase %q recorded no intervals", batched.Phases[p].Phase)
+	for _, ph := range snap.Phases {
+		if ph.Count == 0 {
+			t.Errorf("phase %q recorded no intervals", ph.Phase)
 		}
 	}
 }

@@ -100,11 +100,9 @@ type attemptOut struct {
 }
 
 // poolState is the mutable state a Solve run shares across its racing
-// units of work — single attempts, or whole lockstep batches. The map
-// key of cancels is the unit's lowest attempt index (the attempt index
-// itself for single attempts, the batch's first member for batches), so
-// the winner policy's "cancel everything that can no longer win" sweep
-// is the same comparison for both schedulers.
+// attempts. cancels maps each running attempt's index to the cancel
+// function of its context, so the winner policy's "cancel everything
+// that can no longer win" sweep is a comparison on the key.
 type poolState struct {
 	mu       sync.Mutex
 	outs     []attemptOut
@@ -125,8 +123,8 @@ func (st *poolState) fail(err error, icancel context.CancelFunc) {
 
 // reportSolved applies the winner policy to a newly solved attempt
 // index: under WinnerFirstDone the first observed win cancels the whole
-// pool; under WinnerLowestAttempt a new lowest index cancels every unit
-// whose attempts are all above it. Callers must hold st.mu.
+// pool; under WinnerLowestAttempt a new lowest index cancels every
+// running attempt above it. Callers must hold st.mu.
 func (st *poolState) reportSolved(i int, policy WinnerPolicy, icancel context.CancelFunc) {
 	switch policy {
 	case WinnerFirstDone:
@@ -152,10 +150,7 @@ func (st *poolState) reportSolved(i int, policy WinnerPolicy, icancel context.Ca
 // engine from the initial condition drawn from Seed + k, so trajectories
 // are reproducible regardless of scheduling; the winner policy decides
 // which verified equilibrium is returned and which running attempts are
-// cancelled (via context) once it can no longer be beaten. With
-// Options.BatchSize > 1 the portfolio schedules lockstep batches instead
-// of single attempts (see batch.go); member identities, seeds, and the
-// winner policy are preserved.
+// cancelled (via context) once it can no longer be beaten.
 func (pf *Portfolio) Solve(opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	//dmmvet:allow detflow — wall-clock telemetry only (Result.Wall); never feeds the trajectory or the winner policy
@@ -188,14 +183,7 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 		firstWin: -1,
 	}
 
-	if opts.batchEnabled() {
-		if err := pf.batchEligible(opts); err != nil {
-			return Result{}, err
-		}
-		pf.dispatchBatches(ictx, icancel, opts, parallelism, st)
-	} else {
-		pf.dispatchAttempts(ictx, icancel, opts, parallelism, st)
-	}
+	pf.dispatchAttempts(ictx, icancel, opts, parallelism, st)
 
 	if st.firstErr != nil {
 		return Result{}, st.firstErr
@@ -257,8 +245,7 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 	return res, nil
 }
 
-// dispatchAttempts races the n restart attempts one-per-worker: the
-// original scheduling, and the fallback whenever batching is off.
+// dispatchAttempts races the n restart attempts one-per-worker.
 func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.CancelFunc, opts Options, parallelism int, st *poolState) {
 	par.ForEach(ictx, opts.MaxAttempts, parallelism, func(_ context.Context, i int) {
 		st.mu.Lock()

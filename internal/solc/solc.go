@@ -36,10 +36,14 @@ type Mode int
 // Compilation modes.
 const (
 	// ModeQuasiStatic eliminates node voltages algebraically (the paper's
-	// order-reduced DAE form; fastest and the default).
+	// order-reduced DAE form). It is Mode's zero value but not the
+	// default: the IMEX stepper cannot integrate it, so it serves the
+	// explicit and implicit steppers (e.g. DefaultPortfolio's rk45
+	// member).
 	ModeQuasiStatic Mode = iota
 	// ModeCapacitive keeps node voltages as ODE states with an explicit
-	// node-to-ground capacitance (the ablation comparator).
+	// node-to-ground capacitance. It is the form Compile uses, and the
+	// default IMEX stepper requires it.
 	ModeCapacitive
 )
 
@@ -177,19 +181,6 @@ type Options struct {
 	// (number of step-size rungs whose factors are retained; 0 selects
 	// the stepper default of 4 slots).
 	FactorCache int
-	// BatchSize, when > 1, integrates restart attempts in lockstep batches
-	// of up to this many ensemble members on a shared interleaved
-	// structure-of-arrays state: one sweep assembles every member's system
-	// and one pass over the shared sparse symbolic factorization solves
-	// all of them (circuit.BatchIMEXStepper). Member identities are
-	// preserved — attempt k still draws its initial condition from
-	// Seed + k and the winner policy is unchanged — so results match the
-	// unbatched scheduler bit for bit. Requires the default IMEX stepper
-	// on a capacitive single-member portfolio without Dense; those
-	// configurations fail the solve with a configuration error. A non-nil
-	// Observe falls back silently to unbatched attempts (the callback
-	// contract is one trajectory at a time).
-	BatchSize int
 	// Verify enables per-step runtime invariant checking (voltage bounds,
 	// x ∈ [0,1], current window, finiteness — see internal/invariant) on
 	// every attempt; a blown bound fails the attempt with a structured
