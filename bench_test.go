@@ -252,17 +252,15 @@ func multiplier6() *solc.Compiled {
 }
 
 // benchIMEXStep measures one IMEX step on the 6-bit multiplier SOLC —
-// the steady-state cost the solve loop pays. Sparse runs the
-// symbolic-once la.SparseLU path (the default); dense the
-// partial-pivoting fallback. A non-nil telemetry attaches the full
-// per-step instrument set (refactor hook on the stepper, accept hook
-// called as the driver would), pinning its hot-path cost.
-func benchIMEXStep(b *testing.B, dense bool, tl *obs.Telemetry) {
+// the steady-state cost the solve loop pays on the symbolic-once
+// la.SparseLU path. A non-nil telemetry attaches the full per-step
+// instrument set (refactor hook on the stepper, accept hook called as
+// the driver would), pinning its hot-path cost.
+func benchIMEXStep(b *testing.B, tl *obs.Telemetry) {
 	cs := multiplier6()
 	c := cs.Eng.(*circuit.Circuit)
 	x := c.InitialState(rand.New(rand.NewSource(1)))
 	st := circuit.NewIMEX(c, nil)
-	st.Dense = dense
 	so := tl.StepObs()
 	st.Obs = so
 	h := 1e-3
@@ -280,15 +278,13 @@ func benchIMEXStep(b *testing.B, dense bool, tl *obs.Telemetry) {
 	}
 }
 
-func BenchmarkIMEXStepSparse(b *testing.B) { benchIMEXStep(b, false, nil) }
-
-func BenchmarkIMEXStepDense(b *testing.B) { benchIMEXStep(b, true, nil) }
+func BenchmarkIMEXStepSparse(b *testing.B) { benchIMEXStep(b, nil) }
 
 // BenchmarkIMEXStepTelemetry is BenchmarkIMEXStepSparse with the
 // telemetry instruments attached — the CI gate asserting observability
 // stays free on the hot path (0 allocs/op, within noise of the
 // uninstrumented step).
-func BenchmarkIMEXStepTelemetry(b *testing.B) { benchIMEXStep(b, false, obs.NewTelemetry()) }
+func BenchmarkIMEXStepTelemetry(b *testing.B) { benchIMEXStep(b, obs.NewTelemetry()) }
 
 // TestIMEXStepTelemetryZeroAlloc is the deterministic allocation check
 // behind the benchmark: after the first step warms the factorization,
@@ -333,7 +329,7 @@ func TestIMEXStepSpansFlightZeroAlloc(t *testing.T) {
 	tl := obs.NewTelemetry()
 	tl.Spans = obs.NewSpans()
 	tl.Flight = obs.NewFlightSet(0, 0, nil)
-	fl := tl.FlightFor(0, 2.0)
+	fl := tl.FlightFor(0)
 	st := circuit.NewIMEX(c, nil)
 	st.Obs = tl.StepObsFor(fl)
 	st.Spans = tl.Spans

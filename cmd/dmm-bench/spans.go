@@ -8,10 +8,27 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/boolcirc"
 	"repro/internal/circuit"
 	"repro/internal/obs"
 	"repro/internal/ode"
+	"repro/internal/solc"
 )
+
+// mult6 compiles the 6-bit multiplier SOLC (12-bit product pinned to
+// 2021 = 43 × 47) — the instance bench_test.go's BenchmarkIMEXStep
+// measures.
+func mult6() *circuit.Circuit {
+	bc := boolcirc.New()
+	p := bc.NewSignals(6)
+	q := bc.NewSignals(6)
+	prod := bc.Multiplier(p, q)
+	pins := map[boolcirc.Signal]bool{}
+	for i, s := range prod {
+		pins[s] = 2021&(1<<uint(i)) != 0
+	}
+	return solc.Compile(bc, pins, circuit.Default()).Eng.(*circuit.Circuit)
+}
 
 // spansPathStats is one instrumentation configuration's fixed-horizon
 // measurement in BENCH_imex_spans.json.
@@ -27,7 +44,7 @@ type spansPathStats struct {
 type spansBench struct {
 	Name     string  `json:"name"`
 	Instance string  `json:"instance"`
-	HQuant   float64 `json:"h_quantized"`
+	H        float64 `json:"h"`
 	Gates    int     `json:"gates"`
 	StateDim int     `json:"state_dim"`
 	// Off integrates 20k steps with telemetry disabled entirely; On runs
@@ -48,16 +65,14 @@ type spansBench struct {
 	Failures []string           `json:"failures,omitempty"`
 }
 
-// runScalarSpans integrates 20k fixed quantized steps on a fresh 6-bit
-// multiplier with the production factor-cache configuration,
-// fully instrumented when sp is non-nil (span laps, step hooks, and a
-// flight ring fed through them).
+// runScalarSpans integrates 20k fixed steps on a fresh 6-bit multiplier
+// with the production stepper configuration, fully instrumented when sp
+// is non-nil (span laps, step hooks, and a flight ring fed through them).
 func runScalarSpans(steps int, h float64, sp *obs.Spans, fl *obs.Flight, tl *obs.Telemetry) spansPathStats {
 	c := mult6()
 	x := c.InitialState(rand.New(rand.NewSource(1)))
 	stats := &ode.Stats{}
 	s := circuit.NewIMEX(c, stats)
-	s.StaleMax = circuit.DefaultStaleMax
 	if sp != nil {
 		s.Spans = sp
 		s.Obs = tl.StepObsFor(fl)
@@ -88,9 +103,8 @@ func spansAllocsPerStep(h float64) float64 {
 	tl := obs.NewTelemetry()
 	tl.Spans = obs.NewSpans()
 	tl.Flight = obs.NewFlightSet(0, 0, nil)
-	fl := tl.FlightFor(0, ode.DefaultLadderRatio)
+	fl := tl.FlightFor(0)
 	s := circuit.NewIMEX(c, nil)
-	s.StaleMax = circuit.DefaultStaleMax
 	s.Spans = tl.Spans
 	s.Obs = tl.StepObsFor(fl)
 	if _, err := s.Step(c, 0, h, x); err != nil {
@@ -112,21 +126,18 @@ func spansAllocsPerStep(h float64) float64 {
 // imexSpans measures the deep-observability stack on the 6-bit
 // multiplier: hot-loop overhead of the span profiler + flight recorder
 // against the uninstrumented baseline (gated < 3%), zero steady-state
-// allocations per instrumented step, and a complete per-phase breakdown.
-// Prints the breakdown table, optionally writes BENCH_imex_spans.json,
-// and returns an error when a gate fails.
+// allocations per instrumented step, and a per-phase breakdown in which
+// every phase with a producer is charged. Prints the breakdown table,
+// optionally writes BENCH_imex_spans.json, and returns an error when a
+// gate fails.
 func imexSpans(writeJSON bool) error {
-	ladder, err := ode.NewHLadder(ode.DefaultLadderRatio)
-	if err != nil {
-		return err
-	}
-	hq := ladder.Quantize(1e-3)
+	const h = 1e-3
 	const steps = 20000
 	c := mult6()
 	doc := spansBench{
 		Name:         "imex_spans",
 		Instance:     "6-bit multiplier (12-bit product pinned to 2021 = 43*47)",
-		HQuant:       hq,
+		H:            h,
 		Gates:        c.NumGates(),
 		StateDim:     c.Dim(),
 		GateOverhead: 0.03,
@@ -136,14 +147,14 @@ func imexSpans(writeJSON bool) error {
 	// side's fastest wall time; the overhead gate compares best against
 	// best, which is robust to one-sided clock drift.
 	for rep := 0; rep < 5; rep++ {
-		if s := runScalarSpans(steps, hq, nil, nil, nil); rep == 0 || s.SolveWallNs < doc.Off.SolveWallNs {
+		if s := runScalarSpans(steps, h, nil, nil, nil); rep == 0 || s.SolveWallNs < doc.Off.SolveWallNs {
 			doc.Off = s
 		}
 		tl := obs.NewTelemetry()
 		tl.Spans = obs.NewSpans()
 		tl.Flight = obs.NewFlightSet(0, 0, nil)
-		fl := tl.FlightFor(0, ode.DefaultLadderRatio)
-		if s := runScalarSpans(steps, hq, tl.Spans, fl, tl); rep == 0 || s.SolveWallNs < doc.On.SolveWallNs {
+		fl := tl.FlightFor(0)
+		if s := runScalarSpans(steps, h, tl.Spans, fl, tl); rep == 0 || s.SolveWallNs < doc.On.SolveWallNs {
 			doc.On = s
 			doc.Scalar = tl.Spans.Snapshot()
 		}
@@ -151,7 +162,7 @@ func imexSpans(writeJSON bool) error {
 	doc.Off.NsPerStep = doc.Off.SolveWallNs / int64(doc.Off.Steps)
 	doc.On.NsPerStep = doc.On.SolveWallNs / int64(doc.On.Steps)
 	doc.OverheadFrac = float64(doc.On.NsPerStep-doc.Off.NsPerStep) / float64(doc.Off.NsPerStep)
-	doc.AllocsPerStep = spansAllocsPerStep(hq)
+	doc.AllocsPerStep = spansAllocsPerStep(h)
 
 	if doc.On.Steps != doc.Off.Steps {
 		doc.Failures = append(doc.Failures,
@@ -166,8 +177,10 @@ func imexSpans(writeJSON bool) error {
 		doc.Failures = append(doc.Failures,
 			fmt.Sprintf("instrumented step allocates %v allocs/step (want 0)", doc.AllocsPerStep))
 	}
+	// PhaseRefine has no producer; every other phase must carry
+	// intervals.
 	for _, ph := range doc.Scalar.Phases {
-		if ph.Count == 0 {
+		if ph.Count == 0 && ph.Phase != obs.PhaseRefine.String() {
 			doc.Failures = append(doc.Failures,
 				fmt.Sprintf("breakdown: phase %q recorded no intervals", ph.Phase))
 		}
@@ -175,7 +188,7 @@ func imexSpans(writeJSON bool) error {
 
 	fmt.Printf("IMEX deep observability: phase spans + flight recorder overhead\n")
 	fmt.Printf("instance: %s\n", doc.Instance)
-	fmt.Printf("h=%.6g steps=%d\n\n", doc.HQuant, steps)
+	fmt.Printf("h=%.6g steps=%d\n\n", doc.H, steps)
 	fmt.Printf("%-10s %12s %14s %8s\n", "config", "ns/step", "solve wall", "steps")
 	for _, row := range []struct {
 		name string

@@ -38,9 +38,6 @@ func run() int {
 	portfolio := flag.Bool("portfolio", false, "race the heterogeneous solver portfolio (IMEX-capacitive vs RK45-quasistatic)")
 	showTrace := flag.Bool("trace", false, "render factor-bit voltage trajectories")
 	check := flag.Bool("check", false, "verify runtime invariants per step and post-hoc scan the recorded trace (no build tag needed)")
-	dense := flag.Bool("dense", false, "use the dense-LU voltage solve instead of the sparse symbolic-once default (A/B comparison)")
-	hladder := flag.Float64("hladder", 0, "step-size ladder ratio: quantize h onto the geometric grid ratio^k and reuse cached shifted factors (0 = off; 1.1892 = 2^(1/4) recommended)")
-	factorCache := flag.Int("factor-cache", 0, "IMEX shifted-factor cache capacity in step-size rungs (0 = default 4)")
 	co := obs.BindFlags("dmm-factor", flag.CommandLine)
 	flag.Parse()
 
@@ -62,9 +59,6 @@ func run() int {
 	cfg.FirstWin = *firstWin
 	cfg.Deadline = *deadline
 	cfg.Verify = *check
-	cfg.Dense = *dense
-	cfg.HLadder = *hladder
-	cfg.FactorCache = *factorCache
 	cfg.Telemetry = co.Telemetry
 	if *portfolio {
 		cfg.Portfolio = solc.DefaultPortfolio()

@@ -38,9 +38,6 @@ func run() int {
 	firstWin := flag.Bool("first-win", false, "first verified winner cancels all attempts")
 	deadline := flag.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
 	portfolio := flag.Bool("portfolio", false, "race the heterogeneous solver portfolio across restarts")
-	dense := flag.Bool("dense", false, "use the dense-LU voltage solve instead of the sparse symbolic-once default (A/B comparison)")
-	hladder := flag.Float64("hladder", 0, "step-size ladder ratio: quantize h onto the geometric grid ratio^k and reuse cached shifted factors (0 = off; 1.1892 = 2^(1/4) recommended)")
-	factorCache := flag.Int("factor-cache", 0, "IMEX shifted-factor cache capacity in step-size rungs (0 = default 4)")
 	co := obs.BindFlags("dmm-sat", flag.CommandLine)
 	flag.Parse()
 
@@ -102,9 +99,6 @@ func run() int {
 	if *firstWin {
 		opts.Policy = solc.WinnerFirstDone
 	}
-	opts.Dense = *dense
-	opts.HLadderRatio = *hladder
-	opts.FactorCache = *factorCache
 	opts.Telemetry = co.Telemetry
 	var res solc.SATResult
 	var err error

@@ -34,9 +34,6 @@ func run() int {
 	parallel := flag.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
 	firstWin := flag.Bool("first-win", false, "first verified winner cancels all attempts")
 	deadline := flag.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
-	dense := flag.Bool("dense", false, "use the dense-LU voltage solve instead of the sparse symbolic-once default (A/B comparison)")
-	hladder := flag.Float64("hladder", 0, "step-size ladder ratio: quantize h onto the geometric grid ratio^k and reuse cached shifted factors (0 = off; 1.1892 = 2^(1/4) recommended)")
-	factorCache := flag.Int("factor-cache", 0, "IMEX shifted-factor cache capacity in step-size rungs (0 = default 4)")
 	co := obs.BindFlags("dmm-subsetsum", flag.CommandLine)
 	flag.Parse()
 
@@ -67,9 +64,6 @@ func run() int {
 	cfg.Parallelism = *parallel
 	cfg.FirstWin = *firstWin
 	cfg.Deadline = *deadline
-	cfg.Dense = *dense
-	cfg.HLadder = *hladder
-	cfg.FactorCache = *factorCache
 	cfg.Telemetry = co.Telemetry
 	ss := core.NewSubsetSum(cfg)
 	res, err := ss.Solve(values, *target)

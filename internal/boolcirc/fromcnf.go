@@ -15,6 +15,9 @@ import (
 // "encode directly the SAT representing the specific problem"
 // (Sec. VIII).
 func FromCNF(f CNF) (c *Circuit, vars []Signal, clauseOuts []Signal, err error) {
+	if f.NumVars < 0 {
+		return nil, nil, nil, fmt.Errorf("boolcirc: negative variable count %d", f.NumVars)
+	}
 	c = New()
 	vars = c.NewSignals(f.NumVars)
 	negOf := make(map[int]Signal)

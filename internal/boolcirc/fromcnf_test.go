@@ -54,11 +54,18 @@ func TestFromCNFSharedNegation(t *testing.T) {
 }
 
 func TestFromCNFErrors(t *testing.T) {
-	if _, _, _, err := FromCNF(CNF{NumVars: 1, Clauses: []Clause{{}}}); err == nil {
-		t.Fatal("empty clause should error")
+	cases := []struct {
+		name string
+		f    CNF
+	}{
+		{"empty clause", CNF{NumVars: 1, Clauses: []Clause{{}}}},
+		{"out-of-range literal", CNF{NumVars: 1, Clauses: []Clause{{5}}}},
+		{"negative variable count", CNF{NumVars: -1, Clauses: []Clause{{1}}}},
 	}
-	if _, _, _, err := FromCNF(CNF{NumVars: 1, Clauses: []Clause{{5}}}); err == nil {
-		t.Fatal("out-of-range literal should error")
+	for _, tc := range cases {
+		if _, _, _, err := FromCNF(tc.f); err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+		}
 	}
 }
 

@@ -52,15 +52,10 @@ func (q *QuasiStatic) Clone() Engine {
 	cq.C = q.C.Clone().(*Circuit)
 	nBranch := q.C.memBr.len() + q.C.resBr.len()
 	cq.g = la.NewVector(nBranch)
-	cq.gCache = la.NewVector(q.C.nm)
 	cq.rhs = la.NewVector(q.C.nv)
 	cq.vSol = la.NewVector(q.C.nv)
 	cq.nodeV = la.NewVector(q.C.numNodes)
-	cq.csr = nil
-	cq.slu = nil
-	cq.aMat = nil
-	cq.lu = nil
-	cq.haveLU = false
+	cq.f = voltageFactor{}
 	cq.Refacts = 0
 	return &cq
 }

@@ -28,7 +28,7 @@ import (
 // symbolic factorization (internal/circuit/stamp.go, la.SparseLU): each
 // row of A couples a node only to the terminals sharing its gates, so the
 // system is sparse and a numeric refactorization costs O(fill) instead of
-// the dense O(nv³). Dense selects the dense-LU fallback for A/B runs.
+// the dense O(nv³).
 //
 // IMEXStepper implements ode.Stepper but is bound to one *Circuit: the sys
 // argument of Step must be that circuit.
@@ -41,41 +41,6 @@ type IMEXStepper struct {
 	// staleness harmless; 0 refactors every step.
 	RefactorTol float64
 
-	// StaleMax widens the reuse band on the sparse path: when the
-	// conductance drift since a cached factorization exceeds RefactorTol
-	// but stays within StaleMax, the stale factor is kept as a
-	// preconditioner and the solve is iteratively refined against the
-	// freshly assembled matrix instead of refactoring (see solveRefined).
-	// The refined solution satisfies the current system to
-	// RefineTol·‖rhs‖∞, so accuracy is residual-controlled, not
-	// drift-controlled; the factor's useful lifetime is governed by the
-	// RefreshSweeps economics, so StaleMax is only a coarse safety gate.
-	// ≤ RefactorTol disables refinement (the seed behavior);
-	// DefaultStaleMax is the tuned ladder setting.
-	StaleMax float64
-	// RefineTol is the relative residual bound refined solves must meet
-	// (NewIMEX seeds DefaultRefineTol).
-	RefineTol float64
-	// MaxRefine bounds refinement sweeps per step before falling back to
-	// a full refactorization (NewIMEX seeds DefaultMaxRefine).
-	MaxRefine int
-	// RefreshSweeps is the break-even point of stale-factor reuse: after
-	// a refined solve that needed this many sweeps or more, the slot is
-	// refactored in place — the refined solution stands, but the next
-	// steps start from a fresh factor instead of grinding ever more
-	// sweeps out of an aging one (NewIMEX seeds DefaultRefreshSweeps).
-	RefreshSweeps int
-	// FactorCacheCap is the number of shifted factors kept, one per
-	// step-size rung (DefaultFactorCacheCap when 0 at first Step). Each
-	// slot owns a full numeric factor plus a conductance snapshot; with
-	// the step-size ladder the controller oscillates among a few adjacent
-	// rungs, so a handful of slots captures nearly all revisits.
-	FactorCacheCap int
-
-	// Dense selects the dense partial-pivoting LU instead of the sparse
-	// symbolic-once path (the -dense A/B comparator).
-	Dense bool
-
 	// Obs, when non-nil, receives refactorization telemetry — the one
 	// event the driver cannot see. Accept/reject counting stays with the
 	// driver's own hook so steps are never double-counted.
@@ -83,34 +48,17 @@ type IMEXStepper struct {
 
 	// Spans, when non-nil, receives the per-phase lap timings of Step.
 	// The stepper laps around the self-timed SparseLU calls (Refactor,
-	// SolveInto — wired onto its private clone in refactorSlot) so no
-	// interval is ever charged to two phases.
+	// SolveInto — wired onto its private clone in voltageFactor.bind) so
+	// no interval is ever charged to two phases.
 	Spans *obs.Spans
 
-	// sparse path: private values over the shared pattern, private numeric
-	// factors over the shared symbolic analysis, and the per-rung factor
-	// cache (the active factor is always cache.slots[...].fac installed
-	// via SetFactor).
-	csr   *la.CSR
-	slu   *la.SparseLU
-	cache facCache
-	// dense path
-	aMat *la.Dense
-	lu   *la.LU
+	// f is the one factor of (C/h·I + A), keyed by the bits of h.
+	f voltageFactor
 
-	// dense-path factor identity (the sparse path keys by cache slot).
-	haveFactor bool
-	hAtFactor  float64
-
-	g      la.Vector // per-branch conductances in plan order [mem | resistor]
-	gCache la.Vector // memristor part at the last dense factorization
-	rhs    la.Vector
-	nodeV  la.Vector
-	vNew   la.Vector
-	vPrev  la.Vector // solution one step back, for the refinement warm start
-	vPrev2 la.Vector // solution two steps back (quadratic extrapolation)
-	resid  la.Vector // refinement scratch: rhs − M·vNew
-	delta  la.Vector // refinement scratch: correction per sweep
+	g     la.Vector // per-branch conductances in plan order [mem | resistor]
+	rhs   la.Vector
+	nodeV la.Vector
+	vNew  la.Vector
 
 	// energy accumulates the dissipated energy ∫ Σ_b g_b·d_b² dt over the
 	// resistive branches (Sec. VI-I's polynomial-energy accounting).
@@ -124,54 +72,16 @@ func (s *IMEXStepper) Energy() float64 { return s.energy }
 // ResetEnergy zeroes the dissipation accumulator.
 func (s *IMEXStepper) ResetEnergy() { s.energy = 0 }
 
-// DefaultStaleMax is the stale-reuse band the solution-mode solver
-// enables alongside the step-size ladder: conductance drift up to 4×
-// keeps the cached factor as a refinement preconditioner. The band is
-// deliberately loose — relative drift of a near-floor conductance barely
-// moves the C/h-shifted system, so the refinement contraction stays fast
-// long after small branches have drifted past 100% — and the factor's
-// economic lifetime is governed by DefaultRefreshSweeps instead.
-const DefaultStaleMax = 4.0
-
-// Refinement defaults. Each sweep dst += M_stale⁻¹(rhs − M·dst) is one
-// triangular solve plus one fused residual pass — roughly a tenth of a
-// numeric refactorization on the 6-bit multiplier — and contracts the
-// residual by ‖M_stale⁻¹ΔA‖, the conductance drift weighted against the
-// shifted diagonal. With the extrapolated warm start most steps
-// converge in a few sweeps; once a solve needs DefaultRefreshSweeps the
-// sweeps cost about as much as refactoring, so the slot is refreshed in
-// place. DefaultMaxRefine is only the hard fallback bound
-// (solveRefined's contraction bail normally fires far earlier). The
-// 1e-6 relative residual is ~10³ tighter than the error the seed
-// predicate already accepted by reusing factors with RefactorTol-stale
-// conductances unrefined.
-const (
-	DefaultRefineTol      = 1e-6
-	DefaultMaxRefine      = 25
-	DefaultRefreshSweeps  = 20
-	DefaultFactorCacheCap = 4
-)
-
-// NewIMEX returns an IMEX stepper bound to c, using the sparse
-// symbolic-once solve; set Dense before the first Step for the dense
-// fallback.
+// NewIMEX returns an IMEX stepper bound to c.
 func NewIMEX(c *Circuit, stats *ode.Stats) *IMEXStepper {
 	return &IMEXStepper{
-		c:             c,
-		stats:         stats,
-		RefactorTol:   5e-3,
-		RefineTol:     DefaultRefineTol,
-		MaxRefine:     DefaultMaxRefine,
-		RefreshSweeps: DefaultRefreshSweeps,
-		g:             la.NewVector(c.memBr.len() + c.resBr.len()),
-		gCache:        la.NewVector(c.nm),
-		rhs:           la.NewVector(c.nv),
-		nodeV:         la.NewVector(c.numNodes),
-		vNew:          la.NewVector(c.nv),
-		vPrev:         la.NewVector(c.nv),
-		vPrev2:        la.NewVector(c.nv),
-		resid:         la.NewVector(c.nv),
-		delta:         la.NewVector(c.nv),
+		c:           c,
+		stats:       stats,
+		RefactorTol: 5e-3,
+		g:           la.NewVector(c.memBr.len() + c.resBr.len()),
+		rhs:         la.NewVector(c.nv),
+		nodeV:       la.NewVector(c.numNodes),
+		vNew:        la.NewVector(c.nv),
 	}
 }
 
@@ -180,53 +90,6 @@ func (s *IMEXStepper) Name() string { return "imex" }
 
 // Adaptive reports false: the stepper runs at the driver's fixed h.
 func (s *IMEXStepper) Adaptive() bool { return false }
-
-// needRefactor reports whether the dense path's factorization of
-// (C/h·I + A) must be refreshed for a step of size h: there is none yet,
-// the step size (and with it the diagonal shift) changed, staleness is
-// disabled (RefactorTol ≤ 0 refreshes every step), or some memristor
-// conductance drifted beyond the relative tolerance since the last
-// factorization. The sparse path makes the same decision per cache slot
-// in classifyReuse, with the additional refine band (see faccache.go).
-func (s *IMEXStepper) needRefactor(h float64) bool {
-	if !s.haveFactor || s.RefactorTol <= 0 {
-		return true
-	}
-	if s.hAtFactor != h { //dmmvet:allow floateq — exact cache key: any change of h invalidates the C/h diagonal shift
-		return true
-	}
-	return conductanceDrift(s.g[:s.c.nm], s.gCache, s.RefactorTol)
-}
-
-// conductanceDrift reports whether any entry of gNow has moved more than
-// tol (relative) from the cached value it was factorized at.
-func conductanceDrift(gNow, gCache la.Vector, tol float64) bool {
-	for m := range gNow {
-		if math.Abs(gNow[m]-gCache[m]) > tol*gCache[m] {
-			return true
-		}
-	}
-	return false
-}
-
-// factorizeDense assembles shift·I + A(g) through the stamp plan and
-// factors it with the dense partial-pivoting LU. The sparse path factors
-// through refactorSlot (faccache.go) instead.
-//
-//dmmvet:coldpath — runs only on dense-path refactor events (first step, h change, conductance drift past RefactorTol); its allocations are amortized across the run, not per-step
-func (s *IMEXStepper) factorizeDense(shift float64) error {
-	c := s.c
-	if s.aMat == nil {
-		s.aMat = la.NewDense(c.nv, c.nv)
-	}
-	c.plan.assemble(s.aMat.Data, true, shift, s.g)
-	lu, err := la.Factorize(s.aMat)
-	if err != nil {
-		return err
-	}
-	s.lu = lu
-	return nil
-}
 
 // countRefactor tallies one numeric refactorization.
 func (s *IMEXStepper) countRefactor() {
@@ -237,27 +100,12 @@ func (s *IMEXStepper) countRefactor() {
 	s.Obs.Refactor()
 }
 
-// countFactorHit tallies one step served from a cached factor, with the
-// refinement sweeps it took (0 for exact reuse).
-func (s *IMEXStepper) countFactorHit(sweeps int) {
+// countFactorHit tallies one step served from the existing factor.
+func (s *IMEXStepper) countFactorHit() {
 	if s.stats != nil {
 		s.stats.FactorHits++
-		s.stats.Refines += sweeps
 	}
 	s.Obs.FactorHit()
-	s.Obs.Refine(sweeps)
-}
-
-// solveInto solves the factored voltage system. Both branches self-time
-// into PhaseSolve (the sparse solver through its own Spans hook).
-func (s *IMEXStepper) solveInto(dst, rhs la.Vector) {
-	if s.Dense {
-		tok := s.Spans.Begin()
-		s.lu.SolveInto(dst, rhs)
-		s.Spans.End(obs.PhaseSolve, tok)
-		return
-	}
-	s.slu.SolveInto(dst, rhs)
 }
 
 // Step advances the circuit state by h. It is the innermost loop of
@@ -290,52 +138,23 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 	}
 	tok = s.Spans.Lap(obs.PhaseCondFill, tok)
 
-	// Factor bookkeeping for (C/h·I + A). The dense path keeps one factor
-	// guarded by needRefactor; the sparse path looks up the per-rung cache
-	// and either reuses a factor exactly, keeps a stale one for iterative
-	// refinement (resolved after the RHS is assembled), or refactors.
+	// Refactor (C/h·I + A) when the factor is missing, was computed at a
+	// different h, or its conductances drifted past RefactorTol; otherwise
+	// reuse it as is.
 	shift := p.C / h
-	var refineSlot *facSlot
-	var refineBits uint64
-	if s.Dense {
-		if s.needRefactor(h) {
-			if err := s.factorizeDense(shift); err != nil {
-				return 0, fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
-			}
-			s.gCache.CopyFrom(s.g[:c.nm])
-			s.hAtFactor = h
-			s.haveFactor = true
-			s.countRefactor()
-		}
+	hBits := math.Float64bits(h)
+	if s.f.stale(hBits, s.g[:c.nm], s.RefactorTol) {
 		tok = s.Spans.Lap(obs.PhaseFactor, tok)
-	} else {
-		s.ensureCache()
-		hBits := math.Float64bits(h)
-		slot, hit := s.cache.lookup(hBits)
-		switch s.classifyReuse(slot, hit) {
-		case facRefactor:
-			tok = s.Spans.Lap(obs.PhaseFactor, tok)
-			// refactorSlot self-times: stamp around the assembly, and the
-			// numeric refactorization through the solver's own hook.
-			if err := s.refactorSlot(slot, hBits, shift, false); err != nil {
-				return 0, fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
-			}
-			s.countRefactor()
-			tok = s.Spans.Begin()
-		case facExact:
-			s.slu.SetFactor(slot.fac)
-			s.countFactorHit(0)
-			tok = s.Spans.Lap(obs.PhaseFactor, tok)
-		case facRefine:
-			// Assemble the current matrix values now — solveRefined
-			// computes residuals against them — but defer the solve (and
-			// the hit/refactor decision) until the RHS exists.
-			s.slu.SetFactor(slot.fac)
-			tok = s.Spans.Lap(obs.PhaseFactor, tok)
-			c.plan.assemble(s.csr.Val, false, shift, s.g)
-			tok = s.Spans.Lap(obs.PhaseStamp, tok)
-			refineSlot, refineBits = slot, hBits
+		// refactor self-times: stamp around the assembly, and the numeric
+		// refactorization through the solver's own hook.
+		if err := s.f.refactor(c, s.Spans, hBits, shift, s.g); err != nil {
+			return 0, fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
 		}
+		s.countRefactor()
+		tok = s.Spans.Begin()
+	} else {
+		s.countFactorHit()
+		tok = s.Spans.Lap(obs.PhaseFactor, tok)
 	}
 	s.rhs.Zero()
 	c.plan.assembleRHS(s.rhs, s.g, s.nodeV)
@@ -348,43 +167,8 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 		s.rhs[f] += float64(shift * x[c.vOff()+f])
 	}
 	tok = s.Spans.Lap(obs.PhaseStamp, tok)
-	if refineSlot != nil {
-		// solveRefined and the fallback calls below self-time their
-		// refine/solve/factor intervals; re-open the running lap after.
-		if sweeps, ok := s.solveRefined(); ok {
-			s.countFactorHit(sweeps)
-			if sweeps >= s.RefreshSweeps {
-				// The factor has aged past break-even: the sweeps this
-				// solve needed cost as much as a refactorization. The
-				// refined solution stands; refresh the slot (the current
-				// values are already assembled in s.csr) so the next
-				// steps start from a fresh factor.
-				if err := s.refactorSlot(refineSlot, refineBits, shift, true); err != nil {
-					return 0, fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
-				}
-				s.countRefactor()
-			}
-		} else {
-			// The stale factor could not refine the residual down to
-			// RefineTol·‖rhs‖∞ (contraction bail or MaxRefine): pay the
-			// full refactorization and solve directly.
-			if err := s.refactorSlot(refineSlot, refineBits, shift, true); err != nil {
-				return 0, fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
-			}
-			s.countRefactor()
-			s.slu.SolveInto(s.vNew, s.rhs)
-		}
-		tok = s.Spans.Begin()
-	} else {
-		// Direct solve: keep the warm-start history one and two steps
-		// behind for the next refined step (solveRefined shifts it
-		// itself).
-		s.vPrev2.CopyFrom(s.vPrev)
-		s.vPrev.CopyFrom(s.vNew)
-		tok = s.Spans.Lap(obs.PhaseSolve, tok)
-		s.solveInto(s.vNew, s.rhs) // self-times into PhaseSolve
-		tok = s.Spans.Begin()
-	}
+	s.f.slu.SolveInto(s.vNew, s.rhs) // self-times into PhaseSolve
+	tok = s.Spans.Begin()
 
 	// Updated full node-voltage view.
 	for n := 0; n < c.numNodes; n++ {

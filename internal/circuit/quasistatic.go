@@ -23,7 +23,7 @@ import (
 // refreshed when any conductance drifts beyond a relative threshold. The
 // solve shares the capacitive engine's stamp plan and one-time symbolic
 // factorization (internal/circuit/stamp.go) with the tiny g_leak diagonal
-// shift in place of C/h; Dense selects the dense-LU fallback.
+// shift in place of C/h, and the same refactor decision (voltageFactor).
 type QuasiStatic struct {
 	C *Circuit
 
@@ -39,21 +39,12 @@ type QuasiStatic struct {
 	// circuits.
 	RefactorTol float64
 
-	// Dense selects the dense partial-pivoting LU instead of the sparse
-	// symbolic-once path (the -dense A/B comparator).
-	Dense bool
-
-	// factorization cache
-	csr     *la.CSR      // sparse path: private values over the shared pattern
-	slu     *la.SparseLU // sparse path: private numerics over the shared symbolic
-	aMat    *la.Dense    // dense path
-	lu      *la.LU       // dense path
-	g       la.Vector    // per-branch conductances in plan order [mem | resistor]
-	gCache  la.Vector    // memristor part at factorization
+	// f is the cached factorization of g_leak·I + A(g), keyed by g_leak.
+	f       voltageFactor
+	g       la.Vector // per-branch conductances in plan order [mem | resistor]
 	rhs     la.Vector
 	vSol    la.Vector
 	nodeV   la.Vector
-	haveLU  bool
 	Refacts int // factorization count (observability)
 }
 
@@ -61,13 +52,12 @@ type QuasiStatic struct {
 func (b *Builder) BuildQS() *QuasiStatic {
 	c := b.Build()
 	q := &QuasiStatic{
-		C:      c,
-		gLeak:  1e-9,
-		g:      la.NewVector(c.memBr.len() + c.resBr.len()),
-		gCache: la.NewVector(c.nm),
-		rhs:    la.NewVector(c.nv),
-		vSol:   la.NewVector(c.nv),
-		nodeV:  la.NewVector(c.numNodes),
+		C:     c,
+		gLeak: 1e-9,
+		g:     la.NewVector(c.memBr.len() + c.resBr.len()),
+		rhs:   la.NewVector(c.nv),
+		vSol:  la.NewVector(c.nv),
+		nodeV: la.NewVector(c.numNodes),
 	}
 	return q
 }
@@ -92,34 +82,6 @@ func (q *QuasiStatic) xOff() int { return 0 }
 func (q *QuasiStatic) iOff() int { return q.C.nm }
 func (q *QuasiStatic) sOff() int { return q.C.nm + q.C.nd }
 
-// factorize assembles g_leak·I + A(g) through the stamp plan and factors
-// it on the selected path.
-func (q *QuasiStatic) factorize() error {
-	c := q.C
-	if q.Dense {
-		if q.aMat == nil {
-			q.aMat = la.NewDense(c.nv, c.nv)
-		}
-		c.plan.assemble(q.aMat.Data, true, q.gLeak, q.g)
-		lu, err := la.Factorize(q.aMat)
-		if err != nil {
-			return err
-		}
-		q.lu = lu
-		return nil
-	}
-	if q.slu == nil {
-		q.csr = c.plan.valCSR()
-		slu, err := c.symb.CloneFor(q.csr)
-		if err != nil {
-			return err
-		}
-		q.slu = slu
-	}
-	c.plan.assemble(q.csr.Val, false, q.gLeak, q.g)
-	return q.slu.Refactor()
-}
-
 // solveVoltages computes the free-node voltages for the given reduced
 // state, writing the full node-voltage vector into q.nodeV.
 func (q *QuasiStatic) solveVoltages(t float64, x la.Vector) error {
@@ -127,8 +89,8 @@ func (q *QuasiStatic) solveVoltages(t float64, x la.Vector) error {
 	// Current conductances (memristor branches from state, resistors 1/R).
 	c.fillConductances(q.g, x, q.xOff())
 	// Decide whether the cached factorization is still valid.
-	refactor := !q.haveLU || q.RefactorTol <= 0 ||
-		conductanceDrift(q.g[:c.nm], q.gCache, q.RefactorTol)
+	key := math.Float64bits(q.gLeak)
+	refactor := q.f.stale(key, q.g[:c.nm], q.RefactorTol)
 	// Pinned node voltages at time t.
 	for n := 0; n < c.numNodes; n++ {
 		q.nodeV[n] = 0
@@ -137,11 +99,9 @@ func (q *QuasiStatic) solveVoltages(t float64, x la.Vector) error {
 		q.nodeV[pn.node] = pn.src.V(t)
 	}
 	if refactor {
-		if err := q.factorize(); err != nil {
+		if err := q.f.refactor(c, nil, key, q.gLeak, q.g); err != nil {
 			return fmt.Errorf("circuit: quasi-static KCL system singular: %w", err)
 		}
-		q.gCache.CopyFrom(q.g[:c.nm])
-		q.haveLU = true
 		q.Refacts++
 	}
 	// Right-hand side: branch VCVG couplings through pinned terminals plus
@@ -153,11 +113,7 @@ func (q *QuasiStatic) solveVoltages(t float64, x la.Vector) error {
 			q.rhs[fi] -= x[q.iOff()+k]
 		}
 	}
-	if q.Dense {
-		q.lu.SolveInto(q.vSol, q.rhs)
-	} else {
-		q.slu.SolveInto(q.vSol, q.rhs)
-	}
+	q.f.slu.SolveInto(q.vSol, q.rhs)
 	for n := 0; n < c.numNodes; n++ {
 		if fi := c.freeIdx[n]; fi >= 0 {
 			q.nodeV[n] = q.vSol[fi]

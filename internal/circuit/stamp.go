@@ -64,23 +64,20 @@ func (s *branchSet) level(j int, nodeV la.Vector) float64 {
 // where A's entries are sums of g_b·coef over branches b with fixed
 // coefficients — only the conductances g change between steps. The plan
 // resolves every stamp to a flat op list at Build time: a direct index
-// into the CSR value array (and the matching dense offset for the -dense
-// A/B path), the branch's slot in the conductance buffer, and the
-// constant coefficient. Per-step assembly is then a single pass over
+// into the CSR value array, the branch's slot in the conductance buffer,
+// and the constant coefficient. Per-step assembly is then a single pass over
 // plain arrays — no map lookups, no slot recomputation, no allocation.
 //
 // Conductance buffer layout: g[0:nm] are the memristor branches in state
 // order (g[m] belongs to x[m]), g[nm:] the resistor branches at 1/R.
 type stampPlan struct {
-	nv  int
 	csr *la.CSR // pattern template: RowPtr/ColIdx shared, Val is per-engine
 
 	diag []int32 // free index f -> csr.Val index of (f,f), for the shift
 
-	// Matrix ops: Val[mIdx[k]] += g[mBr[k]]·mCoef[k]; mDen[k] is the
-	// row-major dense offset of the same entry.
-	mIdx, mDen, mBr []int32
-	mCoef           []float64
+	// Matrix ops: Val[mIdx[k]] += g[mBr[k]]·mCoef[k].
+	mIdx, mBr []int32
+	mCoef     []float64
 
 	// RHS voltage ops (pinned-terminal slots): rhs[rFi[k]] +=
 	// g[rBr[k]]·rCoef[k]·nodeV[rNode[k]].
@@ -114,7 +111,7 @@ func (c *Circuit) planOver(fn func(br, fi int, slots [3]int32, coeffs [3]float64
 // the symbolic factorization computed here stays valid for every
 // conductance assignment the dynamics can produce.
 func (c *Circuit) buildPlan() *stampPlan {
-	p := &stampPlan{nv: c.nv}
+	p := &stampPlan{}
 	pb := la.NewBuilder(c.nv, c.nv)
 	for f := 0; f < c.nv; f++ {
 		pb.Add(f, f, 0) // shift diagonal is always present
@@ -167,7 +164,6 @@ func (c *Circuit) buildPlan() *stampPlan {
 	}
 	for _, m := range mats {
 		p.mIdx = append(p.mIdx, valIdx(m.row, m.col))
-		p.mDen = append(p.mDen, m.row*int32(c.nv)+m.col)
 		p.mBr = append(p.mBr, m.br)
 		p.mCoef = append(p.mCoef, m.coef)
 	}
@@ -184,22 +180,11 @@ func (p *stampPlan) valCSR() *la.CSR {
 	}
 }
 
-// assemble writes shift·I + A(g) into vals, which is either a private CSR
-// value array (sparse path, indexed by mIdx) or a dense row-major array
-// (dense path, indexed by mDen). The two arms share every op.
-func (p *stampPlan) assemble(vals []float64, dense bool, shift float64, g la.Vector) {
-	if dense {
-		p.assembleDense(vals, shift, g)
-		return
-	}
-	p.assembleSparse(vals, shift, g)
-}
-
-// assembleSparse is the sparse assembly arm: zero, shift on the diagonal
-// CSR slots, then one multiply-accumulate per stamp op.
+// assemble writes shift·I + A(g) into a private CSR value array: zero,
+// shift on the diagonal slots, then one multiply-accumulate per stamp op.
 //
 //dmmvet:hotpath
-func (p *stampPlan) assembleSparse(vals []float64, shift float64, g la.Vector) {
+func (p *stampPlan) assemble(vals []float64, shift float64, g la.Vector) {
 	for i := range vals {
 		vals[i] = 0
 	}
@@ -208,23 +193,6 @@ func (p *stampPlan) assembleSparse(vals []float64, shift float64, g la.Vector) {
 	}
 	for k, idx := range p.mIdx {
 		vals[idx] += float64(g[p.mBr[k]] * p.mCoef[k])
-	}
-}
-
-// assembleDense is the dense assembly arm: same zero/shift/accumulate
-// sequence over row-major storage.
-//
-//dmmvet:hotpath
-func (p *stampPlan) assembleDense(vals []float64, shift float64, g la.Vector) {
-	for i := range vals {
-		vals[i] = 0
-	}
-	nv1 := p.nv + 1
-	for f := 0; f < p.nv; f++ {
-		vals[f*nv1] = shift
-	}
-	for k, den := range p.mDen {
-		vals[den] += float64(g[p.mBr[k]] * p.mCoef[k])
 	}
 }
 

@@ -55,17 +55,6 @@ type Config struct {
 	// Verify enables per-step runtime invariant checking on every attempt
 	// (see internal/invariant); the cmds expose it as -check.
 	Verify bool
-	// Dense selects the dense-LU voltage solve instead of the default
-	// sparse symbolic-once path; the cmds expose it as -dense.
-	Dense bool
-	// HLadder, when > 1, quantizes step sizes onto the geometric ladder
-	// with this ratio and enables stale-factor refinement, amortizing the
-	// IMEX refactorizations (see solc.Options.HLadderRatio); the cmds
-	// expose it as -hladder.
-	HLadder float64
-	// FactorCache sets the IMEX shifted-factor cache capacity (0 selects
-	// the default); the cmds expose it as -factor-cache.
-	FactorCache int
 	// Telemetry, when non-nil, receives the run's metrics, lifecycle
 	// events and physics samples; the cmds wire it from -telemetry and
 	// -metrics-dump.
@@ -163,9 +152,6 @@ func (cfg Config) options() solc.Options {
 		opts.Policy = solc.WinnerFirstDone
 	}
 	opts.Verify = cfg.Verify
-	opts.Dense = cfg.Dense
-	opts.HLadderRatio = cfg.HLadder
-	opts.FactorCache = cfg.FactorCache
 	opts.Telemetry = cfg.Telemetry
 	return opts
 }

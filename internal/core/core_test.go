@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/classical"
@@ -144,6 +145,35 @@ func TestSubsetSumValidation(t *testing.T) {
 	}
 	if _, err := ss.Solve([]uint64{1, 3}, 0); err == nil {
 		t.Fatal("zero target should error (non-empty subset required)")
+	}
+}
+
+// TestSubsetSumTargetBeyondSumWidth pins targets with bits above the sum
+// word: no subset can reach them, so Solve reports unsolved without
+// integrating (instead of solving for the truncated target), in
+// agreement with the DP baseline.
+func TestSubsetSumTargetBeyondSumWidth(t *testing.T) {
+	cases := []struct {
+		values []uint64
+		target uint64
+	}{
+		{[]uint64{3, 5}, 16},     // 16 mod 2^4 = 0
+		{[]uint64{3, 5}, 16 + 8}, // truncates to the reachable 8
+		{[]uint64{2, 3, 7}, 64},  // above the 5-bit sum word
+	}
+	ss := NewSubsetSum(DefaultConfig())
+	for _, tc := range cases {
+		res, err := ss.Solve(tc.values, tc.target)
+		if err != nil {
+			t.Fatalf("%v target %d: %v", tc.values, tc.target, err)
+		}
+		if res.Solved || !strings.Contains(res.Reason, "no subset can reach it") {
+			t.Fatalf("%v target %d: solved=%v reason %q, want unsolved as unreachable",
+				tc.values, tc.target, res.Solved, res.Reason)
+		}
+		if _, ok := classical.SubsetSumDP(tc.values, tc.target); ok {
+			t.Fatalf("%v target %d: DP baseline finds a subset", tc.values, tc.target)
+		}
 	}
 }
 

@@ -80,8 +80,15 @@ func (ss *SubsetSum) Solve(values []uint64, target uint64) (SubsetSumResult, err
 	}
 	p := Precision(values)
 	bc, selectors, pins := BuildSubsetSumCircuit(values, p, target)
-	pf := compileProblem(bc, pins, ss.cfg)
 	out := SubsetSumResult{Values: values, Target: target}
+	// The sum word holds the total of all values; pinning only its bits
+	// would silently drop a target's higher bits and solve for the
+	// truncated target instead.
+	if width := len(pins); target>>uint(width) != 0 {
+		out.Reason = fmt.Sprintf("target %d exceeds the %d-bit sum word: no subset can reach it", target, width)
+		return out, nil
+	}
+	pf := compileProblem(bc, pins, ss.cfg)
 	out.Metrics.fill(pf.Compiled(0))
 	res, rec, err := solvePortfolio(pf, ss.cfg)
 	if err != nil {

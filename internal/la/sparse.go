@@ -107,34 +107,6 @@ func (m *CSR) MulVecAdd(dst Vector, c float64, v Vector) {
 	}
 }
 
-// ResidualNormInto computes dst = b − m·v and returns ‖dst‖∞ in a
-// single pass over the matrix — the inner kernel of iterative
-// refinement, fused so the residual costs one sweep of the nonzeros
-// instead of a copy, a multiply-add and a norm pass. dst may alias b but
-// not v.
-//
-//dmmvet:hotpath
-func (m *CSR) ResidualNormInto(dst, b, v Vector) float64 {
-	if len(v) != m.Cols || len(b) != m.Rows || len(dst) != m.Rows {
-		panic("la: CSR.ResidualNormInto shape mismatch")
-	}
-	norm := 0.0
-	for i := 0; i < m.Rows; i++ {
-		s := b[i]
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s -= float64(m.Val[k] * v[m.ColIdx[k]])
-		}
-		dst[i] = s
-		if s < 0 {
-			s = -s
-		}
-		if s > norm {
-			norm = s
-		}
-	}
-	return norm
-}
-
 // At returns m[i,j] (zero when not stored). Intended for tests; O(row nnz).
 func (m *CSR) At(i, j int) float64 {
 	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {

@@ -1,7 +1,6 @@
 package la
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -140,50 +139,4 @@ func TestCSRRowPtrInvariant(t *testing.T) {
 			t.Fatalf("RowPtr not monotone: %v", m.RowPtr)
 		}
 	}
-}
-
-// TestCSRResidualNormInto checks the fused residual kernel against the
-// unfused MulVec path: dst must hold b − M·v entrywise and the return
-// value must be its infinity norm.
-func TestCSRResidualNormInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(30)
-		m := randShiftedSparse(rng, n, 0.3, 4).Compile()
-		b, v := NewVector(n), NewVector(n)
-		for i := 0; i < n; i++ {
-			b[i] = 2*rng.Float64() - 1
-			v[i] = 2*rng.Float64() - 1
-		}
-		want := NewVector(n)
-		m.MulVec(want, v)
-		wantNorm := 0.0
-		for i := range want {
-			want[i] = b[i] - want[i]
-			wantNorm = math.Max(wantNorm, math.Abs(want[i]))
-		}
-		// The fused kernel subtracts terms sequentially, so it agrees with
-		// the b − M·v round trip to roundoff, not bit-exactly.
-		dst := NewVector(n)
-		if got := m.ResidualNormInto(dst, b, v); math.Abs(got-wantNorm) > 1e-13 {
-			t.Fatalf("trial %d: norm %v, want %v", trial, got, wantNorm)
-		}
-		for i := range dst {
-			if math.Abs(dst[i]-want[i]) > 1e-13 {
-				t.Fatalf("trial %d: dst[%d] = %v, want %v", trial, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
-// TestCSRResidualNormIntoShapePanics verifies mismatched operand shapes
-// are rejected rather than silently truncated.
-func TestCSRResidualNormIntoShapePanics(t *testing.T) {
-	m := randShiftedSparse(rand.New(rand.NewSource(1)), 4, 0.5, 3).Compile()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected shape-mismatch panic")
-		}
-	}()
-	m.ResidualNormInto(NewVector(4), NewVector(4), NewVector(3))
 }

@@ -209,42 +209,6 @@ func (f *SparseLU) CloneFor(a *CSR) (*SparseLU, error) {
 	return &cp, nil
 }
 
-// Factor holds one set of numeric L/U values for a SparseLU's frozen
-// symbolic structure. A solver can own several Factors — one per cached
-// C/h shift of the voltage system — and switch between them with
-// SetFactor; each Factor belongs to the SparseLU (or CloneFor engine)
-// that created it and must not be shared across clones, which would
-// alias numeric storage between concurrent attempts.
-type Factor struct {
-	lx []float64
-	ux []float64
-}
-
-// NewFactor allocates an empty Factor sized for f's symbolic structure.
-// Fill it by SetFactor followed by Refactor. Allocation is a cold-path
-// cost paid once per cache slot.
-func (f *SparseLU) NewFactor() *Factor {
-	return &Factor{
-		lx: make([]float64, len(f.li)),
-		ux: make([]float64, len(f.ui)),
-	}
-}
-
-// SetFactor makes nf the active numeric storage: subsequent Refactor
-// calls write into it and SolveInto reads from it. The previously active
-// arrays are untouched — a caller holding them in another Factor keeps a
-// valid factorization. Panics if nf was sized for a different symbolic
-// structure. It allocates nothing.
-//
-//dmmvet:hotpath
-func (f *SparseLU) SetFactor(nf *Factor) {
-	if len(nf.lx) != len(f.li) || len(nf.ux) != len(f.ui) {
-		panic("la: SparseLU.SetFactor structure mismatch")
-	}
-	f.lx = nf.lx
-	f.ux = nf.ux
-}
-
 // Refactor recomputes the numeric factorization from the bound matrix's
 // current values, reusing the symbolic structure. It allocates nothing.
 //

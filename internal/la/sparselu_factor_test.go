@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// TestSparseLUMultiFactorSwitch keeps two numeric Factors over one
-// symbolic structure — the shifted-system cache pattern: factor the same
-// pattern at two diagonal shifts, switch between them with SetFactor,
-// and verify each still solves its own system after the other was
-// refactored.
+// TestSparseLUMultiFactorSwitch switches one solver's numeric factor
+// between two diagonal shifts of the same pattern by refactoring in place —
+// what a stepper does when its step size changes: each refactor solves its
+// own system, and returning to the first shift reproduces the first
+// solution bit for bit, so no state leaks from the previous factor.
 func TestSparseLUMultiFactorSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 25
@@ -21,7 +21,11 @@ func TestSparseLUMultiFactorSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := append([]float64(nil), m.Val...)
-	setShift := func(extra float64) {
+	b := NewVector(n)
+	for i := range b {
+		b[i] = 2*rng.Float64() - 1
+	}
+	solveAt := func(extra float64) Vector {
 		copy(m.Val, base)
 		for i := 0; i < n; i++ {
 			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
@@ -30,55 +34,34 @@ func TestSparseLUMultiFactorSwitch(t *testing.T) {
 				}
 			}
 		}
-	}
-	denseSolve := func(extra float64, b Vector) Vector {
-		setShift(extra)
-		x, err := SolveDense(m.ToDense(), b)
+		if err := f.Refactor(); err != nil {
+			t.Fatal(err)
+		}
+		got := NewVector(n)
+		f.SolveInto(got, b)
+		want, err := SolveDense(m.ToDense(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return x
-	}
-
-	facA, facB := f.NewFactor(), f.NewFactor()
-	setShift(0)
-	f.SetFactor(facA)
-	if err := f.Refactor(); err != nil {
-		t.Fatal(err)
-	}
-	setShift(3)
-	f.SetFactor(facB)
-	if err := f.Refactor(); err != nil {
-		t.Fatal(err)
-	}
-
-	b := NewVector(n)
-	for i := range b {
-		b[i] = 2*rng.Float64() - 1
-	}
-	got := NewVector(n)
-	// facA must still hold the shift-0 factorization even though facB was
-	// refactored after it through the same solver.
-	f.SetFactor(facA)
-	f.SolveInto(got, b)
-	want := denseSolve(0, b)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("factor A after B refactor: x[%d] = %v, want %v", i, got[i], want[i])
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-12 {
+				t.Fatalf("shift %v: x[%d] = %v, want %v", extra, i, got[i], want[i])
+			}
 		}
+		return got
 	}
-	f.SetFactor(facB)
-	f.SolveInto(got, b)
-	want = denseSolve(3, b)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("factor B: x[%d] = %v, want %v", i, got[i], want[i])
+	first := solveAt(0)
+	solveAt(3)
+	again := solveAt(0)
+	for i := range first {
+		if first[i] != again[i] {
+			t.Fatalf("x[%d] after switching back = %v, want %v", i, again[i], first[i])
 		}
 	}
 }
 
 // TestSparseLUCloneSharedSymbolicPrivateNumeric pins the CloneFor
-// contract the portfolio and the factor cache both lean on: clones share
+// contract every engine instance leans on: clones share
 // the immutable symbolic arrays (same backing storage) but never alias
 // numeric values or workspaces.
 func TestSparseLUCloneSharedSymbolicPrivateNumeric(t *testing.T) {
@@ -101,14 +84,12 @@ func TestSparseLUCloneSharedSymbolicPrivateNumeric(t *testing.T) {
 	if &f.lx[0] == &cp.lx[0] || &f.ux[0] == &cp.ux[0] || &f.x[0] == &cp.x[0] {
 		t.Fatal("clone aliases numeric storage with its parent")
 	}
-	// A Factor sized by the parent installs into the clone (same symbolic
-	// structure) without touching the parent's values.
+	// Refactoring the clone on its own values leaves the parent's factor
+	// untouched.
 	if err := f.Refactor(); err != nil {
 		t.Fatal(err)
 	}
 	before := append([]float64(nil), f.ux...)
-	fac := f.NewFactor()
-	cp.SetFactor(fac)
 	for k := range m2.Val {
 		m2.Val[k] *= 1.5
 	}
@@ -174,24 +155,4 @@ func TestSparseLUCloneConcurrentRefactor(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-}
-
-// TestSparseLUSetFactorMismatchPanics verifies a Factor sized for a
-// different symbolic structure is rejected loudly.
-func TestSparseLUSetFactorMismatchPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	small, err := NewSparseLU(randShiftedSparse(rng, 5, 0.5, 6).Compile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := NewSparseLU(randShiftedSparse(rng, 24, 0.3, 6).Compile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetFactor accepted a factor from a different structure")
-		}
-	}()
-	big.SetFactor(small.NewFactor())
 }

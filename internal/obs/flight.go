@@ -22,7 +22,7 @@ const (
 )
 
 // flightFields is the per-record word count of the ring storage.
-const flightFields = 8
+const flightFields = 5
 
 // FlightRecord is one accepted integration step in an attempt's flight
 // ring: the post-mortem trajectory sample dumped as JSONL on divergence
@@ -37,14 +37,6 @@ type FlightRecord struct {
 	T float64 `json:"t"`
 	// H is the accepted step size.
 	H float64 `json:"h"`
-	// Rung is the step-size ladder rung of H (0 without a ladder).
-	Rung int `json:"rung"`
-	// Residual is the relative-residual norm of the step's refined
-	// voltage solve (0 for direct solves, which are exact by
-	// construction).
-	Residual float64 `json:"residual"`
-	// Refines counts the iterative-refinement sweeps the step applied.
-	Refines int `json:"refines"`
 	// MaxDvDt is the last decimated physics-probe max |dv/dt| sample
 	// (0 until the first sample).
 	MaxDvDt float64 `json:"max_dvdt"`
@@ -54,11 +46,10 @@ type FlightRecord struct {
 
 // Flight is one attempt's bounded flight ring: a lock-free single-writer
 // ring buffer of the most recent accepted-step records. The integration
-// goroutine is the only writer (Record, Refine, Residual, Physics);
-// concurrent readers (the /debug/flight endpoint) snapshot slots under a
-// per-slot seqlock — every stored word lives in a typed atomic, so reads
-// are race-free and a torn slot is detected by its sequence word and
-// skipped. A nil *Flight disables recording; every method is
+// goroutine is the only writer (Record, Physics); concurrent readers (the
+// /debug/flight endpoint) snapshot slots under a per-slot seqlock — every
+// stored word lives in a typed atomic, so reads are race-free and a torn
+// slot is detected by its sequence word and skipped. A nil *Flight disables recording; every method is
 // nil-receiver safe and the write path allocates nothing.
 type Flight struct {
 	attempt int
@@ -70,57 +61,25 @@ type Flight struct {
 	// Single-writer accumulation state between Record commits. These
 	// plain fields are only ever touched by the attempt's integration
 	// goroutine.
-	t           float64
-	step        int64
-	pendRefines int
-	pendResid   float64
-	lastDvDt    float64
-	lastSat     float64
-
-	// Rung labelling: ladder ratio log, cached per distinct h.
-	lnRatio   float64
-	hPrevBits uint64
-	rung      int
+	t        float64
+	step     int64
+	lastDvDt float64
+	lastSat  float64
 }
 
 // newFlight returns a ring of capacity ≥ cap rounded up to a power of
-// two. ladderRatio > 1 enables rung labelling.
-func newFlight(attempt, capRecords int, ladderRatio float64) *Flight {
+// two.
+func newFlight(attempt, capRecords int) *Flight {
 	n := 1
 	for n < capRecords {
 		n <<= 1
 	}
-	f := &Flight{
+	return &Flight{
 		attempt: attempt,
 		mask:    n - 1,
 		seq:     make([]atomic.Uint64, n),
 		data:    make([]atomic.Uint64, n*flightFields),
 	}
-	if ladderRatio > 1 {
-		f.lnRatio = math.Log(ladderRatio)
-	}
-	return f
-}
-
-// Refine adds n iterative-refinement sweeps to the pending record.
-//
-//dmmvet:hotpath
-func (f *Flight) Refine(n int) {
-	if f == nil {
-		return
-	}
-	f.pendRefines += n
-}
-
-// Residual notes the relative-residual norm of the pending record's
-// refined solve.
-//
-//dmmvet:hotpath
-func (f *Flight) Residual(r float64) {
-	if f == nil {
-		return
-	}
-	f.pendResid = r
 }
 
 // Physics notes the latest decimated physics-probe sample; it rides on
@@ -136,8 +95,8 @@ func (f *Flight) Physics(satFrac, maxDvDt float64) {
 }
 
 // Record commits one accepted step of size h: it advances the attempt's
-// dynamical time, folds in the pending refinement state, and publishes
-// the record into the ring under the slot's seqlock.
+// dynamical time and publishes the record into the ring under the slot's
+// seqlock.
 //
 //dmmvet:hotpath
 func (f *Flight) Record(h float64) {
@@ -146,27 +105,16 @@ func (f *Flight) Record(h float64) {
 	}
 	f.t += h
 	f.step++
-	if f.lnRatio != 0 {
-		if hb := math.Float64bits(h); hb != f.hPrevBits {
-			f.hPrevBits = hb
-			f.rung = int(math.Round(math.Log(h) / f.lnRatio))
-		}
-	}
 	slot := int(f.head.Load()) & f.mask
 	f.seq[slot].Add(1) // odd: writers in the slot
 	d := f.data[slot*flightFields : (slot+1)*flightFields]
 	d[0].Store(uint64(f.step))
 	d[1].Store(math.Float64bits(f.t))
 	d[2].Store(math.Float64bits(h))
-	d[3].Store(uint64(int64(f.rung)))
-	d[4].Store(math.Float64bits(f.pendResid))
-	d[5].Store(uint64(int64(f.pendRefines)))
-	d[6].Store(math.Float64bits(f.lastDvDt))
-	d[7].Store(math.Float64bits(f.lastSat))
+	d[3].Store(math.Float64bits(f.lastDvDt))
+	d[4].Store(math.Float64bits(f.lastSat))
 	f.seq[slot].Add(1) // even again: slot stable
 	f.head.Add(1)
-	f.pendRefines = 0
-	f.pendResid = 0
 }
 
 // Len returns the number of records currently held (≤ capacity).
@@ -213,15 +161,12 @@ func (f *Flight) Records() []FlightRecord {
 			continue
 		}
 		out = append(out, FlightRecord{
-			Attempt:  f.attempt,
-			Step:     int64(d[0]),
-			T:        math.Float64frombits(d[1]),
-			H:        math.Float64frombits(d[2]),
-			Rung:     int(int64(d[3])),
-			Residual: math.Float64frombits(d[4]),
-			Refines:  int(int64(d[5])),
-			MaxDvDt:  math.Float64frombits(d[6]),
-			SatFrac:  math.Float64frombits(d[7]),
+			Attempt: f.attempt,
+			Step:    int64(d[0]),
+			T:       math.Float64frombits(d[1]),
+			H:       math.Float64frombits(d[2]),
+			MaxDvDt: math.Float64frombits(d[3]),
+			SatFrac: math.Float64frombits(d[4]),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
@@ -268,12 +213,11 @@ func NewFlightSet(capRecords, keep int, sink io.Writer) *FlightSet {
 
 // Attempt registers and returns a fresh ring for the given attempt
 // index (nil from a nil set, so callers thread it unconditionally).
-// ladderRatio > 1 enables rung labelling on the records.
-func (fs *FlightSet) Attempt(attempt int, ladderRatio float64) *Flight {
+func (fs *FlightSet) Attempt(attempt int) *Flight {
 	if fs == nil {
 		return nil
 	}
-	f := newFlight(attempt, fs.cap, ladderRatio)
+	f := newFlight(attempt, fs.cap)
 	fs.mu.Lock()
 	fs.rings = append(fs.rings, f)
 	if len(fs.rings) > fs.keep {
@@ -353,8 +297,8 @@ func (fs *FlightSet) WriteJSONL(w io.Writer) error {
 // ValidateFlightJSONL checks a flight-recorder dump against the record
 // schema: every line is a well-formed FlightRecord with no unknown
 // fields, step sizes are positive, times are positive and nondecreasing
-// per attempt, step counters are strictly increasing per attempt, and
-// refinement sweeps are nonnegative. The stream may interleave multiple
+// per attempt, and step counters are strictly increasing per attempt.
+// The stream may interleave multiple
 // attempts (each ring dumps contiguously, but a run retires many).
 func ValidateFlightJSONL(r io.Reader) error {
 	sc := bufio.NewScanner(r)
@@ -385,12 +329,6 @@ func ValidateFlightJSONL(r io.Reader) error {
 		}
 		if !(rec.T > 0) {
 			return fmt.Errorf("obs: flight line %d: time must be positive, got %g", line, rec.T)
-		}
-		if rec.Refines < 0 {
-			return fmt.Errorf("obs: flight line %d: negative refine count", line)
-		}
-		if rec.Residual < 0 || math.IsNaN(rec.Residual) {
-			return fmt.Errorf("obs: flight line %d: invalid residual %g", line, rec.Residual)
 		}
 		if prev, ok := lastStep[rec.Attempt]; ok {
 			if rec.Step <= prev {

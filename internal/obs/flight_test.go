@@ -9,15 +9,13 @@ import (
 
 func TestFlightNilSafe(t *testing.T) {
 	var f *Flight
-	f.Refine(3)
-	f.Residual(1e-9)
 	f.Physics(0.5, 2.0)
 	f.Record(1e-3)
 	if f.Len() != 0 || f.Records() != nil {
 		t.Fatal("nil Flight must report empty")
 	}
 	var fs *FlightSet
-	if fs.Attempt(0, 0) != nil {
+	if fs.Attempt(0) != nil {
 		t.Fatal("nil FlightSet must hand out nil rings")
 	}
 	fs.Retire(nil, true)
@@ -30,13 +28,10 @@ func TestFlightNilSafe(t *testing.T) {
 }
 
 func TestFlightRecordFields(t *testing.T) {
-	f := newFlight(3, 8, 2.0)
-	f.Refine(2)
-	f.Refine(1)
-	f.Residual(1e-8)
+	f := newFlight(3, 8)
 	f.Physics(0.25, 7.5)
-	f.Record(0.5) // h = ratio^-1 → rung -1
-	f.Record(2.0) // h = ratio^1 → rung 1; pending refines cleared by prior commit
+	f.Record(0.5)
+	f.Record(2.0)
 
 	recs := f.Records()
 	if len(recs) != 2 {
@@ -46,21 +41,12 @@ func TestFlightRecordFields(t *testing.T) {
 	if r0.Attempt != 3 || r0.Step != 1 || r0.T != 0.5 || r0.H != 0.5 {
 		t.Fatalf("record 0 = %+v", r0)
 	}
-	if r0.Rung != -1 {
-		t.Fatalf("record 0 rung = %d, want -1 (h=ratio^-1)", r0.Rung)
-	}
-	if r0.Refines != 3 || r0.Residual != 1e-8 {
-		t.Fatalf("record 0 refine state = %+v, want refines 3, residual 1e-8", r0)
-	}
 	if r0.SatFrac != 0.25 || r0.MaxDvDt != 7.5 {
 		t.Fatalf("record 0 physics = %+v", r0)
 	}
 	r1 := recs[1]
-	if r1.Step != 2 || r1.T != 2.5 || r1.Rung != 1 {
-		t.Fatalf("record 1 = %+v, want step 2, t 2.5, rung 1", r1)
-	}
-	if r1.Refines != 0 || r1.Residual != 0 {
-		t.Fatalf("record 1 must have cleared pending refine state: %+v", r1)
+	if r1.Step != 2 || r1.T != 2.5 || r1.H != 2.0 {
+		t.Fatalf("record 1 = %+v, want step 2, t 2.5, h 2", r1)
 	}
 	if r1.SatFrac != 0.25 {
 		t.Fatalf("physics sample must ride on following records: %+v", r1)
@@ -68,7 +54,7 @@ func TestFlightRecordFields(t *testing.T) {
 }
 
 func TestFlightRingWrap(t *testing.T) {
-	f := newFlight(0, 4, 0)
+	f := newFlight(0, 4)
 	for i := 0; i < 11; i++ {
 		f.Record(1e-3)
 	}
@@ -84,17 +70,13 @@ func TestFlightRingWrap(t *testing.T) {
 		if r.Step != want {
 			t.Fatalf("record %d step = %d, want %d", i, r.Step, want)
 		}
-		if r.Rung != 0 {
-			t.Fatalf("rung without ladder = %d, want 0", r.Rung)
-		}
 	}
 }
 
 func TestFlightWriteZeroAlloc(t *testing.T) {
-	f := newFlight(0, DefaultFlightCap, 2.0)
+	f := newFlight(0, DefaultFlightCap)
 	allocs := testing.AllocsPerRun(1000, func() {
-		f.Refine(1)
-		f.Residual(1e-9)
+		f.Physics(0.5, 1)
 		f.Record(1e-3)
 	})
 	if allocs != 0 {
@@ -106,7 +88,7 @@ func TestFlightWriteZeroAlloc(t *testing.T) {
 // stepping writer; under -race this proves the seqlock keeps every
 // access on typed atomics, and the dedup/sort keeps dumps monotone.
 func TestFlightConcurrentReader(t *testing.T) {
-	f := newFlight(0, 32, 0)
+	f := newFlight(0, 32)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -129,7 +111,7 @@ func TestFlightConcurrentReader(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50_000; i++ {
-		f.Refine(i % 3)
+		f.Physics(float64(i%3), 1)
 		f.Record(1e-3)
 	}
 	close(done)
@@ -140,9 +122,9 @@ func TestFlightSetRetainAndDump(t *testing.T) {
 	var sink bytes.Buffer
 	fs := NewFlightSet(8, 2, &sink)
 
-	f0 := fs.Attempt(0, 0)
-	f1 := fs.Attempt(1, 0)
-	f2 := fs.Attempt(2, 0) // evicts f0 from the retained window
+	f0 := fs.Attempt(0)
+	f1 := fs.Attempt(1)
+	f2 := fs.Attempt(2) // evicts f0 from the retained window
 	for i, f := range []*Flight{f0, f1, f2} {
 		for s := 0; s <= i; s++ {
 			f.Record(1e-3)
@@ -190,7 +172,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 func TestFlightSetSinkErrorSticky(t *testing.T) {
 	fs := NewFlightSet(8, 4, &failWriter{n: 1})
-	f := fs.Attempt(0, 0)
+	f := fs.Attempt(0)
 	f.Record(1e-3)
 	f.Record(1e-3)
 	fs.Retire(f, true)
@@ -203,9 +185,9 @@ func TestFlightSetSinkErrorSticky(t *testing.T) {
 }
 
 func TestValidateFlightJSONL(t *testing.T) {
-	good := `{"attempt":0,"step":1,"t":0.001,"h":0.001,"rung":0,"residual":0,"refines":0,"max_dvdt":0,"sat_frac":0}
-{"attempt":1,"step":1,"t":0.002,"h":0.002,"rung":0,"residual":1e-9,"refines":2,"max_dvdt":3,"sat_frac":0.5}
-{"attempt":0,"step":2,"t":0.002,"h":0.001,"rung":0,"residual":0,"refines":0,"max_dvdt":0,"sat_frac":0}
+	good := `{"attempt":0,"step":1,"t":0.001,"h":0.001,"max_dvdt":0,"sat_frac":0}
+{"attempt":1,"step":1,"t":0.002,"h":0.002,"max_dvdt":3,"sat_frac":0.5}
+{"attempt":0,"step":2,"t":0.002,"h":0.001,"max_dvdt":0,"sat_frac":0}
 `
 	if err := ValidateFlightJSONL(strings.NewReader(good)); err != nil {
 		t.Fatalf("good interleaved stream rejected: %v", err)
@@ -220,7 +202,7 @@ func TestValidateFlightJSONL(t *testing.T) {
 			`{"attempt":0,"step":2,"t":2,"h":1}` + "\n",
 		"time decreasing": `{"attempt":0,"step":1,"t":5,"h":1}` + "\n" +
 			`{"attempt":0,"step":2,"t":4,"h":1}` + "\n",
-		"negative refines": `{"attempt":0,"step":1,"t":1,"h":1,"refines":-1}` + "\n",
+		"retired refines field": `{"attempt":0,"step":1,"t":1,"h":1,"refines":0}` + "\n",
 	}
 	for name, stream := range bad {
 		if err := ValidateFlightJSONL(strings.NewReader(stream)); err == nil {

@@ -88,7 +88,7 @@ func TestServeEndpoints(t *testing.T) {
 	tl.Flight = NewFlightSet(8, 4, nil)
 	tl.Steps.Add(7)
 	tl.Spans.record(PhaseSolve, 1000)
-	fl := tl.Flight.Attempt(0, 0)
+	fl := tl.Flight.Attempt(0)
 	fl.Record(1e-3)
 
 	s, err := Serve("127.0.0.1:0", tl)
@@ -190,7 +190,7 @@ func TestConcurrentScrapeWhileStepping(t *testing.T) {
 	tl := NewTelemetry()
 	tl.Spans = NewSpans()
 	tl.Flight = NewFlightSet(64, 4, nil)
-	fl := tl.Flight.Attempt(0, 2.0)
+	fl := tl.Flight.Attempt(0)
 	obs := tl.StepObsFor(fl)
 
 	s, err := Serve("127.0.0.1:0", tl)
@@ -224,8 +224,7 @@ func TestConcurrentScrapeWhileStepping(t *testing.T) {
 	for i := 0; i < 20_000; i++ {
 		tok := obs.SpanBegin()
 		obs.Accept(1e-3)
-		obs.Refine(i % 2)
-		obs.Residual(1e-9)
+		obs.FactorHit()
 		obs.SpanEnd(PhaseBookkeep, tok)
 	}
 	close(done)

@@ -22,15 +22,13 @@ const (
 	// PhaseStamp: matrix-value and right-hand-side assembly through the
 	// stamp plan.
 	PhaseStamp
-	// PhaseFactor: factor-cache lookup and classification plus numeric
-	// refactorization of the shifted voltage system.
+	// PhaseFactor: the refactor decision plus numeric refactorization of
+	// the shifted voltage system.
 	PhaseFactor
-	// PhaseSolve: permuted triangular solves (direct, refinement
-	// correction, and fallback solves alike), including the warm-start
-	// history shift that feeds them.
+	// PhaseSolve: permuted triangular solves.
 	PhaseSolve
-	// PhaseRefine: iterative-refinement residual passes and convergence
-	// control around stale-factor solves.
+	// PhaseRefine has no producer and always reads 0; it stays so span
+	// snapshots keep the shape their readers expect.
 	PhaseRefine
 	// PhaseMemAdvance: explicit slow-state updates (memristors, VCDCG
 	// currents), the dissipation tally, and the voltage commit.

@@ -37,9 +37,9 @@ type Telemetry struct {
 	Rejected  *Counter
 	FEvals    *Counter
 	Refactors *Counter
-	// FactorHits counts steps whose shifted voltage factor was served
-	// from the IMEX factor cache (exact or refined reuse); Refines counts
-	// iterative-refinement sweeps applied to stale-factor solves.
+	// FactorHits counts steps whose shifted voltage factor was reused
+	// as is. Refines has no producer; it stays registered (always 0)
+	// for readers of the factor.refines metric.
 	FactorHits *Counter
 	Refines    *Counter
 
@@ -95,7 +95,6 @@ type StepObs struct {
 	rejected   *Counter
 	refactors  *Counter
 	factorHits *Counter
-	refines    *Counter
 	stepSize   *Histogram
 	newton     *Histogram
 	spans      *Spans
@@ -117,7 +116,6 @@ func (tl *Telemetry) StepObsFor(fl *Flight) *StepObs {
 		rejected:   tl.Rejected,
 		refactors:  tl.Refactors,
 		factorHits: tl.FactorHits,
-		refines:    tl.Refines,
 		stepSize:   tl.StepSize,
 		newton:     tl.NewtonIters,
 		spans:      tl.Spans,
@@ -157,8 +155,7 @@ func (o *StepObs) Refactor() {
 	o.refactors.Inc()
 }
 
-// FactorHit records one step served from a cached shifted factor
-// (exact reuse or a successfully refined stale-factor solve).
+// FactorHit records one step served from the existing shifted factor.
 //
 //dmmvet:hotpath
 func (o *StepObs) FactorHit() {
@@ -166,29 +163,6 @@ func (o *StepObs) FactorHit() {
 		return
 	}
 	o.factorHits.Inc()
-}
-
-// Refine records n iterative-refinement sweeps applied to one
-// stale-factor solve.
-//
-//dmmvet:hotpath
-func (o *StepObs) Refine(n int) {
-	if o == nil || n == 0 {
-		return
-	}
-	o.refines.Add(int64(n))
-	o.flight.Refine(n)
-}
-
-// Residual notes the relative-residual norm of the current step's
-// refined voltage solve for the flight recorder.
-//
-//dmmvet:hotpath
-func (o *StepObs) Residual(r float64) {
-	if o == nil {
-		return
-	}
-	o.flight.Residual(r)
 }
 
 // Physics notes the latest decimated physics-probe sample for the
@@ -237,11 +211,11 @@ func (o *StepObs) Newton(its int) {
 // FlightFor returns a fresh flight ring for the given attempt index, or
 // nil when the telemetry bundle (or its flight recorder) is disabled —
 // callers thread the result unconditionally.
-func (tl *Telemetry) FlightFor(attempt int, ladderRatio float64) *Flight {
+func (tl *Telemetry) FlightFor(attempt int) *Flight {
 	if tl == nil {
 		return nil
 	}
-	return tl.Flight.Attempt(attempt, ladderRatio)
+	return tl.Flight.Attempt(attempt)
 }
 
 // Emit forwards an event to the tracer, if any.

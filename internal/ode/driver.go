@@ -62,14 +62,6 @@ type Driver struct {
 	// see (refactorizations, Newton iterations) through their own Obs.
 	Obs *obs.StepObs
 
-	// Ladder, when non-nil, quantizes every attempted step size down onto
-	// a geometric grid before it reaches the Stepper, so steps repeatedly
-	// land on bit-identical h values and shift-keyed factor caches hit
-	// (see HLadder). Quantization happens before the TEnd truncation —
-	// the final partial step to the horizon stays exact — and is skipped
-	// when the rung would fall below HMin.
-	Ladder *HLadder
-
 	// Observe, when non-nil, is invoked after every accepted step.
 	Observe func(t float64, x la.Vector)
 	// Verify, when non-nil, validates the state after every accepted step
@@ -127,11 +119,6 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 			return Result{T: t, Reason: StopTEnd}
 		}
 		hTry := h
-		if d.Ladder != nil {
-			if q := d.Ladder.Quantize(hTry); q >= hMin {
-				hTry = q
-			}
-		}
 		if d.TEnd > 0 && t+hTry > d.TEnd {
 			hTry = d.TEnd - t
 		}

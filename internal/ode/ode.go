@@ -54,13 +54,12 @@ type Stats struct {
 	JacEvals   int // Jacobian evaluations (implicit methods)
 	NewtonIts  int // total Newton iterations (implicit methods)
 	Refactors  int // linear-operator factorizations (IMEX/quasi-static cache refreshes)
-	FactorHits int // steps served from a cached shifted factor (IMEX factor cache)
-	Refines    int // iterative-refinement sweeps applied to stale-factor solves
+	FactorHits int // steps served from the existing shifted factor (IMEX)
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("steps=%d rejected=%d fevals=%d jac=%d newton=%d refactors=%d fhits=%d refines=%d",
-		s.Steps, s.Rejected, s.FEvals, s.JacEvals, s.NewtonIts, s.Refactors, s.FactorHits, s.Refines)
+	return fmt.Sprintf("steps=%d rejected=%d fevals=%d jac=%d newton=%d refactors=%d fhits=%d",
+		s.Steps, s.Rejected, s.FEvals, s.JacEvals, s.NewtonIts, s.Refactors, s.FactorHits)
 }
 
 // ErrStepFailure is returned when a step cannot be completed (Newton

@@ -303,40 +303,13 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	if err != nil {
 		return attemptOut{}, err
 	}
-	if opts.Dense {
-		if im, ok := stepper.(*circuit.IMEXStepper); ok {
-			im.Dense = true
-		}
-		if qs, ok := eng.(*circuit.QuasiStatic); ok {
-			qs.Dense = true
-		}
-	}
-	var ladder *ode.HLadder
-	if opts.HLadderRatio > 0 {
-		ladder, err = ode.NewHLadder(opts.HLadderRatio)
-		if err != nil {
-			return attemptOut{}, err
-		}
-	}
-	if im, ok := stepper.(*circuit.IMEXStepper); ok {
-		if opts.FactorCache != 0 {
-			im.FactorCacheCap = opts.FactorCache
-		}
-		if ladder != nil {
-			// The ladder revisits rungs with real conductance drift in
-			// between; widen the reuse band so revisits refine instead of
-			// refactoring.
-			im.StaleMax = circuit.DefaultStaleMax
-		}
-	}
-
 	tl := opts.Telemetry
 	seed := opts.Seed + int64(idx)
 	// One flight ring per attempt: the attempt goroutine is the single
 	// writer (driver hook and stepper hook share it), dumped on
 	// divergence/cancellation below. Nil-safe throughout when the
 	// recorder (or telemetry entirely) is off.
-	fl := tl.FlightFor(idx, opts.HLadderRatio)
+	fl := tl.FlightFor(idx)
 	if tl != nil {
 		tl.AttemptsLaunched.Inc()
 		tl.Emit(obs.Event{Ev: obs.EvLaunched, Attempt: idx, Member: member.label(), Seed: seed})
@@ -368,10 +341,9 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	driver := &ode.Driver{
 		Stepper: stepper,
 		H:       h, HMax: opts.HMax, Tol: opts.Tol,
-		TEnd:   opts.TEnd,
-		Ctx:    ctx,
-		Obs:    tl.StepObsFor(fl),
-		Ladder: ladder,
+		TEnd: opts.TEnd,
+		Ctx:  ctx,
+		Obs:  tl.StepObsFor(fl),
 		Observe: func(t float64, x la.Vector) {
 			eng.ClampState(x)
 			if opts.Observe != nil {

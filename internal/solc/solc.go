@@ -162,25 +162,6 @@ type Options struct {
 	// Ctx, when non-nil, cancels the solve externally (nil means
 	// context.Background).
 	Ctx context.Context
-	// Dense selects the dense-LU fallback for the voltage solves (IMEX and
-	// quasi-static) instead of the default sparse symbolic-once path — the
-	// A/B comparator behind the cmds' -dense flag.
-	Dense bool
-	// HLadderRatio, when > 1, quantizes every attempted step size down
-	// onto the geometric ladder h_k = ratio^k (ode.HLadder;
-	// ode.DefaultLadderRatio = 2^(1/4) is the recommended value) so steps
-	// repeatedly land on bit-identical h values, and enables stale-factor
-	// iterative refinement on the IMEX sparse path
-	// (circuit.DefaultStaleMax) so cached factors survive conductance
-	// drift between rung revisits. Together these amortize the numeric
-	// refactorization of (C/h·I + A) across many steps. 0 (the default)
-	// keeps the exact per-step behavior of previous releases. Ratios
-	// outside (1, 16] fail the solve with a configuration error.
-	HLadderRatio float64
-	// FactorCache sets the IMEX per-rung shifted-factor cache capacity
-	// (number of step-size rungs whose factors are retained; 0 selects
-	// the stepper default of 4 slots).
-	FactorCache int
 	// Verify enables per-step runtime invariant checking (voltage bounds,
 	// x ∈ [0,1], current window, finiteness — see internal/invariant) on
 	// every attempt; a blown bound fails the attempt with a structured
