@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,30 +26,39 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	n := flag.Uint64("n", 35, "integer to factor (a semiprime fitting the word sizes)")
-	seed := flag.Int64("seed", 1, "initial-condition seed")
-	tEnd := flag.Float64("tend", 150, "per-attempt time horizon")
-	attempts := flag.Int("attempts", 4, "random restarts")
-	parallel := flag.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
-	firstWin := flag.Bool("first-win", false, "first verified winner cancels all attempts (fastest, nondeterministic winner)")
-	deadline := flag.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
-	portfolio := flag.Bool("portfolio", false, "race the heterogeneous solver portfolio (IMEX-capacitive vs RK45-quasistatic)")
-	showTrace := flag.Bool("trace", false, "render factor-bit voltage trajectories")
-	check := flag.Bool("check", false, "verify runtime invariants per step and post-hoc scan the recorded trace (no build tag needed)")
-	co := obs.BindFlags("dmm-factor", flag.CommandLine)
-	flag.Parse()
+// run is the command with its arguments and output streams passed in; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dmm-factor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Uint64("n", 35, "integer to factor (a semiprime fitting the word sizes)")
+	seed := fs.Int64("seed", 1, "initial-condition seed")
+	tEnd := fs.Float64("tend", 150, "per-attempt time horizon")
+	attempts := fs.Int("attempts", 4, "random restarts")
+	parallel := fs.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
+	firstWin := fs.Bool("first-win", false, "first verified winner cancels all attempts (fastest, nondeterministic winner)")
+	deadline := fs.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
+	portfolio := fs.Bool("portfolio", false, "race the heterogeneous solver portfolio (IMEX-capacitive vs RK45-quasistatic)")
+	showTrace := fs.Bool("trace", false, "render factor-bit voltage trajectories")
+	check := fs.Bool("check", false, "verify runtime invariants per step and post-hoc scan the recorded trace (no build tag needed)")
+	co := obs.BindFlags("dmm-factor", fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the status flag.ExitOnError uses
+	}
 
 	if err := co.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer func() {
-		if err := co.Finish(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if err := co.Finish(stdout); err != nil {
+			fmt.Fprintln(stderr, err)
 		}
 	}()
 
@@ -71,32 +82,32 @@ func run() int {
 	fz := core.NewFactorizer(cfg)
 	res, err := fz.Factor(*n)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmm-factor:", err)
+		fmt.Fprintln(stderr, "dmm-factor:", err)
 		return 1
 	}
-	fmt.Printf("n=%d  circuit: %s\n", *n, res.Metrics)
+	fmt.Fprintf(stdout, "n=%d  circuit: %s\n", *n, res.Metrics)
 	if res.Solved {
-		fmt.Printf("self-organized: %d = %d × %d (t* = %.2f)\n",
+		fmt.Fprintf(stdout, "self-organized: %d = %d × %d (t* = %.2f)\n",
 			*n, res.P, res.Q, res.Metrics.ConvergenceTime)
 		if *parallel != 1 || *portfolio {
-			fmt.Printf("pool: launched=%d cancelled=%d\n",
+			fmt.Fprintf(stdout, "pool: launched=%d cancelled=%d\n",
 				res.Metrics.Launched, res.Metrics.Cancelled)
 		}
 	} else {
-		fmt.Println(unsolvedNote(*n, res.Reason, *attempts, *tEnd))
+		fmt.Fprintln(stdout, unsolvedNote(*n, res.Reason, *attempts, *tEnd))
 	}
 	if rec, ok := res.Trace.(*trace.Recorder); ok && rec.Len() > 0 {
-		fmt.Println("\nfactor-bit trajectories (−vc..+vc):")
-		fmt.Print(rec.RenderASCII(72, -1.2, 1.2))
+		fmt.Fprintln(stdout, "\nfactor-bit trajectories (−vc..+vc):")
+		fmt.Fprint(stdout, rec.RenderASCII(72, -1.2, 1.2))
 		if *check {
 			vb := circuit.VBoundFactor * cfg.Params.Vc
 			viols := invariant.ScanTrace(rec.T, rec.Labels, rec.Series, -vb, vb)
 			if len(viols) == 0 {
-				fmt.Printf("trace invariant scan: %d samples × %d nodes inside ±%.3g, all finite\n",
+				fmt.Fprintf(stdout, "trace invariant scan: %d samples × %d nodes inside ±%.3g, all finite\n",
 					rec.Len(), len(rec.Labels), vb)
 			} else {
 				for _, v := range viols {
-					fmt.Fprintln(os.Stderr, "dmm-factor:", v)
+					fmt.Fprintln(stderr, "dmm-factor:", v)
 				}
 				return 3
 			}

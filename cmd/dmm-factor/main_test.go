@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestUnsolvedNote(t *testing.T) {
@@ -19,6 +21,25 @@ func TestUnsolvedNote(t *testing.T) {
 		}
 		if !strings.Contains(got, "(horizon reached)") {
 			t.Errorf("n=%d: %q omits the solver's reason", tc.n, got)
+		}
+	}
+}
+
+// TestNonFiniteHorizonIsAnError: -tend NaN used to reach the driver as an
+// unbounded horizon and never return; it must now fail promptly with a
+// non-zero status and say why.
+func TestNonFiniteHorizonIsAnError(t *testing.T) {
+	for _, tend := range []string{"NaN", "+Inf"} {
+		var stdout, stderr bytes.Buffer
+		done := make(chan int, 1)
+		go func() { done <- run([]string{"-n", "47", "-tend", tend, "-attempts", "1"}, &stdout, &stderr) }()
+		select {
+		case code := <-done:
+			if code == 0 || !strings.Contains(stderr.String(), "TEnd") {
+				t.Errorf("-tend %s: exit %d, stderr %q; want a non-zero exit naming TEnd", tend, code, stderr.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("-tend %s: dmm-factor still running after 10s", tend)
 		}
 	}
 }

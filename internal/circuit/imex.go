@@ -59,9 +59,12 @@ type IMEXStepper struct {
 	rhs   la.Vector
 	nodeV la.Vector
 	vNew  la.Vector
+	drop  la.Vector // per-memristor branch drop d of the current step
+	dcgV  la.Vector // per-VCDCG terminal voltage of the current step
 
-	// energy accumulates the dissipated energy ∫ Σ_b g_b·d_b² dt over the
-	// resistive branches (Sec. VI-I's polynomial-energy accounting).
+	// energy accumulates the dissipated energy ∫ Σ_b g_b·d_b² dt over
+	// every DCM branch b — memristors at g(x), resistors at 1/R (Sec.
+	// VI-I's polynomial-energy accounting).
 	energy float64
 }
 
@@ -82,6 +85,8 @@ func NewIMEX(c *Circuit, stats *ode.Stats) *IMEXStepper {
 		rhs:         la.NewVector(c.nv),
 		nodeV:       la.NewVector(c.numNodes),
 		vNew:        la.NewVector(c.nv),
+		drop:        la.NewVector(c.memBr.len()),
+		dcgV:        la.NewVector(c.nd),
 	}
 }
 
@@ -212,19 +217,22 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 }
 
 // advanceSlowStates performs the explicit update of the slow states —
-// memristor x through the Advance kernel, VCDCG currents i and controls
-// sv — from the freshly solved node voltages, accumulating the per-step
-// dissipation tally g·d² into the energy integral.
+// memristor x through memristor.Model.Advance, VCDCG currents i and
+// controls s through device.VCDCG.Advance — from the freshly solved node
+// voltages, accumulating the per-step dissipation tally over every DCM
+// branch (memristors g·d², then resistors d²/R) into the energy integral.
+// The memristor kernel reuses the conductances s.g that fillConductances
+// computed from the same states.
 func (s *IMEXStepper) advanceSlowStates(h float64, x la.Vector) {
 	c := s.c
 	p := &c.Params
 	var power float64
 	mb := &c.memBr
-	for j := 0; j < mb.len(); j++ {
+	g := s.g[:mb.len()]
+	for j := range s.drop {
 		d := s.nodeV[mb.node[j]] - mb.level(j, s.nodeV)
-		g := s.g[j]
-		power += float64(g * d * d)
-		x[c.xOff()+j] = p.Mem.Advance(h, mb.sigma[j], x[c.xOff()+j], d)
+		power += float64(g[j] * d * d)
+		s.drop[j] = d
 	}
 	rb := &c.resBr
 	invR := 1 / p.R
@@ -233,11 +241,9 @@ func (s *IMEXStepper) advanceSlowStates(h float64, x la.Vector) {
 		power += float64(d * d * invR)
 	}
 	s.energy += float64(h * power)
-	offset := p.DCG.FsOffset(x[c.iOff() : c.iOff()+c.nd])
+	p.Mem.Advance(h, x[c.xOff():c.xOff()+c.nm], mb.sigma, s.drop, g)
 	for k, node := range c.dcgNodes {
-		i := x[c.iOff()+k]
-		sv := x[c.sOff()+k]
-		x[c.iOff()+k] = i + float64(h*p.DCG.DiDt(s.nodeV[node], i, sv))
-		x[c.sOff()+k] = sv + float64(h*p.DCG.Fs(sv, offset))
+		s.dcgV[k] = s.nodeV[node]
 	}
+	p.DCG.Advance(h, s.dcgV, x[c.iOff():c.iOff()+c.nd], x[c.sOff():c.sOff()+c.nd])
 }

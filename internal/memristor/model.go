@@ -44,8 +44,8 @@ func (m Model) M(x float64) float64 { return float64(m.Ron*(1-x)) + float64(m.Ro
 // G returns the conductance g(x) = 1/(R1·x + Ron) (Eq. 26). The
 // float64(...) around the product is an explicit rounding barrier: it
 // keeps R1·x from fusing into the add as an FMA on arm64, so g(x) is
-// bit-identical across architectures (and to the flattened Advance
-// kernel, which spells the same barrier).
+// bit-identical across architectures. Advance takes this value as its
+// g argument.
 func (m Model) G(x float64) float64 { return 1 / (float64(m.R1()*x) + m.Ron) }
 
 // theta evaluates the voltage gate of Eq. (40): θ̃_r(v / 2Vt), reducing to
@@ -63,9 +63,8 @@ func (m Model) theta(v float64) float64 {
 // window returns the boundary factor 1 - e^{-k·d} where d is the distance
 // from the blocking boundary; with K = ∞ it is the hard indicator d > 0.
 // d = 0 short-circuits the exp: 1 - e^{-k·0} is exactly 0 in IEEE
-// arithmetic, and a clamped state pinned at its blocking boundary — the
-// steady state of every saturated device — lands exactly there, so the
-// fast path is bit-identical and covers the bulk of hot-loop calls.
+// arithmetic, and a clamped state pinned at its blocking boundary lands
+// exactly there, so the fast path is bit-identical.
 func (m Model) window(d float64) float64 {
 	if math.IsInf(m.K, 1) {
 		if d > 0 {
@@ -106,67 +105,79 @@ func (m Model) DxDt(x, vM float64) float64 {
 	return -m.Alpha * m.H(x, vM) * m.G(x) * vM
 }
 
-// Advance returns the explicit memristor update for one device:
+// Advance is the explicit memristor update of one IMEX step: for every
+// device j it replaces x[j] by
 //
-//	Clamp(x' + h·DxDt(x', σ·d)),  x' = Clamp(x).
+//	Clamp(x' + h·DxDt(x', σ_j·d_j)),  x' = Clamp(x[j]),
 //
-// The call tree of Clamp/DxDt/H/window/theta is flattened with the
-// model constants hoisted, so the IMEX hot loop pays no call frames; the
-// property tests check bit-identity against the Clamp/DxDt composition.
-// Dropping the θ factor on the hard-threshold branches is exact: θ is 1
-// there and w·1 ≡ w in IEEE arithmetic for every w including ±0 and NaN.
-// The float64(...) barriers pin the FMA-fusable products to two roundings
+// where g[j] must be the conductance G(x') — the value the stepper
+// already holds from its conductance fill, so the kernel does not divide
+// again. The model constants are hoisted once per call and the call tree
+// of Clamp/DxDt/H/window/theta is flattened, so the per-device loop pays
+// no call frames; TestAdvanceBitIdentical pins it bitwise to the
+// Clamp/DxDt composition. Dropping the θ̃ factor where it is exactly 1 —
+// the hard-threshold branches, and |vM| ≥ 2Vt, where the quotient is ≥ 1
+// — is exact: w·1 ≡ w in IEEE arithmetic for every w including ±0 and
+// NaN. The saturation test is spelled !(av >= sat) so a NaN drop still
+// takes the Eval path, and sat is NaN when 2Vt overflows to +Inf, where
+// |vM| = +Inf would otherwise skip the NaN that Inf/Inf feeds to Eval.
+// The float64(...) barrier pins the FMA-fusable product to two roundings
 // on every architecture (bit-neutral where the compiler was not fusing
 // anyway).
 //
 //dmmvet:hotpath
-func (m Model) Advance(h, sigma, x, d float64) float64 {
+func (m Model) Advance(h float64, x, sigma, d, g []float64) {
 	hardK := math.IsInf(m.K, 1)
 	hardT := m.Vt <= 0 || m.Step == nil
 	nk := -m.K
 	na := -m.Alpha
-	r1 := m.Roff - m.Ron
-	ron := m.Ron
 	vt2 := 2 * m.Vt
+	sat := vt2
+	if math.IsInf(vt2, 1) {
+		sat = math.NaN()
+	}
 	step := m.Step
-	xi := x
-	if xi < 0 {
-		xi = 0
-	} else if xi > 1 {
-		xi = 1
-	}
-	vM := sigma * d
-	// h(x, vM) of Eq. (31)/(40), flattened: pick the blocking side,
-	// then its window and (for soft thresholds) the θ̃ gate.
-	var hv float64
-	if vM != 0 {
-		dist := xi // distance from the blocking boundary
-		if vM < 0 {
-			dist = 1 - xi
+	sigma, d, g = sigma[:len(x)], d[:len(x)], g[:len(x)]
+	for j, xi := range x {
+		if xi < 0 {
+			xi = 0
+		} else if xi > 1 {
+			xi = 1
 		}
-		if hardK {
-			if dist > 0 {
-				hv = 1
+		vM := sigma[j] * d[j]
+		// h(x, vM) of Eq. (31)/(40), flattened: pick the blocking side,
+		// then its window and (for soft thresholds) the θ̃ gate.
+		var hv float64
+		if vM != 0 {
+			dist := xi // distance from the blocking boundary
+			if vM < 0 {
+				dist = 1 - xi
 			}
-		} else if dist != 0 {
-			hv = 1 - math.Exp(nk*dist)
-		}
-		if !hardT {
-			av := vM
-			if av < 0 {
-				av = -av
+			if hardK {
+				if dist > 0 {
+					hv = 1
+				}
+			} else if dist != 0 {
+				hv = 1 - math.Exp(nk*dist)
 			}
-			hv *= step.Eval(av / vt2)
+			if !hardT {
+				av := vM
+				if av < 0 {
+					av = -av
+				}
+				if !(av >= sat) {
+					hv *= step.Eval(av / vt2)
+				}
+			}
 		}
+		xn := xi + float64(h*(na*hv*g[j]*vM))
+		if xn < 0 {
+			xn = 0
+		} else if xn > 1 {
+			xn = 1
+		}
+		x[j] = xn
 	}
-	g := 1 / (float64(r1*xi) + ron)
-	xn := xi + float64(h*(na*hv*g*vM))
-	if xn < 0 {
-		xn = 0
-	} else if xn > 1 {
-		xn = 1
-	}
-	return xn
 }
 
 // Clamp returns x restricted to the invariant interval [0,1].

@@ -182,9 +182,11 @@ func TestWindowZeroFastPathBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAdvanceBitIdentical pins the flattened Advance kernel to the
-// composition Clamp(Clamp(x) + h·DxDt(Clamp(x), σ·d)) bitwise, over hard
-// and soft windows and thresholds, boundary states, and zero drops.
+// TestAdvanceBitIdentical pins Advance, fed the stepper's conductances
+// G(Clamp(x)), to the per-device composition
+// Clamp(Clamp(x) + h·DxDt(Clamp(x), σ·d)) bitwise over hard and soft
+// windows and thresholds, boundary states, zero and NaN drops, and drops
+// at and one ulp either side of the θ̃ saturation point |σ·d| = 2Vt.
 func TestAdvanceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	models := []Model{Default()}
@@ -194,9 +196,15 @@ func TestAdvanceBitIdentical(t *testing.T) {
 	hardStep := soft
 	hardStep.Step = nil
 	models = append(models, hardStep)
+	overflow := soft // 2Vt overflows to +Inf
+	overflow.Vt = math.MaxFloat64
+	models = append(models, overflow)
 	for mi, m := range models {
+		var xs, sigmas, ds []float64
+		add := func(sigma, x, d float64) {
+			xs, sigmas, ds = append(xs, x), append(sigmas, sigma), append(ds, d)
+		}
 		for trial := 0; trial < 500; trial++ {
-			h := 1e-3 * (0.5 + rng.Float64())
 			sigma := 1.0
 			if rng.Intn(2) == 0 {
 				sigma = -1
@@ -209,11 +217,33 @@ func TestAdvanceBitIdentical(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				d = 0
 			}
-			xi := Clamp(x)
-			want := Clamp(xi + h*m.DxDt(xi, sigma*d))
-			if got := m.Advance(h, sigma, x, d); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("model %d trial %d: Advance %v (%#x), scalar composition %v (%#x) [x=%v d=%v]",
-					mi, trial, got, math.Float64bits(got), want, math.Float64bits(want), x, d)
+			add(sigma, x, d)
+		}
+		vt2 := 2 * m.Vt
+		edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+			vt2, math.Nextafter(vt2, 0), math.Nextafter(vt2, math.Inf(1))}
+		for _, d := range edges {
+			for _, sigma := range []float64{1, -1} {
+				for _, x := range []float64{-0.1, 0, 0.3, 1, 1.2} {
+					add(sigma, x, d)
+					add(sigma, x, -d)
+				}
+			}
+		}
+		gs := make([]float64, len(xs))
+		for j, x := range xs {
+			gs[j] = m.G(Clamp(x))
+		}
+		for _, h := range []float64{1e-3, 7.3e-4, 0.25} {
+			got := append([]float64(nil), xs...)
+			m.Advance(h, got, sigmas, ds, gs)
+			for j, x := range xs {
+				xi := Clamp(x)
+				want := Clamp(xi + float64(h*m.DxDt(xi, sigmas[j]*ds[j])))
+				if math.Float64bits(got[j]) != math.Float64bits(want) {
+					t.Fatalf("model %d: Advance %v (%#x), scalar composition %v (%#x) [h=%v σ=%v x=%v d=%v]",
+						mi, got[j], math.Float64bits(got[j]), want, math.Float64bits(want), h, sigmas[j], x, ds[j])
+				}
 			}
 		}
 	}

@@ -150,8 +150,12 @@ func (st *poolState) reportSolved(i int, policy WinnerPolicy, icancel context.Ca
 // engine from the initial condition drawn from Seed + k, so trajectories
 // are reproducible regardless of scheduling; the winner policy decides
 // which verified equilibrium is returned and which running attempts are
-// cancelled (via context) once it can no longer be beaten.
+// cancelled (via context) once it can no longer be beaten. A non-finite
+// TEnd, H, HMax, Tol or ConvTol is an error.
 func (pf *Portfolio) Solve(opts Options) (Result, error) {
+	if err := opts.checkFinite(); err != nil {
+		return Result{}, err
+	}
 	opts = opts.withDefaults()
 	//dmmvet:allow detflow — wall-clock telemetry only (Result.Wall); never feeds the trajectory or the winner policy
 	start := time.Now()

@@ -10,6 +10,7 @@ package solc
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/boolcirc"
@@ -190,6 +191,21 @@ func DefaultOptions() Options {
 		Seed:        1,
 		Stepper:     "imex",
 	}
+}
+
+// checkFinite rejects a NaN or infinite TEnd, H, HMax, Tol or ConvTol.
+// withDefaults replaces only values <= 0, so a NaN or +Inf TEnd would
+// otherwise reach the driver as an unbounded horizon and never return.
+func (o Options) checkFinite() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"TEnd", o.TEnd}, {"H", o.H}, {"HMax", o.HMax}, {"Tol", o.Tol}, {"ConvTol", o.ConvTol}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("solc: Options.%s = %v, want a finite value", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // withDefaults fills zero-valued fields with DefaultOptions-compatible

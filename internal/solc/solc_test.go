@@ -1,7 +1,10 @@
 package solc
 
 import (
+	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/boolcirc"
 	"repro/internal/circuit"
@@ -32,6 +35,49 @@ func TestSolveXORReverse(t *testing.T) {
 	}
 	if res.Attempts < 1 || res.Steps == 0 || res.Wall <= 0 {
 		t.Fatalf("bad result metadata: %+v", res)
+	}
+}
+
+// TestSolveRejectsNonFiniteOptions: a NaN or infinite float setting is an
+// error returned before any attempt runs — withDefaults only replaces
+// values <= 0, so a NaN or +Inf TEnd would otherwise integrate forever.
+func TestSolveRejectsNonFiniteOptions(t *testing.T) {
+	bc, pins, _ := xorProblem(true)
+	cs := Compile(bc, pins, circuit.Default())
+	fields := []struct {
+		name string
+		set  func(*Options, float64)
+	}{
+		{"TEnd", func(o *Options, v float64) { o.TEnd = v }},
+		{"H", func(o *Options, v float64) { o.H = v }},
+		{"HMax", func(o *Options, v float64) { o.HMax = v }},
+		{"Tol", func(o *Options, v float64) { o.Tol = v }},
+		{"ConvTol", func(o *Options, v float64) { o.ConvTol = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			opts := DefaultOptions()
+			opts.TEnd = 1
+			f.set(&opts, v)
+			done := make(chan error, 1)
+			go func() {
+				_, err := cs.Solve(opts)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "Options."+f.name+" =") {
+					t.Errorf("%s = %v: err = %v, want an error naming %s", f.name, v, err, f.name)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s = %v: Solve still running after 10s", f.name, v)
+			}
+		}
+	}
+	opts := DefaultOptions()
+	opts.TEnd = 1
+	if _, err := cs.Solve(opts); err != nil {
+		t.Fatalf("finite options rejected: %v", err)
 	}
 }
 
