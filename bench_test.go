@@ -380,7 +380,7 @@ func TestIMEXStepSpansFlightZeroAlloc(t *testing.T) {
 
 // BenchmarkParallelRestarts races the same four-restart factorization of
 // n=35 sequentially and on the concurrent pool. Seed 1 makes attempt 0
-// converge slowly (t* ≈ 24) while attempt 3 converges fast (t* ≈ 5), so
+// converge slowly (t* ≈ 26) while attempt 2 converges fast (t* ≈ 5), so
 // the first-done racing policy wins wall-clock even on a single core:
 // the fast attempt cancels the slow ones instead of waiting behind them.
 func BenchmarkParallelRestarts(b *testing.B) {

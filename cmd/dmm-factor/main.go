@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "n=%d  circuit: %s\n", *n, res.Metrics)
 	if res.Solved {
-		fmt.Fprintf(stdout, "self-organized: %d = %d × %d (t* = %.2f)\n",
+		fmt.Fprintf(stdout, "self-organized: %d = %d × %d (first verified read-out at t* = %.2f)\n",
 			*n, res.P, res.Q, res.Metrics.ConvergenceTime)
 		if *parallel != 1 || *portfolio {
 			fmt.Fprintf(stdout, "pool: launched=%d cancelled=%d\n",

@@ -112,7 +112,7 @@ func run() int {
 		return 1
 	}
 	if res.Solved {
-		fmt.Printf("SOLC: SAT in t* = %.2f (attempts %d, winner %s, wall %v)\nassignment:",
+		fmt.Printf("SOLC: SAT, first verified read-out at t* = %.2f (attempts %d, winner %s, wall %v)\nassignment:",
 			res.Result.T, res.Result.Attempts, res.Result.WinnerMember, res.Result.Wall)
 		for v, val := range res.Assignment {
 			lit := v + 1

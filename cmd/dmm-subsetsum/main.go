@@ -79,7 +79,7 @@ func run() int {
 				sel = append(sel, v)
 			}
 		}
-		fmt.Printf("self-organized subset: %v (mask %0*b, t* = %.2f)\n",
+		fmt.Printf("self-organized subset: %v (mask %0*b, first verified read-out at t* = %.2f)\n",
 			sel, len(values), res.Mask, res.Metrics.ConvergenceTime)
 	} else {
 		fmt.Printf("no equilibrium reached (%s)\n", res.Reason)

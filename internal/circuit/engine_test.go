@@ -95,6 +95,30 @@ func TestQSGateSelfOrganizes(t *testing.T) {
 	}
 }
 
+// TestQSReadOutZeroAlloc pins the per-step stop check of quasi-static
+// portfolio members: GatesSatisfied and Converged decode in the engine's
+// own scratch and allocate nothing, and the read-out agrees with the
+// decode through a caller-owned buffer.
+func TestQSReadOutZeroAlloc(t *testing.T) {
+	q := buildGateQS(t, solg.AND, true)
+	x := q.InitialState(rand.New(rand.NewSource(3)))
+	tt := 2 * q.Parameters().TRise
+	v := q.NodeVoltages(tt, x, nil)
+	var in [2]bool
+	in[0], in[1] = v[0] > 0, v[1] > 0
+	if want := solg.AND.Eval(in[:]...) == (v[2] > 0); q.GatesSatisfied(tt, x) != want {
+		t.Fatalf("GatesSatisfied = %v, want %v for voltages %v", !want, want, v)
+	}
+	for name, f := range map[string]func(){
+		"GatesSatisfied": func() { q.GatesSatisfied(tt, x) },
+		"Converged":      func() { q.Converged(tt, x, 0.02) },
+	} {
+		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+}
+
 func TestIMEXGateSelfOrganizes(t *testing.T) {
 	p := Default()
 	b := NewBuilder(p)

@@ -189,14 +189,15 @@ func (q *QuasiStatic) InitialState(rng *rand.Rand) la.Vector {
 }
 
 // GatesSatisfied decodes node voltages and checks every gate relation.
+// It reads the voltages in place in the engine's solve scratch, so the
+// per-step stop check allocates nothing.
 func (q *QuasiStatic) GatesSatisfied(t float64, x la.Vector) bool {
-	nodeV := q.NodeVoltages(t, x, nil)
-	return q.C.gatesSatisfiedAt(nodeV)
+	return q.C.gatesSatisfiedAt(q.NodeVoltages(t, x, q.nodeV))
 }
 
 // Converged reports whether the state is a decoded logic equilibrium.
 func (q *QuasiStatic) Converged(t float64, x la.Vector, tol float64) bool {
-	nodeV := q.NodeVoltages(t, x, nil)
+	nodeV := q.NodeVoltages(t, x, q.nodeV)
 	vc := q.C.Params.Vc
 	for n := 0; n < q.C.numNodes; n++ {
 		d := math.Abs(nodeV[n])

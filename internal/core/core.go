@@ -89,8 +89,10 @@ type Metrics struct {
 	// Gates, Memristors, VCDCGs, StateDim describe the SOLC size (the
 	// paper's space resources).
 	Gates, Memristors, VCDCGs, StateDim int
-	// ConvergenceTime is the dynamical time at which the machine
-	// self-organized (the paper's time resource).
+	// ConvergenceTime is t*, the dynamical time of the winning attempt's
+	// first verified read-out: the first accepted step past the input
+	// ramp whose node-voltage signs satisfy every gate (the paper's time
+	// resource; see solc.Result.T).
 	ConvergenceTime float64
 	// Energy is the dissipated energy ∫Σ g·d² dt (the paper's Sec. VI-I
 	// energy resource; IMEX runs only).

@@ -64,6 +64,10 @@ func DefaultPortfolio() []PortfolioMember {
 type Portfolio struct {
 	members  []PortfolioMember
 	compiled []*Compiled
+	// stop, when non-nil, replaces (*Compiled).readOut as the attempts'
+	// stop predicate; tests use it to replay the same trajectories under
+	// another stop criterion.
+	stop func(cs *Compiled, eng circuit.Engine, t float64, x la.Vector) bool
 }
 
 // CompilePortfolio compiles the boolean circuit once per member. All
@@ -151,7 +155,7 @@ func (st *poolState) reportSolved(i int, policy WinnerPolicy, icancel context.Ca
 // are reproducible regardless of scheduling; the winner policy decides
 // which verified equilibrium is returned and which running attempts are
 // cancelled (via context) once it can no longer be beaten. A non-finite
-// TEnd, H, HMax, Tol or ConvTol is an error.
+// TEnd, H, HMax or Tol is an error.
 func (pf *Portfolio) Solve(opts Options) (Result, error) {
 	if err := opts.checkFinite(); err != nil {
 		return Result{}, err
@@ -298,6 +302,10 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	if stepperName == "" {
 		stepperName = opts.Stepper
 	}
+	stop := pf.stop
+	if stop == nil {
+		stop = (*Compiled).readOut
+	}
 	h := opts.H
 	if member.H > 0 {
 		h = member.H
@@ -363,9 +371,7 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 				}
 			}
 		},
-		Stop: func(t float64, x la.Vector) bool {
-			return t > eng.Parameters().TRise && eng.Converged(t, x, opts.ConvTol)
-		},
+		Stop: func(t float64, x la.Vector) bool { return stop(cs, eng, t, x) },
 	}
 	if opts.Verify || invariant.Enabled {
 		step := 0

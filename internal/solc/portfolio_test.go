@@ -2,6 +2,8 @@ package solc
 
 import (
 	"context"
+	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,13 +23,43 @@ func unsatProblem() (*boolcirc.Circuit, map[boolcirc.Signal]bool) {
 	return bc, map[boolcirc.Signal]bool{o: true}
 }
 
-// handicappedPortfolio pairs a member that cannot solve (explicit Euler on
-// the quasi-static form with a wildly unstable step) with the IMEX solver,
-// so attempt 0 deterministically fails and attempt 1 deterministically wins.
+// handicappedPortfolio pairs a member that cannot solve with the IMEX
+// solver, so attempt 0 deterministically fails and attempt 1
+// deterministically wins. The handicap is Heun's explicit method on the
+// capacitive form at H = 0.25, far above the node-capacitance time
+// constant: every step amplifies the node voltages until they overflow,
+// inside the input ramp, so the attempt ends in an integration failure
+// before any read-out is taken (the stop predicate is consulted only for
+// t > TRise). TestHandicapMemberFails pins that for every seed the
+// fixtures can hand it.
 func handicappedPortfolio() []PortfolioMember {
 	return []PortfolioMember{
-		{Name: "handicap", Mode: ModeQuasiStatic, Stepper: "euler", H: 5e-2},
+		{Name: "handicap", Mode: ModeCapacitive, Stepper: "heun", H: 0.25},
 		{Name: "imex", Mode: ModeCapacitive, Stepper: "imex"},
+	}
+}
+
+// TestHandicapMemberFails runs the handicapped member alone on the
+// fixtures' problem and horizon over a range of seeds: each attempt must
+// fail by overflowing before TRise, never by a read-out, so the portfolio
+// tests' "attempt 1 wins" holds by construction rather than by seed.
+func TestHandicapMemberFails(t *testing.T) {
+	bc, pins, _ := xorProblem(true)
+	pf := CompilePortfolio(bc, pins, circuit.Default(), handicappedPortfolio()[:1])
+	tRise := circuit.Default().TRise
+	for seed := int64(1); seed <= 16; seed++ {
+		opts := DefaultOptions()
+		opts.TEnd = 5
+		opts.MaxAttempts = 1
+		opts.Seed = seed
+		res, err := pf.Solve(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Solved || !strings.HasPrefix(res.Reason, "integration failure") || res.T > tRise {
+			t.Fatalf("seed %d: solved=%v reason=%q t=%g, want an integration failure at t <= TRise = %g",
+				seed, res.Solved, res.Reason, res.T, tRise)
+		}
 	}
 }
 
@@ -326,5 +358,96 @@ func TestObserveForcesSequential(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("Observe never called")
+	}
+}
+
+// settleStop is the stop predicate attempts used before the read-out
+// criterion: past the input ramp, every node within 2% of ±vc and every
+// gate satisfied (circuit.Converged).
+func settleStop(_ *Compiled, eng circuit.Engine, t float64, x la.Vector) bool {
+	return t > eng.Parameters().TRise && eng.Converged(t, x, 0.02)
+}
+
+// TestReadOutStopNeverLater replays the same seeded solves under the old
+// settle-band stop and the first-verified-read-out stop. The predicates
+// never touch the state and Converged implies GatesSatisfied, so every
+// attempt follows the same trajectory and can only stop at the same step
+// or earlier: Steps and Attempts never increase, a solve that settled
+// still solves, and on the same winning attempt t* never grows.
+func TestReadOutStopNeverLater(t *testing.T) {
+	type instance struct {
+		name string
+		bc   *boolcirc.Circuit
+		pins map[boolcirc.Signal]bool
+	}
+	var insts []instance
+	bc, pins, _ := xorProblem(true)
+	insts = append(insts, instance{"xor", bc, pins})
+	fa := boolcirc.New()
+	a, b, cin := fa.NewSignal(), fa.NewSignal(), fa.NewSignal()
+	s, cout := fa.FullAdder(a, b, cin)
+	insts = append(insts, instance{"full-adder", fa, map[boolcirc.Signal]bool{s: false, cout: true}})
+	mul := boolcirc.New()
+	prod := mul.Multiplier(mul.NewSignals(3), mul.NewSignals(2))
+	mpins := make(map[boolcirc.Signal]bool)
+	for i, sig := range prod {
+		mpins[sig] = 15&(1<<uint(i)) != 0
+	}
+	insts = append(insts, instance{"factor-15", mul, mpins})
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 2; k++ {
+		f := boolcirc.CNF{NumVars: 5}
+		for c := 0; c < 13; c++ {
+			perm := rng.Perm(5)
+			var cl boolcirc.Clause
+			for _, v := range perm[:3] {
+				l := boolcirc.Lit(v + 1)
+				if rng.Intn(2) == 0 {
+					l = -l
+				}
+				cl = append(cl, l)
+			}
+			f.Clauses = append(f.Clauses, cl)
+		}
+		sbc, _, outs, err := boolcirc.FromCNF(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spins := make(map[boolcirc.Signal]bool)
+		for _, o := range outs {
+			spins[o] = true
+		}
+		insts = append(insts, instance{"3sat", sbc, spins})
+	}
+	for _, in := range insts {
+		cs := Compile(in.bc, in.pins, circuit.Default())
+		for seed := int64(1); seed <= 2; seed++ {
+			opts := DefaultOptions()
+			// The horizon falls between the first 3-SAT instance's seed-1
+			// read-out (t = 9.64) and its settle (t = 9.89), so the replay
+			// includes a restart that the read-out stop saves.
+			opts.TEnd = 9.7
+			opts.MaxAttempts = 4
+			opts.Parallelism = 1
+			opts.Seed = seed
+			settle := &Portfolio{members: []PortfolioMember{{}}, compiled: []*Compiled{cs}, stop: settleStop}
+			old, err := settle.Solve(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, err := cs.Solve(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cur.Steps > old.Steps || cur.Attempts > old.Attempts || (old.Solved && !cur.Solved) {
+				t.Fatalf("%s seed %d: read-out stop steps=%d attempts=%d solved=%v, settle stop steps=%d attempts=%d solved=%v",
+					in.name, seed, cur.Steps, cur.Attempts, cur.Solved, old.Steps, old.Attempts, old.Solved)
+			}
+			if old.Solved && cur.WinnerAttempt == old.WinnerAttempt && cur.T > old.T {
+				t.Fatalf("%s seed %d: t* %g under the read-out stop, %g under the settle stop", in.name, seed, cur.T, old.T)
+			}
+			t.Logf("%s seed %d: steps %d -> %d, attempts %d -> %d, t* %.3g -> %.3g",
+				in.name, seed, old.Steps, cur.Steps, old.Attempts, cur.Attempts, old.T, cur.T)
+		}
 	}
 }

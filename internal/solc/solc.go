@@ -29,6 +29,9 @@ type Compiled struct {
 	NodeOf []circuit.Node
 	// Pins holds the imposed bits (constants plus caller pins).
 	Pins map[boolcirc.Signal]bool
+	// pinConflict records a caller pin that contradicts a circuit
+	// constant: the problem is unsatisfiable, so no read-out is taken.
+	pinConflict bool
 }
 
 // Mode selects the dynamical form the boolean circuit is compiled to.
@@ -92,11 +95,13 @@ func CompileMode(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.
 		}
 		b.AddGate(opKind(g.Op), nodeOf[g.A], nodeOf[g.B], nodeOf[g.Out])
 	}
-	all := make(map[boolcirc.Signal]bool)
-	for s, v := range bc.Constants() {
-		all[s] = v
-	}
+	all := bc.Constants()
+	conflict := false
 	for s, v := range pins {
+		if cv, ok := all[s]; ok && cv != v {
+			//dmmvet:allow detflow — conflict is an OR over every pin; the order that sets it cannot change it
+			conflict = true
+		}
 		all[s] = v
 	}
 	for s, v := range all {
@@ -109,7 +114,7 @@ func CompileMode(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.
 	} else {
 		eng = b.BuildQS()
 	}
-	return &Compiled{BC: bc, Eng: eng, NodeOf: nodeOf, Pins: all}
+	return &Compiled{BC: bc, Eng: eng, NodeOf: nodeOf, Pins: all, pinConflict: conflict}
 }
 
 // WinnerPolicy selects how the parallel restart pool picks among attempts
@@ -139,8 +144,6 @@ type Options struct {
 	H, HMax, Tol float64
 	// TEnd is the per-attempt time horizon in circuit time units.
 	TEnd float64
-	// ConvTol is the voltage tolerance for calling a node ±vc.
-	ConvTol float64
 	// MaxAttempts bounds the number of random restarts.
 	MaxAttempts int
 	// Seed seeds the initial-condition generators: attempt k draws its
@@ -186,21 +189,20 @@ func DefaultOptions() Options {
 	return Options{
 		H: 1e-3, HMax: 1e-1, Tol: 1e-6,
 		TEnd:        200,
-		ConvTol:     0.02,
 		MaxAttempts: 3,
 		Seed:        1,
 		Stepper:     "imex",
 	}
 }
 
-// checkFinite rejects a NaN or infinite TEnd, H, HMax, Tol or ConvTol.
+// checkFinite rejects a NaN or infinite TEnd, H, HMax or Tol.
 // withDefaults replaces only values <= 0, so a NaN or +Inf TEnd would
 // otherwise reach the driver as an unbounded horizon and never return.
 func (o Options) checkFinite() error {
 	for _, f := range [...]struct {
 		name string
 		v    float64
-	}{{"TEnd", o.TEnd}, {"H", o.H}, {"HMax", o.HMax}, {"Tol", o.Tol}, {"ConvTol", o.ConvTol}} {
+	}{{"TEnd", o.TEnd}, {"H", o.H}, {"HMax", o.HMax}, {"Tol", o.Tol}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("solc: Options.%s = %v, want a finite value", f.name, f.v)
 		}
@@ -223,9 +225,6 @@ func (o Options) withDefaults() Options {
 	if o.TEnd <= 0 {
 		o.TEnd = 200
 	}
-	if o.ConvTol <= 0 {
-		o.ConvTol = 0.02
-	}
 	if o.MaxAttempts < 1 {
 		o.MaxAttempts = 1
 	}
@@ -241,8 +240,10 @@ type Result struct {
 	Solved bool
 	// Assignment is the decoded full signal assignment (valid when Solved).
 	Assignment boolcirc.Assignment
-	// T is the winning attempt's convergence time (or, unsolved, the
-	// largest dynamical time any attempt reached).
+	// T is t*, the dynamical time of the winning attempt's first verified
+	// read-out: its first accepted step past the input ramp whose
+	// node-voltage signs satisfy every gate (or, unsolved, the largest
+	// dynamical time any attempt reached).
 	T float64
 	// Attempts is the number of initial conditions consumed by the result:
 	// winning attempt index + 1 when solved (identical for sequential and
@@ -326,6 +327,17 @@ func (cs *Compiled) decodeWith(eng circuit.Engine, t float64, x la.Vector) boolc
 		assign[s] = nodeV[n] > 0
 	}
 	return assign
+}
+
+// readOut is an attempt's stop predicate: past the input ramp, the sign
+// of every node voltage satisfies every gate. Once the ramp is over each
+// pinned node sits at its target ±vc, so with consistent pins the
+// predicate holds exactly when the decoded assignment passes
+// BC.Satisfied and pinsRespected: an attempt stops at its first verified
+// read-out. A pin that contradicts a circuit constant makes the problem
+// unsatisfiable, and no read-out is ever taken.
+func (cs *Compiled) readOut(eng circuit.Engine, t float64, x la.Vector) bool {
+	return !cs.pinConflict && t > eng.Parameters().TRise && eng.GatesSatisfied(t, x)
 }
 
 func (cs *Compiled) pinsRespected(a boolcirc.Assignment) bool {

@@ -52,7 +52,6 @@ func TestSolveRejectsNonFiniteOptions(t *testing.T) {
 		{"H", func(o *Options, v float64) { o.H = v }},
 		{"HMax", func(o *Options, v float64) { o.HMax = v }},
 		{"Tol", func(o *Options, v float64) { o.Tol = v }},
-		{"ConvTol", func(o *Options, v float64) { o.ConvTol = v }},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
