@@ -163,7 +163,7 @@ func BenchmarkFig13PrimeHorizon(b *testing.B) {
 func BenchmarkFig14TopologyBuild(b *testing.B) {
 	values := []uint64{13, 21, 34, 55, 89, 144, 233, 377}
 	for i := 0; i < b.N; i++ {
-		bc, _, pins := core.BuildSubsetSumCircuit(values, 9, 100)
+		bc, _, pins, _ := core.BuildSubsetSumCircuit(values, 9, 100)
 		_ = solc.Compile(bc, pins, circuit.Default())
 	}
 }

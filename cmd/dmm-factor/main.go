@@ -5,7 +5,7 @@
 //
 //	dmm-factor -n 35 [-seed 1] [-tend 150] [-attempts 4] [-trace] [-check]
 //	dmm-factor -n 143 -attempts 8 -parallel 4 [-first-win] [-deadline 30s]
-//	dmm-factor -n 35 -portfolio [-telemetry events.jsonl] [-metrics-dump]
+//	dmm-factor -n 35 [-telemetry events.jsonl] [-metrics-dump]
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/obs"
-	"repro/internal/solc"
 	"repro/internal/trace"
 )
 
@@ -41,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
 	firstWin := fs.Bool("first-win", false, "first verified winner cancels all attempts (fastest, nondeterministic winner)")
 	deadline := fs.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
-	portfolio := fs.Bool("portfolio", false, "race the heterogeneous solver portfolio (IMEX-capacitive vs RK45-quasistatic)")
 	showTrace := fs.Bool("trace", false, "render factor-bit voltage trajectories")
 	check := fs.Bool("check", false, "verify runtime invariants per step and post-hoc scan the recorded trace (no build tag needed)")
 	co := obs.BindFlags("dmm-factor", fs)
@@ -71,9 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Deadline = *deadline
 	cfg.Verify = *check
 	cfg.Telemetry = co.Telemetry
-	if *portfolio {
-		cfg.Portfolio = solc.DefaultPortfolio()
-	}
 	if *showTrace {
 		np, nq := core.WordSizes(core.BitLen(*n))
 		cfg.TraceNodes = np + nq
@@ -89,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if res.Solved {
 		fmt.Fprintf(stdout, "self-organized: %d = %d × %d (first verified read-out at t* = %.2f)\n",
 			*n, res.P, res.Q, res.Metrics.ConvergenceTime)
-		if *parallel != 1 || *portfolio {
+		if *parallel != 1 {
 			fmt.Fprintf(stdout, "pool: launched=%d cancelled=%d\n",
 				res.Metrics.Launched, res.Metrics.Cancelled)
 		}

@@ -6,7 +6,7 @@
 //
 //	dmm-sat -f formula.cnf [-tend 150] [-attempts 4] [-seed 1]
 //	dmm-sat -random-vars 6 -random-clauses 18
-//	dmm-sat -random-vars 8 -random-clauses 24 -parallel 4 -portfolio
+//	dmm-sat -random-vars 8 -random-clauses 24 -parallel 4 [-first-win]
 package main
 
 import (
@@ -37,7 +37,6 @@ func run() int {
 	parallel := flag.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
 	firstWin := flag.Bool("first-win", false, "first verified winner cancels all attempts")
 	deadline := flag.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
-	portfolio := flag.Bool("portfolio", false, "race the heterogeneous solver portfolio across restarts")
 	co := obs.BindFlags("dmm-sat", flag.CommandLine)
 	flag.Parse()
 
@@ -100,13 +99,7 @@ func run() int {
 		opts.Policy = solc.WinnerFirstDone
 	}
 	opts.Telemetry = co.Telemetry
-	var res solc.SATResult
-	var err error
-	if *portfolio {
-		res, err = solc.SolveCNFPortfolio(f, circuit.Default(), solc.DefaultPortfolio(), opts)
-	} else {
-		res, err = solc.SolveCNF(f, circuit.Default(), opts)
-	}
+	res, err := solc.SolveCNF(f, circuit.Default(), opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dmm-sat:", err)
 		return 1

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,38 +24,47 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	valuesFlag := flag.String("values", "3,5,6", "comma-separated positive integers")
-	target := flag.Uint64("target", 8, "target sum")
-	seed := flag.Int64("seed", 1, "initial-condition seed")
-	tEnd := flag.Float64("tend", 150, "per-attempt time horizon")
-	attempts := flag.Int("attempts", 4, "random restarts")
-	parallel := flag.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
-	firstWin := flag.Bool("first-win", false, "first verified winner cancels all attempts")
-	deadline := flag.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
-	co := obs.BindFlags("dmm-subsetsum", flag.CommandLine)
-	flag.Parse()
+// run is the command with its arguments and output streams passed in; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dmm-subsetsum", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	valuesFlag := fs.String("values", "3,5,6", "comma-separated positive integers")
+	target := fs.Uint64("target", 8, "target sum")
+	seed := fs.Int64("seed", 1, "initial-condition seed")
+	tEnd := fs.Float64("tend", 150, "per-attempt time horizon")
+	attempts := fs.Int("attempts", 4, "random restarts")
+	parallel := fs.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
+	firstWin := fs.Bool("first-win", false, "first verified winner cancels all attempts")
+	deadline := fs.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
+	co := obs.BindFlags("dmm-subsetsum", fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the status flag.ExitOnError uses
+	}
 
 	var values []uint64
 	for _, tok := range strings.Split(*valuesFlag, ",") {
 		v, err := strconv.ParseUint(strings.TrimSpace(tok), 10, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmm-subsetsum: bad value %q: %v\n", tok, err)
+			fmt.Fprintf(stderr, "dmm-subsetsum: bad value %q: %v\n", tok, err)
 			return 1
 		}
 		values = append(values, v)
 	}
 
 	if err := co.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer func() {
-		if err := co.Finish(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if err := co.Finish(stdout); err != nil {
+			fmt.Fprintln(stderr, err)
 		}
 	}()
 
@@ -68,10 +79,10 @@ func run() int {
 	ss := core.NewSubsetSum(cfg)
 	res, err := ss.Solve(values, *target)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmm-subsetsum:", err)
+		fmt.Fprintln(stderr, "dmm-subsetsum:", err)
 		return 1
 	}
-	fmt.Printf("values=%v target=%d  circuit: %s\n", values, *target, res.Metrics)
+	fmt.Fprintf(stdout, "values=%v target=%d  circuit: %s\n", values, *target, res.Metrics)
 	if res.Solved {
 		var sel []uint64
 		for j, v := range values {
@@ -79,16 +90,16 @@ func run() int {
 				sel = append(sel, v)
 			}
 		}
-		fmt.Printf("self-organized subset: %v (mask %0*b, first verified read-out at t* = %.2f)\n",
+		fmt.Fprintf(stdout, "self-organized subset: %v (mask %0*b, first verified read-out at t* = %.2f)\n",
 			sel, len(values), res.Mask, res.Metrics.ConvergenceTime)
 	} else {
-		fmt.Printf("no equilibrium reached (%s)\n", res.Reason)
+		fmt.Fprintf(stdout, "no equilibrium reached (%s)\n", res.Reason)
 	}
 	if _, ok := classical.SubsetSumDP(values, *target); ok != res.Solved {
-		fmt.Printf("baseline check: DP says satisfiable=%v — SOLC %s\n", ok,
+		fmt.Fprintf(stdout, "baseline check: DP says satisfiable=%v — SOLC %s\n", ok,
 			map[bool]string{true: "agrees", false: "missed it (try more attempts)"}[res.Solved == ok])
 	} else {
-		fmt.Println("baseline check: DP agrees")
+		fmt.Fprintln(stdout, "baseline check: DP agrees")
 	}
 	if !res.Solved {
 		return 2

@@ -49,8 +49,8 @@ func satSOLC(t testing.TB, seed int64, nv, nc int) *circuit.Circuit {
 // TestSlowStateKernelBitIdentical steps IMEXStepper side by side with
 // circuit.ReferenceSlowStep — the slow-state phase rebuilt from the
 // public memristor and VCDCG methods — and demands every state bit and
-// the energy accumulator agree after every step. Both sides call the same
-// math.Exp, so the check holds on any architecture.
+// the energy accumulator agree after every step. Both sides call the
+// memristor package's exp, so the check holds on any architecture.
 func TestSlowStateKernelBitIdentical(t *testing.T) {
 	const steps = 2000
 	for _, tc := range []struct {

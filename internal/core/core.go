@@ -43,10 +43,6 @@ type Config struct {
 	FirstWin bool
 	// Deadline, when positive, bounds the wall-clock time of each solve.
 	Deadline time.Duration
-	// Portfolio, when non-empty, races these heterogeneous solver
-	// configurations across the restart attempts instead of the single
-	// (Mode, Stepper) pair.
-	Portfolio []solc.PortfolioMember
 	// TraceNodes, when positive, records that many node-voltage
 	// trajectories (the first k signal nodes) into Result.Trace,
 	// downsampled by TraceEvery.
@@ -158,21 +154,15 @@ func (cfg Config) options() solc.Options {
 	return opts
 }
 
-// compileProblem maps a boolean problem onto the configured solver
-// portfolio: the single (Mode, Stepper) pair by default, or the
-// heterogeneous Config.Portfolio when set.
-func compileProblem(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, cfg Config) *solc.Portfolio {
-	members := cfg.Portfolio
-	if len(members) == 0 {
-		members = []solc.PortfolioMember{{Mode: cfg.Mode, Stepper: cfg.Stepper}}
-	}
-	return solc.CompilePortfolio(bc, pins, cfg.Params, members)
+// compile maps a boolean problem onto the configured dynamical form.
+func (cfg Config) compile(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool) *solc.Compiled {
+	return solc.CompileMode(bc, pins, cfg.Params, cfg.Mode)
 }
 
-// solvePortfolio runs the common solution-mode loop with optional tracing.
-func solvePortfolio(pf *solc.Portfolio, cfg Config) (solc.Result, *trace.Recorder, error) {
+// solve runs the common solution-mode loop on a compiled problem with
+// optional tracing.
+func solve(cs *solc.Compiled, cfg Config) (solc.Result, *trace.Recorder, error) {
 	opts := cfg.options()
-	cs := pf.Compiled(0)
 	var rec *trace.Recorder
 	if cfg.TraceNodes > 0 {
 		k := cfg.TraceNodes
@@ -199,12 +189,12 @@ func solvePortfolio(pf *solc.Portfolio, cfg Config) (solc.Result, *trace.Recorde
 				recErr = err
 			}
 		}
-		res, err := pf.Solve(opts)
+		res, err := cs.Solve(opts)
 		if err == nil {
 			err = recErr
 		}
 		return res, rec, err
 	}
-	res, err := pf.Solve(opts)
+	res, err := cs.Solve(opts)
 	return res, rec, err
 }

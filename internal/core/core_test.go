@@ -177,6 +177,35 @@ func TestSubsetSumTargetBeyondSumWidth(t *testing.T) {
 	}
 }
 
+// TestSubsetSumSingleValue covers the single-value network, where every
+// set bit of the sum word is the one selector signal: a target whose bits
+// disagree there is unreachable and must come back unsolved without
+// integrating, not pin the signal to one of the two bits and fail core's
+// arithmetic check, while the value itself still solves.
+func TestSubsetSumSingleValue(t *testing.T) {
+	ss := NewSubsetSum(DefaultConfig())
+	for _, target := range []uint64{1, 2} {
+		res, err := ss.Solve([]uint64{3}, target)
+		if err != nil {
+			t.Fatalf("target %d: %v", target, err)
+		}
+		if res.Solved || !strings.Contains(res.Reason, "no subset can reach it") || res.Metrics.Launched != 0 {
+			t.Fatalf("target %d: solved=%v launched=%d reason %q, want unsolved as unreachable before any attempt",
+				target, res.Solved, res.Metrics.Launched, res.Reason)
+		}
+		if _, ok := classical.SubsetSumDP([]uint64{3}, target); ok {
+			t.Fatalf("target %d: DP baseline finds a subset", target)
+		}
+	}
+	res, err := ss.Solve([]uint64{3}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Solved || res.Mask != 1 {
+		t.Fatalf("target 3: solved=%v mask %b reason %q, want the selector on", res.Solved, res.Mask, res.Reason)
+	}
+}
+
 func TestConfigPresets(t *testing.T) {
 	d := DefaultConfig()
 	if d.Stepper != "imex" || d.StepH <= 0 || d.MaxAttempts < 1 {

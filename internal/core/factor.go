@@ -80,10 +80,10 @@ func (f *Factorizer) Factor(n uint64) (FactorResult, error) {
 	}
 	nn := BitLen(n)
 	bc, p, q, pins := BuildCircuit(n, nn)
-	pf := compileProblem(bc, pins, f.cfg)
+	cs := f.cfg.compile(bc, pins)
 	out := FactorResult{N: n}
-	out.Metrics.fill(pf.Compiled(0))
-	res, rec, err := solvePortfolio(pf, f.cfg)
+	out.Metrics.fill(cs)
+	res, rec, err := solve(cs, f.cfg)
 	if err != nil {
 		return out, err
 	}

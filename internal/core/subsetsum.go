@@ -37,15 +37,33 @@ type SubsetSumResult struct {
 
 // BuildSubsetSumCircuit constructs the Fig. 14 network for the instance:
 // the masked accumulation circuit plus the pin map imposing the target on
-// the sum word (padded with zeros to the full width, Sec. VII-B).
-func BuildSubsetSumCircuit(values []uint64, precision int, target uint64) (bc *boolcirc.Circuit, selectors []boolcirc.Signal, pins map[boolcirc.Signal]bool) {
+// the sum word (padded with zeros to the full width, Sec. VII-B). A
+// non-nil unreachable explains why no subset can reach the target
+// without integrating: a bit above the sum word, or two bits of the word
+// that are one signal (every set bit of a single value is its selector)
+// asked for different values. The pin map then keeps each signal's first
+// pin and must not be solved.
+func BuildSubsetSumCircuit(values []uint64, precision int, target uint64) (bc *boolcirc.Circuit, selectors []boolcirc.Signal, pins map[boolcirc.Signal]bool, unreachable error) {
 	bc = boolcirc.New()
 	selectors, sum := bc.SubsetSumNetwork(values, precision)
-	pins = make(map[boolcirc.Signal]bool, len(sum))
-	for i, s := range sum {
-		pins[s] = target&(1<<uint(i)) != 0
+	// The sum word holds the total of all values; pinning only its bits
+	// would silently drop a target's higher bits and solve for the
+	// truncated target instead.
+	if target>>uint(len(sum)) != 0 {
+		unreachable = fmt.Errorf("target %d exceeds the %d-bit sum word: no subset can reach it", target, len(sum))
 	}
-	return bc, selectors, pins
+	pins = make(map[boolcirc.Signal]bool, len(sum))
+	bitOf := make(map[boolcirc.Signal]int, len(sum))
+	for i, s := range sum {
+		v := target&(1<<uint(i)) != 0
+		j, seen := bitOf[s]
+		if !seen {
+			bitOf[s], pins[s] = i, v
+		} else if pins[s] != v && unreachable == nil {
+			unreachable = fmt.Errorf("target %d needs sum bits %d and %d to differ, but they are one signal: no subset can reach it", target, j, i)
+		}
+	}
+	return bc, selectors, pins, unreachable
 }
 
 // Precision returns the minimum bit width holding every value.
@@ -79,18 +97,15 @@ func (ss *SubsetSum) Solve(values []uint64, target uint64) (SubsetSumResult, err
 		}
 	}
 	p := Precision(values)
-	bc, selectors, pins := BuildSubsetSumCircuit(values, p, target)
+	bc, selectors, pins, unreachable := BuildSubsetSumCircuit(values, p, target)
 	out := SubsetSumResult{Values: values, Target: target}
-	// The sum word holds the total of all values; pinning only its bits
-	// would silently drop a target's higher bits and solve for the
-	// truncated target instead.
-	if width := len(pins); target>>uint(width) != 0 {
-		out.Reason = fmt.Sprintf("target %d exceeds the %d-bit sum word: no subset can reach it", target, width)
+	if unreachable != nil {
+		out.Reason = unreachable.Error()
 		return out, nil
 	}
-	pf := compileProblem(bc, pins, ss.cfg)
-	out.Metrics.fill(pf.Compiled(0))
-	res, rec, err := solvePortfolio(pf, ss.cfg)
+	cs := ss.cfg.compile(bc, pins)
+	out.Metrics.fill(cs)
+	res, rec, err := solve(cs, ss.cfg)
 	if err != nil {
 		return out, err
 	}

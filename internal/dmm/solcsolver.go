@@ -8,21 +8,17 @@ import (
 
 // SOLCSolver is the machine's native inverse-protocol backend: it compiles
 // the boolean system onto a self-organizing logic circuit and races
-// restart attempts — optionally across a heterogeneous portfolio of
-// dynamical forms and integration methods — on the parallel pool of
-// internal/solc. The zero value solves with circuit.Default parameters,
-// solc.DefaultOptions settings, and the capacitive IMEX configuration.
+// restart attempts on the parallel pool of internal/solc. The zero value
+// solves with circuit.Default parameters, solc.DefaultOptions settings,
+// and the capacitive IMEX configuration.
 type SOLCSolver struct {
 	// Params are the electrical parameters (circuit.Default() if zero).
 	Params circuit.Params
 	// Options tune the integration, including Parallelism, Deadline and
 	// the winner policy (solc.DefaultOptions() if zero).
 	Options solc.Options
-	// Mode is the dynamical form for single-configuration solves.
+	// Mode is the dynamical form the circuit compiles to.
 	Mode solc.Mode
-	// Portfolio, when non-empty, races these configurations across the
-	// restart attempts instead of the single (Mode, Options.Stepper) pair.
-	Portfolio []solc.PortfolioMember
 }
 
 // SolveInverse implements Solver.
@@ -39,23 +35,18 @@ func (s SOLCSolver) SolveInverse(c *boolcirc.Circuit, pins map[boolcirc.Signal]b
 		opts.Deadline = s.Options.Deadline
 		opts.Telemetry = s.Options.Telemetry
 	}
-	members := s.Portfolio
-	if len(members) == 0 {
-		mode := s.Mode
-		stepper := opts.Stepper
-		if stepper == "" {
-			stepper = solc.DefaultOptions().Stepper
-		}
-		// The IMEX stepper only exists for the capacitive form, so the
-		// zero value (Mode's zero is ModeQuasiStatic) resolves to the
-		// valid capacitive IMEX configuration instead of erroring.
-		if stepper == "imex" {
-			mode = solc.ModeCapacitive
-		}
-		members = []solc.PortfolioMember{{Mode: mode, Stepper: opts.Stepper}}
+	mode := s.Mode
+	stepper := opts.Stepper
+	if stepper == "" {
+		stepper = solc.DefaultOptions().Stepper
 	}
-	pf := solc.CompilePortfolio(c, pins, p, members)
-	res, err := pf.Solve(opts)
+	// The IMEX stepper only exists for the capacitive form, so the
+	// zero value (Mode's zero is ModeQuasiStatic) resolves to the
+	// valid capacitive IMEX configuration instead of erroring.
+	if stepper == "imex" {
+		mode = solc.ModeCapacitive
+	}
+	res, err := solc.CompileMode(c, pins, p, mode).Solve(opts)
 	if err != nil {
 		return nil, false, err
 	}

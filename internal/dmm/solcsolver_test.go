@@ -42,16 +42,13 @@ func TestSOLCSolverZeroValue(t *testing.T) {
 }
 
 // TestSOLCSolverParallelPortfolio exercises the raced-restart path through
-// the Solver interface: a heterogeneous portfolio on four workers.
+// the Solver interface: four restarts on four workers.
 func TestSOLCSolverParallelPortfolio(t *testing.T) {
 	opts := solc.DefaultOptions()
 	opts.TEnd = 150
 	opts.MaxAttempts = 4
 	opts.Parallelism = 4
-	m := solcAdderMachine(SOLCSolver{
-		Options:   opts,
-		Portfolio: solc.DefaultPortfolio(),
-	})
+	m := solcAdderMachine(SOLCSolver{Options: opts})
 	y, ok, err := m.Solve([]bool{true, false}) // s=1, cout=0 → one one in
 	if err != nil {
 		t.Fatal(err)

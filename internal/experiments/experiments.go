@@ -368,7 +368,7 @@ func Fig14Topology(maxN, maxP int) Report {
 			for j := range values {
 				values[j] = uint64(1 + rng.Intn(1<<uint(p)-1))
 			}
-			bc, _, _ := core.BuildSubsetSumCircuit(values, p, 1)
+			bc, _, _, _ := core.BuildSubsetSumCircuit(values, p, 1)
 			rep.Rows = append(rep.Rows, []string{
 				f("%d", n), f("%d", p), f("%d", len(bc.Gates)), f("%d", bc.NumSignals()),
 				f("%.3f", float64(len(bc.Gates))/float64(p*n)),

@@ -64,7 +64,8 @@ func (m Model) theta(v float64) float64 {
 // from the blocking boundary; with K = ∞ it is the hard indicator d > 0.
 // d = 0 short-circuits the exp: 1 - e^{-k·0} is exactly 0 in IEEE
 // arithmetic, and a clamped state pinned at its blocking boundary lands
-// exactly there, so the fast path is bit-identical.
+// exactly there, so the fast path is bit-identical. The exp is the
+// package's host-independent port (see exp), not math.Exp.
 func (m Model) window(d float64) float64 {
 	if math.IsInf(m.K, 1) {
 		if d > 0 {
@@ -75,7 +76,7 @@ func (m Model) window(d float64) float64 {
 	if d == 0 {
 		return 0
 	}
-	return 1 - math.Exp(-m.K*d)
+	return 1 - exp(-m.K*d)
 }
 
 // H evaluates the window function h(x, vM) of Eq. (31)/(40):
@@ -158,7 +159,7 @@ func (m Model) Advance(h float64, x, sigma, d, g []float64) {
 					hv = 1
 				}
 			} else if dist != 0 {
-				hv = 1 - math.Exp(nk*dist)
+				hv = 1 - exp(nk*dist)
 			}
 			if !hardT {
 				av := vM

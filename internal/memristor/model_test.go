@@ -152,7 +152,7 @@ func TestWindowZeroFastPathBitIdentical(t *testing.T) {
 	m := Default()
 	m.K = 20
 	m.Vt = 0.05
-	ref := func(d float64) float64 { return 1 - math.Exp(-m.K*d) }
+	ref := func(d float64) float64 { return 1 - exp(-m.K*d) }
 	for _, d := range []float64{0, 1e-300, 1e-9, 0.25, 0.5, 1} {
 		if got, want := m.window(d), ref(d); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("window(%v) = %v (%#x), exp formula gives %v (%#x)",

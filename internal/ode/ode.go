@@ -1,10 +1,11 @@
-// Package ode provides the ordinary-differential-equation integrators used
-// to simulate self-organizing logic circuits. The circuit layer produces an
-// explicit system ẋ = F(t, x); this package supplies fixed-step explicit
-// methods (Euler, Heun, RK4), an adaptive embedded Runge-Kutta (Cash-Karp
-// 4(5)), and an implicit trapezoidal method with a damped Newton iteration
-// for stiff configurations, together with a driver that integrates until a
-// caller-supplied stopping condition fires.
+// Package ode provides the integration driver used to simulate
+// self-organizing logic circuits. The circuit layer produces an explicit
+// system ẋ = F(t, x); this package supplies the Stepper interface, the
+// driver that integrates until a caller-supplied stopping condition fires
+// (with step-size control for adaptive steppers and retry on failed or
+// non-finite steps), and the adaptive embedded Runge-Kutta (Cash-Karp
+// 4(5)) that serves the quasi-static form. The production stepper, the
+// IMEX scheme on the capacitive form, lives in the circuit package.
 package ode
 
 import (
@@ -51,8 +52,8 @@ type Stats struct {
 	Steps      int // accepted steps
 	Rejected   int // rejected adaptive steps
 	FEvals     int // right-hand-side evaluations
-	JacEvals   int // Jacobian evaluations (implicit methods)
-	NewtonIts  int // total Newton iterations (implicit methods)
+	JacEvals   int // Jacobian evaluations (IMEX refactorizations)
+	NewtonIts  int // total Newton iterations (implicit steppers)
 	Refactors  int // linear-operator factorizations (IMEX/quasi-static cache refreshes)
 	FactorHits int // steps served from the existing shifted factor (IMEX)
 }
@@ -62,11 +63,11 @@ func (s Stats) String() string {
 		s.Steps, s.Rejected, s.FEvals, s.JacEvals, s.NewtonIts, s.Refactors, s.FactorHits)
 }
 
-// ErrStepFailure is returned when a step cannot be completed (Newton
-// divergence, NaN state, or step size underflow).
+// ErrStepFailure is returned when a step cannot be completed (a
+// nonpositive step, a failed linear solve, or step size underflow).
 var ErrStepFailure = errors.New("ode: step failure")
 
-// clampPositive guards against zero/negative or NaN step sizes.
+// validStep guards against zero/negative or NaN step sizes.
 func validStep(h float64) error {
 	if !(h > 0) {
 		return fmt.Errorf("%w: nonpositive step h=%v", ErrStepFailure, h)

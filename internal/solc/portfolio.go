@@ -16,79 +16,53 @@ import (
 	"repro/internal/par"
 )
 
-// PortfolioMember describes one solver configuration raced by a Portfolio:
-// a dynamical form plus an integration method. Restart attempts cycle
-// through the members (attempt k runs member k mod len(members)), so a
-// heterogeneous portfolio interleaves, say, the IMEX capacitive solver with
-// the adaptive-RK45 quasi-static one across its random restarts.
+// PortfolioMember describes the solver configuration a Portfolio races
+// its restart attempts on: a dynamical form plus an integration method.
 type PortfolioMember struct {
-	// Name labels the member in Result.WinnerMember (defaults to
-	// "<stepper>-<mode>").
-	Name string
 	// Mode selects the dynamical form the member compiles to.
 	Mode Mode
-	// Stepper selects the member's integration method ("" inherits
+	// Stepper selects the integration method ("" inherits
 	// Options.Stepper).
 	Stepper string
-	// H, when positive, overrides Options.H for this member (the
-	// quasi-static explicit steppers need far smaller steps than IMEX).
-	H float64
 }
 
-func (m PortfolioMember) label() string {
-	if m.Name != "" {
-		return m.Name
-	}
-	st := m.Stepper
-	if st == "" {
-		st = "imex"
-	}
-	if m.Mode == ModeQuasiStatic {
-		return st + "-quasistatic"
-	}
-	return st + "-capacitive"
-}
-
-// DefaultPortfolio returns the heterogeneous pair the repository benchmarks:
-// the IMEX stepper on the capacitive form and the adaptive RK45 on the
-// order-reduced quasi-static form.
-func DefaultPortfolio() []PortfolioMember {
-	return []PortfolioMember{
-		{Name: "imex-capacitive", Mode: ModeCapacitive, Stepper: "imex"},
-		{Name: "rk45-quasistatic", Mode: ModeQuasiStatic, Stepper: "rk45", H: 1e-5},
-	}
-}
-
-// Portfolio races restart attempts of one boolean problem across one or
-// more compiled solver configurations on a bounded worker pool.
+// Portfolio races restart attempts of one boolean problem, compiled to
+// one solver configuration, on a bounded worker pool.
 type Portfolio struct {
-	members  []PortfolioMember
-	compiled []*Compiled
+	cs      *Compiled
+	stepper string
 	// stop, when non-nil, replaces (*Compiled).readOut as the attempts'
 	// stop predicate; tests use it to replay the same trajectories under
 	// another stop criterion.
 	stop func(cs *Compiled, eng circuit.Engine, t float64, x la.Vector) bool
 }
 
-// CompilePortfolio compiles the boolean circuit once per member. All
-// members share the boolean problem and pin map; they differ in dynamical
-// form and integration method.
+// CompilePortfolio compiles the boolean circuit to the configuration of
+// members, which must hold exactly one member.
 func CompilePortfolio(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.Params, members []PortfolioMember) *Portfolio {
-	if len(members) == 0 {
-		members = DefaultPortfolio()
+	if len(members) != 1 {
+		panic(fmt.Sprintf("solc: CompilePortfolio takes exactly one member, got %d", len(members)))
 	}
-	pf := &Portfolio{members: members}
-	for _, m := range members {
-		pf.compiled = append(pf.compiled, CompileMode(bc, pins, p, m.Mode))
-	}
-	return pf
+	m := members[0]
+	return &Portfolio{cs: CompileMode(bc, pins, p, m.Mode), stepper: m.Stepper}
 }
 
-// Members returns the portfolio's member descriptors.
-func (pf *Portfolio) Members() []PortfolioMember { return pf.members }
+// Compiled returns the compiled realization of member i, which must be 0.
+func (pf *Portfolio) Compiled(i int) *Compiled {
+	if i != 0 {
+		panic(fmt.Sprintf("solc: portfolio member %d out of range [0, 1)", i))
+	}
+	return pf.cs
+}
 
-// Compiled returns the compiled realization of member i.
-func (pf *Portfolio) Compiled(i int) *Compiled { return pf.compiled[i] }
+// label names the configuration in events and Result.WinnerMember as
+// "<stepper>-<mode>", e.g. "imex-capacitive".
+func (pf *Portfolio) label(stepper string) string {
+	if pf.cs.mode == ModeQuasiStatic {
+		return stepper + "-quasistatic"
+	}
+	return stepper + "-capacitive"
+}
 
 // attemptOut is the record one restart attempt leaves in the pool.
 type attemptOut struct {
@@ -149,18 +123,21 @@ func (st *poolState) reportSolved(i int, policy WinnerPolicy, icancel context.Ca
 	}
 }
 
-// Solve races up to MaxAttempts restarts across the portfolio members on
-// Options.Parallelism workers. Every attempt k integrates its own cloned
-// engine from the initial condition drawn from Seed + k, so trajectories
-// are reproducible regardless of scheduling; the winner policy decides
-// which verified equilibrium is returned and which running attempts are
-// cancelled (via context) once it can no longer be beaten. A non-finite
-// TEnd, H, HMax or Tol is an error.
+// Solve races up to MaxAttempts restarts on Options.Parallelism workers.
+// Every attempt k integrates its own cloned engine from the initial
+// condition drawn from Seed + k, so trajectories are reproducible
+// regardless of scheduling; the winner policy decides which verified
+// equilibrium is returned and which running attempts are cancelled (via
+// context) once it can no longer be beaten. A non-finite TEnd, H, HMax or
+// Tol is an error.
 func (pf *Portfolio) Solve(opts Options) (Result, error) {
 	if err := opts.checkFinite(); err != nil {
 		return Result{}, err
 	}
 	opts = opts.withDefaults()
+	if pf.stepper != "" {
+		opts.Stepper = pf.stepper
+	}
 	//dmmvet:allow detflow — wall-clock telemetry only (Result.Wall); never feeds the trajectory or the winner policy
 	start := time.Now()
 
@@ -232,7 +209,7 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 		res.Attempts = winner + 1
 		res.WinnerAttempt = winner
 		res.WinnerSeed = opts.Seed + int64(winner)
-		res.WinnerMember = pf.members[winner%len(pf.members)].label()
+		res.WinnerMember = pf.label(opts.Stepper)
 	} else {
 		res.Attempts = res.Launched
 		switch {
@@ -294,29 +271,21 @@ func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.Canc
 // classifies the outcome. It is the only code that touches per-attempt
 // mutable state, so attempts are data-race free by construction.
 func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (attemptOut, error) {
-	member := pf.members[idx%len(pf.members)]
-	cs := pf.compiled[idx%len(pf.compiled)]
+	cs := pf.cs
 	eng := cs.Eng.Clone()
 
-	stepperName := member.Stepper
-	if stepperName == "" {
-		stepperName = opts.Stepper
-	}
 	stop := pf.stop
 	if stop == nil {
 		stop = (*Compiled).readOut
 	}
-	h := opts.H
-	if member.H > 0 {
-		h = member.H
-	}
 	stats := &ode.Stats{}
-	stepper, err := newStepper(stepperName, stats, eng)
+	stepper, err := newStepper(opts.Stepper, stats, eng)
 	if err != nil {
 		return attemptOut{}, err
 	}
 	tl := opts.Telemetry
 	seed := opts.Seed + int64(idx)
+	label := pf.label(opts.Stepper)
 	// One flight ring per attempt: the attempt goroutine is the single
 	// writer (driver hook and stepper hook share it), dumped on
 	// divergence/cancellation below. Nil-safe throughout when the
@@ -324,13 +293,10 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	fl := tl.FlightFor(idx)
 	if tl != nil {
 		tl.AttemptsLaunched.Inc()
-		tl.Emit(obs.Event{Ev: obs.EvLaunched, Attempt: idx, Member: member.label(), Seed: seed})
+		tl.Emit(obs.Event{Ev: obs.EvLaunched, Attempt: idx, Member: label, Seed: seed})
 		if im, ok := stepper.(*circuit.IMEXStepper); ok {
 			im.Obs = tl.StepObsFor(fl)
 			im.Spans = tl.Spans
-		}
-		if tr, ok := stepper.(*ode.Trapezoidal); ok {
-			tr.Obs = tl.StepObsFor(fl)
 		}
 	}
 	//dmmvet:allow detflow — wall-clock telemetry only (attempt duration in the trace); the trajectory reads only Seed+k state
@@ -352,7 +318,7 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	obsStep := 0
 	driver := &ode.Driver{
 		Stepper: stepper,
-		H:       h, HMax: opts.HMax, Tol: opts.Tol,
+		H:       opts.H, HMax: opts.HMax, Tol: opts.Tol,
 		TEnd: opts.TEnd,
 		Ctx:  ctx,
 		Obs:  tl.StepObsFor(fl),
@@ -417,7 +383,7 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 			tl.Refactors.Add(int64(qs.Refacts))
 		}
 		tl.AttemptWall.Observe(time.Since(wallStart).Seconds())
-		ev := obs.Event{Attempt: idx, Member: member.label(), Seed: seed,
+		ev := obs.Event{Attempt: idx, Member: label, Seed: seed,
 			T: out.t, Steps: out.steps, Reason: out.reason}
 		switch {
 		case out.solved:

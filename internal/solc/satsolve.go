@@ -21,15 +21,8 @@ type SATResult struct {
 // it in solution mode. This is the general-purpose face of the machine:
 // the paper builds its SOLCs "by encoding directly the SAT representing
 // the specific problem" (Sec. VIII). Options.Parallelism races the
-// restarts; SolveCNFPortfolio additionally races heterogeneous solver
-// configurations.
+// restarts.
 func SolveCNF(f boolcirc.CNF, p circuit.Params, opts Options) (SATResult, error) {
-	return SolveCNFPortfolio(f, p, []PortfolioMember{{Mode: ModeCapacitive, Stepper: opts.Stepper}}, opts)
-}
-
-// SolveCNFPortfolio is SolveCNF racing restarts across the given portfolio
-// members (DefaultPortfolio when members is empty).
-func SolveCNFPortfolio(f boolcirc.CNF, p circuit.Params, members []PortfolioMember, opts Options) (SATResult, error) {
 	bc, vars, outs, err := boolcirc.FromCNF(f)
 	if err != nil {
 		return SATResult{}, fmt.Errorf("solc: %w", err)
@@ -38,8 +31,7 @@ func SolveCNFPortfolio(f boolcirc.CNF, p circuit.Params, members []PortfolioMemb
 	for _, o := range outs {
 		pins[o] = true
 	}
-	pf := CompilePortfolio(bc, pins, p, members)
-	res, err := pf.Solve(opts)
+	res, err := Compile(bc, pins, p).Solve(opts)
 	if err != nil {
 		return SATResult{}, err
 	}

@@ -32,6 +32,8 @@ type Compiled struct {
 	// pinConflict records a caller pin that contradicts a circuit
 	// constant: the problem is unsatisfiable, so no read-out is taken.
 	pinConflict bool
+	// mode is the dynamical form Eng realizes.
+	mode Mode
 }
 
 // Mode selects the dynamical form the boolean circuit is compiled to.
@@ -42,8 +44,8 @@ const (
 	// ModeQuasiStatic eliminates node voltages algebraically (the paper's
 	// order-reduced DAE form). It is Mode's zero value but not the
 	// default: the IMEX stepper cannot integrate it, so it serves the
-	// explicit and implicit steppers (e.g. DefaultPortfolio's rk45
-	// member).
+	// adaptive RK45 (the ablation bench and the quasi-static physics
+	// checks).
 	ModeQuasiStatic Mode = iota
 	// ModeCapacitive keeps node voltages as ODE states with an explicit
 	// node-to-ground capacitance. It is the form Compile uses, and the
@@ -114,7 +116,7 @@ func CompileMode(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.
 	} else {
 		eng = b.BuildQS()
 	}
-	return &Compiled{BC: bc, Eng: eng, NodeOf: nodeOf, Pins: all, pinConflict: conflict}
+	return &Compiled{BC: bc, Eng: eng, NodeOf: nodeOf, Pins: all, pinConflict: conflict, mode: mode}
 }
 
 // WinnerPolicy selects how the parallel restart pool picks among attempts
@@ -150,9 +152,9 @@ type Options struct {
 	// initial state from Seed + k, so a given attempt's trajectory is
 	// reproducible regardless of scheduling or Parallelism.
 	Seed int64
-	// Stepper selects the integration method: "imex" (default, requires
-	// ModeCapacitive compilation), "rk45", "rk4", "heun", "euler",
-	// "trapezoidal".
+	// Stepper selects the integration method: "imex" (the default and
+	// the production path; requires ModeCapacitive compilation) or the
+	// adaptive "rk45" (either form; the quasi-static form needs it).
 	Stepper string
 	// Parallelism bounds how many restarts integrate concurrently:
 	// 0 selects GOMAXPROCS, 1 recovers the sequential restart loop.
@@ -270,8 +272,8 @@ type Result struct {
 	// WinnerSeed its derived RNG seed (Options.Seed + WinnerAttempt).
 	WinnerAttempt int
 	WinnerSeed    int64
-	// WinnerMember names the portfolio member that produced the solution
-	// (the stepper name for single-engine solves).
+	// WinnerMember labels the solver configuration that produced the
+	// solution as "<stepper>-<mode>", e.g. "imex-capacitive".
 	WinnerMember string
 }
 
@@ -287,14 +289,6 @@ func newStepper(name string, stats *ode.Stats, eng circuit.Engine) (ode.Stepper,
 		return circuit.NewIMEX(c, stats), nil
 	case "rk45":
 		return ode.NewRK45(stats), nil
-	case "rk4":
-		return ode.NewRK4(stats), nil
-	case "heun":
-		return ode.NewHeun(stats), nil
-	case "euler":
-		return ode.NewEuler(stats), nil
-	case "trapezoidal":
-		return ode.NewTrapezoidal(stats), nil
 	}
 	return nil, fmt.Errorf("solc: unknown stepper %q", name)
 }
@@ -306,11 +300,7 @@ func newStepper(name string, stats *ode.Stats, eng circuit.Engine) (ode.Stepper,
 // Sec. IV-E allows; Options.Parallelism races restarts concurrently with
 // first-winner cancellation (see Portfolio for the pool semantics).
 func (cs *Compiled) Solve(opts Options) (Result, error) {
-	pf := &Portfolio{
-		members:  []PortfolioMember{{Stepper: opts.Stepper}},
-		compiled: []*Compiled{cs},
-	}
-	return pf.Solve(opts)
+	return (&Portfolio{cs: cs}).Solve(opts)
 }
 
 // Decode reads the logic value of every boolean signal from the state.

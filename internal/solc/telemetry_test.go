@@ -4,27 +4,22 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/circuit"
 	"repro/internal/obs"
 )
 
-// TestPortfolioTelemetry runs a raced portfolio with telemetry on and
+// TestPortfolioTelemetry races the fixture's restarts with telemetry on and
 // checks the contract the CI smoke job enforces end to end: one valid
 // JSONL event per attempt lifecycle transition, a final metrics
 // snapshot, and lifecycle counters that agree with the Result.
 func TestPortfolioTelemetry(t *testing.T) {
-	bc, pins, _ := xorProblem(true)
-	pf := CompilePortfolio(bc, pins, circuit.Default(), handicappedPortfolio())
+	pf := fixturePortfolio()
 
 	var buf bytes.Buffer
 	tl := obs.NewTelemetry()
 	tl.Tracer = obs.NewTracer(&buf)
 	tl.PhysicsEvery = 16 // small instance: sample often enough to exercise the probe
 
-	opts := DefaultOptions()
-	opts.TEnd = 5
-	opts.MaxAttempts = 4
-	opts.Parallelism = 2
+	opts := fixtureOptions(2)
 	opts.Telemetry = tl
 
 	res, err := pf.Solve(opts)
@@ -81,16 +76,11 @@ func TestPortfolioTelemetry(t *testing.T) {
 // TestTelemetryDoesNotForceSequential pins the concurrency contract:
 // unlike Observe, Telemetry leaves Parallelism alone.
 func TestTelemetryDoesNotForceSequential(t *testing.T) {
-	seq := solveXORPortfolio(t, 1)
+	seq := solveFixture(t, 1)
 
-	bc, pins, _ := xorProblem(true)
-	pf := CompilePortfolio(bc, pins, circuit.Default(), handicappedPortfolio())
-	opts := DefaultOptions()
-	opts.TEnd = 5
-	opts.MaxAttempts = 4
-	opts.Parallelism = 4
+	opts := fixtureOptions(4)
 	opts.Telemetry = obs.NewTelemetry()
-	par, err := pf.Solve(opts)
+	par, err := fixturePortfolio().Solve(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
