@@ -33,7 +33,7 @@ func main() {
 }
 
 func realMain() int {
-	exp := flag.String("exp", "all", "experiment id (all, tableI, tableII, fig4, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, info, scaling-factor, scaling-ssp, ensemble, baselines, energy, sat3, diversity, ablation-c, imex-spans)")
+	exp := flag.String("exp", "all", "experiment id (all, tableI, tableII, fig4, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, info, scaling-factor, scaling-ssp, ensemble, baselines, energy, sat3, diversity, ablation-c, hsweep, imex-spans)")
 	tEnd := flag.Float64("tend", 150, "per-attempt time horizon for dynamical experiments")
 	attempts := flag.Int("attempts", 4, "random restarts per instance")
 	seeds := flag.Int("seeds", 4, "ensemble size for scaling/ensemble experiments")
@@ -127,6 +127,10 @@ func realMain() int {
 		"ablation-c": func() experiments.Report {
 			return experiments.AblationCapacitance([]float64{2e-3, 2e-2, 2e-1}, *seeds)
 		},
+		"hsweep": func() experiments.Report {
+			return experiments.StepSizeSweep([]float64{2e-2, 8e-2},
+				[]float64{1e-3, 5e-3, 1e-2, 1.4e-2, 2e-2, 2.8e-2, 4e-2, 0.1, 0.2}, 40)
+		},
 	}
 
 	// run reports whether id names an experiment and whether it passed
@@ -157,7 +161,7 @@ func realMain() int {
 		for _, id := range []string{"tableI", "tableII", "fig4", "fig7", "fig9", "fig10",
 			"fig11", "fig14", "info", "fig8", "fig12", "fig13", "fig15",
 			"scaling-factor", "scaling-ssp", "ensemble", "baselines",
-			"energy", "sat3", "diversity", "ablation-c"} {
+			"energy", "sat3", "diversity", "ablation-c", "hsweep"} {
 			run(id)
 		}
 		return 0

@@ -9,28 +9,24 @@ import (
 
 // voltageFactor is one engine's numeric factorization of the shifted
 // voltage system shift·I + A(g) over the circuit's shared symbolic
-// analysis, together with what it was computed at: the exact bits of its
-// key (the IMEX step size h, or the quasi-static engine's constant
-// g_leak shift) and the memristor conductances it was assembled from.
-// Both engines decide reuse through stale and refresh through refactor.
-// One factor is enough: a fixed-h run only ever shrinks h (after a failed
-// step, and for the final step to TEnd), so a factor for an earlier h
-// would never be hit again.
+// analysis, together with the memristor conductances it was assembled
+// from. Both engines refresh it through refactor. The IMEX engine does so
+// on every step, at that step's C/h shift; the quasi-static engine, whose
+// g_leak shift is constant, reuses it until stale reports a conductance
+// drift past its RefactorTol.
 type voltageFactor struct {
-	csr   *la.CSR      // private values over the shared pattern
-	slu   *la.SparseLU // private numerics over the shared symbolic analysis
-	gAt   la.Vector    // memristor conductances at factorization time
-	keyAt uint64       // math.Float64bits of the key at factorization time
-	have  bool         // false until a factorization succeeded
+	csr  *la.CSR      // private values over the shared pattern
+	slu  *la.SparseLU // private numerics over the shared symbolic analysis
+	gAt  la.Vector    // memristor conductances at factorization time
+	have bool         // false until a factorization succeeded
 }
 
-// stale reports whether the factor must be recomputed for a solve keyed
-// by key at memristor conductances gNow: there is none yet, staleness is
-// disabled (tol ≤ 0 refactors every time), the key changed (any change of
-// h moves the C/h diagonal shift), or some conductance drifted more than
+// stale reports whether the factor must be recomputed for a solve at
+// memristor conductances gNow: there is none yet, staleness is disabled
+// (tol ≤ 0 refactors every time), or some conductance drifted more than
 // tol (relative) since factorization.
-func (f *voltageFactor) stale(key uint64, gNow la.Vector, tol float64) bool {
-	if !f.have || tol <= 0 || f.keyAt != key {
+func (f *voltageFactor) stale(gNow la.Vector, tol float64) bool {
+	if !f.have || tol <= 0 {
 		return true
 	}
 	return conductanceDrift(gNow, f.gAt, tol)
@@ -66,10 +62,10 @@ func (f *voltageFactor) bind(c *Circuit, spans *obs.Spans) error {
 }
 
 // refactor assembles shift·I + A(g) through the stamp plan and factors
-// it, recording key and the memristor conductances g[:nm]. The assembly
+// it, recording the memristor conductances g[:nm]. The assembly
 // self-times into PhaseStamp, the numeric refactorization into
 // PhaseFactor through the solver's own hook.
-func (f *voltageFactor) refactor(c *Circuit, spans *obs.Spans, key uint64, shift float64, g la.Vector) error {
+func (f *voltageFactor) refactor(c *Circuit, spans *obs.Spans, shift float64, g la.Vector) error {
 	if f.slu == nil {
 		if err := f.bind(c, spans); err != nil {
 			return err
@@ -83,7 +79,6 @@ func (f *voltageFactor) refactor(c *Circuit, spans *obs.Spans, key uint64, shift
 		return err
 	}
 	f.gAt.CopyFrom(g[:c.nm])
-	f.keyAt = key
 	f.have = true
 	return nil
 }

@@ -39,7 +39,7 @@ type QuasiStatic struct {
 	// circuits.
 	RefactorTol float64
 
-	// f is the cached factorization of g_leak·I + A(g), keyed by g_leak.
+	// f is the cached factorization of g_leak·I + A(g).
 	f       voltageFactor
 	g       la.Vector // per-branch conductances in plan order [mem | resistor]
 	rhs     la.Vector
@@ -89,8 +89,7 @@ func (q *QuasiStatic) solveVoltages(t float64, x la.Vector) error {
 	// Current conductances (memristor branches from state, resistors 1/R).
 	c.fillConductances(q.g, x, q.xOff())
 	// Decide whether the cached factorization is still valid.
-	key := math.Float64bits(q.gLeak)
-	refactor := q.f.stale(key, q.g[:c.nm], q.RefactorTol)
+	refactor := q.f.stale(q.g[:c.nm], q.RefactorTol)
 	// Pinned node voltages at time t.
 	for n := 0; n < c.numNodes; n++ {
 		q.nodeV[n] = 0
@@ -99,7 +98,7 @@ func (q *QuasiStatic) solveVoltages(t float64, x la.Vector) error {
 		q.nodeV[pn.node] = pn.src.V(t)
 	}
 	if refactor {
-		if err := q.f.refactor(c, nil, key, q.gLeak, q.g); err != nil {
+		if err := q.f.refactor(c, nil, q.gLeak, q.g); err != nil {
 			return fmt.Errorf("circuit: quasi-static KCL system singular: %w", err)
 		}
 		q.Refacts++

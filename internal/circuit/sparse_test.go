@@ -10,137 +10,141 @@ import (
 	"repro/internal/solg"
 )
 
-// buildMixed returns a small capacitive circuit exercising every stamp
-// case: 3-terminal gates, a NOT gate (unused v2 slot), pinned and free
+// mixedBuilder returns a small circuit exercising every stamp case:
+// 3-terminal gates, a NOT gate (unused v2 slot), pinned and free
 // terminals.
-func buildMixed(t *testing.T) *Circuit {
-	t.Helper()
+func mixedBuilder() *Builder {
 	b := NewBuilder(Default())
 	n := b.Nodes(5)
 	b.AddGate(solg.AND, n[0], n[1], n[2])
 	b.AddGate(solg.XOR, n[1], n[2], n[3])
 	b.AddNot(n[3], n[4])
 	b.PinBit(n[4], true)
-	return b.Build()
+	return b
+}
+
+// buildMixed returns the mixedBuilder circuit in the capacitive form.
+func buildMixed(t *testing.T) *Circuit {
+	t.Helper()
+	return mixedBuilder().Build()
 }
 
 // TestNeedRefactorPredicate is the table test pinning the refactor
-// decision both engines share: a missing factorization, a disabled
-// staleness tolerance, a changed key (step size), or a conductance drift
-// beyond tolerance each force a refresh; staleness within tolerance does
-// not.
+// decision of voltageFactor.stale, which the quasi-static engine applies:
+// a missing factorization, a disabled staleness tolerance, or a
+// conductance drift beyond tolerance each force a refresh; staleness
+// within tolerance does not.
 func TestNeedRefactorPredicate(t *testing.T) {
 	c := buildMixed(t)
-	key := func(h float64) uint64 { return math.Float64bits(h) }
 	cases := []struct {
 		name  string
 		have  bool
-		hAt   float64
-		h     float64
 		tol   float64
 		drift float64 // relative drift applied to g[0] vs gAt
 		want  bool
 	}{
-		{"no factorization yet", false, 1e-3, 1e-3, 5e-3, 0, true},
-		{"cached, same h, no drift", true, 1e-3, 1e-3, 5e-3, 0, false},
-		{"tolerance zero refreshes every step", true, 1e-3, 1e-3, 0, 0, true},
-		{"tolerance negative refreshes every step", true, 1e-3, 1e-3, -1, 0, true},
-		{"step size changed", true, 1e-3, 2.5e-4, 5e-3, 0, true},
-		{"step size changed by one ulp", true, 1e-3, math.Nextafter(1e-3, 0), 5e-3, 0, true},
-		{"drift within tolerance", true, 1e-3, 1e-3, 5e-3, 3e-3, false},
-		{"drift beyond tolerance", true, 1e-3, 1e-3, 5e-3, 8e-3, true},
+		{"no factorization yet", false, 5e-3, 0, true},
+		{"cached, no drift", true, 5e-3, 0, false},
+		{"tolerance zero refreshes every step", true, 0, 0, true},
+		{"tolerance negative refreshes every step", true, -1, 0, true},
+		{"drift within tolerance", true, 5e-3, 3e-3, false},
+		{"drift beyond tolerance", true, 5e-3, 8e-3, true},
 	}
 	for _, tc := range cases {
-		f := voltageFactor{gAt: la.NewVector(c.nm), keyAt: key(tc.hAt), have: tc.have}
+		f := voltageFactor{gAt: la.NewVector(c.nm), have: tc.have}
 		g := la.NewVector(c.nm)
 		for m := range g {
 			f.gAt[m] = 1
 			g[m] = 1
 		}
 		g[0] = 1 + tc.drift
-		if got := f.stale(key(tc.h), g, tc.tol); got != tc.want {
+		if got := f.stale(g, tc.tol); got != tc.want {
 			t.Errorf("%s: stale = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestClassifyReuseTable is the table test of the per-step reuse
-// classification as the IMEX engine applies it: a step with no factor
-// yet, with staleness disabled, at a changed step size, or with a
-// conductance drift beyond RefactorTol refactors; a drift within
-// RefactorTol reuses the factor exactly. The drift is planted in the
-// factor's conductance snapshot against the conductances the next step
-// will compute, and the outcome is read from the Refactors/FactorHits
-// counters.
+// TestClassifyReuseTable is the table test of the reuse classification
+// as the quasi-static engine applies it on every Kirchhoff solve: a solve
+// with no factor yet, with staleness disabled, or with a conductance
+// drift beyond RefactorTol refactors; a drift within RefactorTol reuses
+// the factor exactly. The drift is planted in the factor's conductance
+// snapshot against the conductances the next solve will compute, and the
+// outcome is read from the Refacts counter.
 func TestClassifyReuseTable(t *testing.T) {
-	c := buildMixed(t)
-	const h = 1e-3
 	cases := []struct {
 		name  string
-		prime bool    // take one step first so a factor exists
+		prime bool    // solve once first so a factor exists
 		tol   float64 // RefactorTol
-		hNext float64
 		drift float64 // relative drift of g[0] against the snapshot
 		reuse bool
 	}{
-		{"cache miss", false, 5e-3, h, 0, false},
-		{"staleness disabled", true, 0, h, 0, false},
-		{"same h, no drift", true, 5e-3, h, 0, true},
-		{"drift within RefactorTol", true, 5e-3, h, 3e-3, true},
-		{"drift beyond RefactorTol", true, 5e-3, h, 8e-3, false},
-		{"step size changed", true, 5e-3, h / 4, 0, false},
+		{"cache miss", false, 5e-3, 0, false},
+		{"staleness disabled", true, 0, 0, false},
+		{"same state, no drift", true, 5e-3, 0, true},
+		{"drift within RefactorTol", true, 5e-3, 3e-3, true},
+		{"drift beyond RefactorTol", true, 5e-3, 8e-3, false},
 	}
 	for _, tc := range cases {
-		x := c.InitialState(rand.New(rand.NewSource(3)))
-		stats := &ode.Stats{}
-		s := NewIMEX(c, stats)
-		s.RefactorTol = tc.tol
+		q := mixedBuilder().BuildQS()
+		q.RefactorTol = tc.tol
+		x := q.InitialState(rand.New(rand.NewSource(3)))
 		if tc.prime {
-			if _, err := s.Step(c, 0, h, x); err != nil {
-				t.Fatalf("%s: priming step: %v", tc.name, err)
-			}
-			c.ClampState(x)
-			g := la.NewVector(len(s.g))
-			c.fillConductances(g, x, c.xOff())
-			copy(s.f.gAt, g[:c.nm])
-			s.f.gAt[0] = g[0] / (1 + tc.drift)
+			q.NodeVoltages(0, x, nil)
+			g := la.NewVector(len(q.g))
+			q.C.fillConductances(g, x, q.xOff())
+			copy(q.f.gAt, g[:q.C.nm])
+			q.f.gAt[0] = g[0] / (1 + tc.drift)
 		}
-		before := *stats
-		if _, err := s.Step(c, h, tc.hNext, x); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		before := q.Refacts
+		q.NodeVoltages(0.5, x, nil)
+		refactors := q.Refacts - before
+		if refactors != 0 && refactors != 1 {
+			t.Fatalf("%s: %d refactors in one solve", tc.name, refactors)
 		}
-		refactors := stats.Refactors - before.Refactors
-		hits := stats.FactorHits - before.FactorHits
-		if refactors+hits != 1 {
-			t.Fatalf("%s: refactors=%d hits=%d, want exactly one of them", tc.name, refactors, hits)
-		}
-		if got := hits == 1; got != tc.reuse {
+		if got := refactors == 0; got != tc.reuse {
 			t.Errorf("%s: reuse = %v, want %v", tc.name, got, tc.reuse)
 		}
 	}
 }
 
-// TestFactorCacheRungCounters steps one stepper through the only step-size
-// sequence a fixed-h run produces — h until a failed step, then h/4 — and
-// checks the refactor/hit counters: the first step at each h factors, a
-// repeat reuses. RefactorTol is set huge so the counters depend only on
-// the step-size key, not conductance drift.
+// TestFactorCacheRungCounters pins where factor reuse survives. The IMEX
+// stepper, taken through the step sizes a run produces (a ramp, then a
+// failed step's quarter), refactors on every step and reuses nothing.
+// The quasi-static engine, with RefactorTol set huge so the counters do
+// not depend on conductance drift, factors on its first solve, reuses
+// the factor on every repeat, and a Clone starts with no factor.
 func TestFactorCacheRungCounters(t *testing.T) {
 	c := buildMixed(t)
 	x := c.InitialState(rand.New(rand.NewSource(3)))
 	stats := &ode.Stats{}
 	s := NewIMEX(c, stats)
-	s.RefactorTol = 1e18
 	tNow := 0.0
-	for _, h := range []float64{1e-3, 1e-3, 2.5e-4, 2.5e-4} {
+	hs := []float64{1e-3, 1e-3, 1.1e-3, 2.75e-4, 2.75e-4}
+	for _, h := range hs {
 		if _, err := s.Step(c, tNow, h, x); err != nil {
 			t.Fatal(err)
 		}
 		tNow += h
 		c.ClampState(x)
 	}
-	if stats.Refactors != 2 || stats.FactorHits != 2 {
-		t.Fatalf("refactors=%d hits=%d, want 2/2", stats.Refactors, stats.FactorHits)
+	if stats.Refactors != len(hs) {
+		t.Fatalf("IMEX refactors=%d over %d steps, want one per step", stats.Refactors, len(hs))
+	}
+
+	q := mixedBuilder().BuildQS()
+	q.RefactorTol = 1e18
+	xq := q.InitialState(rand.New(rand.NewSource(3)))
+	for k := 0; k < 4; k++ {
+		q.NodeVoltages(float64(k)*0.25, xq, nil)
+	}
+	if q.Refacts != 1 {
+		t.Fatalf("quasi-static refactors=%d over 4 solves, want 1", q.Refacts)
+	}
+	cq := q.Clone().(*QuasiStatic)
+	cq.NodeVoltages(0, xq, nil)
+	if cq.Refacts != 1 || q.Refacts != 1 {
+		t.Fatalf("clone refactors=%d (original %d), want 1 each", cq.Refacts, q.Refacts)
 	}
 }
 
@@ -159,13 +163,12 @@ func solveDenseReference(t *testing.T, f *voltageFactor, rhs la.Vector) la.Vecto
 // TestIMEXSparseMatchesDenseTrajectory steps a circuit with the sparse
 // solver and, at every step of the trajectory, re-solves the operator the
 // step assembled through the stamp plan with a dense LU: the two must
-// agree to solver precision. RefactorTol 0 makes every step assemble and
-// factor the operator at its own conductances.
+// agree to solver precision. Every step assembles and factors the
+// operator at its own conductances.
 func TestIMEXSparseMatchesDenseTrajectory(t *testing.T) {
 	c := buildMixed(t)
 	x := c.InitialState(rand.New(rand.NewSource(5)))
 	s := NewIMEX(c, nil)
-	s.RefactorTol = 0
 	h := 1e-3
 	for k := 0; k < 500; k++ {
 		if _, err := s.Step(c, float64(k)*h, h, x); err != nil {

@@ -28,7 +28,8 @@ type Config struct {
 	MaxAttempts int
 	// Seed seeds initial conditions (attempt k derives Seed + k).
 	Seed int64
-	// StepH is the IMEX step size.
+	// StepH is the initial IMEX step; each attempt grows it toward the
+	// stepper's stability ceiling (solc.Options.H).
 	StepH float64
 	// Stepper overrides the integration method (default "imex").
 	Stepper string

@@ -195,3 +195,23 @@ func TestFig15SubsetSumRuns(t *testing.T) {
 		t.Fatalf("instance not solved: %v", rep.Rows[0])
 	}
 }
+
+// TestStepSizeSweepColumns runs a one-cell hsweep and checks it reports
+// the predicted LC bound and the ceiling the driver ramps to, and
+// verifies the 4-bit factor instances at the default ceiling.
+func TestStepSizeSweepColumns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dynamical run")
+	}
+	rep := StepSizeSweep([]float64{2e-2}, []float64{0.0099}, 2)
+	if len(rep.Rows) != 1 {
+		t.Fatalf("want one row, got %d", len(rep.Rows))
+	}
+	row := rep.Rows[0]
+	if row[2] != "0.0141" || row[3] != "0.0099" {
+		t.Fatalf("bound/ceiling columns %q/%q, want 0.0141/0.0099", row[2], row[3])
+	}
+	if row[4] != "2/2" || row[5] != "0" {
+		t.Fatalf("verified %q failed %q, want 2/2 and 0", row[4], row[5])
+	}
+}

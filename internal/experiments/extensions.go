@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/boolcirc"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dmm"
+	"repro/internal/obs"
 	"repro/internal/sat"
 	"repro/internal/solc"
 )
@@ -234,5 +236,54 @@ func AblationCapacitance(caps []float64, seeds int) Report {
 		}
 		rep.Rows = append(rep.Rows, []string{f("%g", cap), f("%d/%d", solved, seeds), f("%.2f", median(times))})
 	}
+	return rep
+}
+
+// StepSizeSweep is the evidence for the IMEX step ceiling: for each node
+// capacitance it solves a reduced factor suite — 15 on the 4-bit
+// multiplier, `instances` restart seeds, the benchmark's horizon of 4
+// and 32 restarts — at each fixed step size h (HMax = H, so the driver
+// does not ramp), next to the predicted LC-tank bound 2√(C/m1) of the
+// explicit VCDCG current and the ceiling the driver ramps to by default.
+// verified counts instances solved within the restart budget, failed
+// the rest, and rejected the steps retried after a failed or non-finite
+// step.
+func StepSizeSweep(caps, hs []float64, instances int) Report {
+	rep := Report{
+		ID:      "hsweep",
+		Title:   "Fixed-step IMEX sweep on the 4-bit factor suite (step ceiling evidence)",
+		Headers: []string{"C", "h", "2√(C/m1)", "ceiling", "verified", "failed", "rejected", "steps"},
+	}
+	bc, _, _, pins := core.BuildCircuit(15, core.BitLen(15))
+	for _, cap := range caps {
+		p := circuit.Default()
+		p.C = cap
+		cs := solc.Compile(bc, pins, p)
+		bound := 2 * math.Sqrt(p.C/p.DCG.M1)
+		ceiling := circuit.NewIMEX(cs.Eng.(*circuit.Circuit), nil).MaxStableStep()
+		for _, h := range hs {
+			tl := obs.NewTelemetry()
+			verified, steps := 0, 0
+			for i := 0; i < instances; i++ {
+				opts := solc.DefaultOptions()
+				opts.H, opts.HMax = h, h
+				opts.TEnd = 4
+				opts.MaxAttempts = 32
+				opts.Seed = int64(i) * 64
+				opts.Parallelism = 1
+				opts.Telemetry = tl
+				res, err := cs.Solve(opts)
+				if err == nil && res.Solved {
+					verified++
+				}
+				steps += res.Steps
+			}
+			rep.Rows = append(rep.Rows, []string{f("%g", cap), f("%g", h), f("%.4f", bound), f("%.4f", ceiling),
+				f("%d/%d", verified, instances), f("%d", instances-verified),
+				f("%d", tl.Rejected.Value()), f("%d", steps)})
+		}
+	}
+	rep.Notes = append(rep.Notes,
+		"the driver starts at Options.H and grows h ×1.1 per step up to the ceiling, 0.7 × min(2√(C/m1), 2/γ)")
 	return rep
 }

@@ -207,7 +207,6 @@ func TestStepObsNilSafe(t *testing.T) {
 	o.Accept(1e-3)
 	o.Reject()
 	o.Refactor()
-	o.Newton(3)
 	var tl *Telemetry
 	if tl.StepObs() != nil {
 		t.Fatal("nil telemetry must hand out a nil StepObs")
@@ -228,7 +227,6 @@ func TestStepObsZeroAlloc(t *testing.T) {
 		o.Accept(1e-3)
 		o.Reject()
 		o.Refactor()
-		o.Newton(4)
 	})
 	if allocs != 0 {
 		t.Fatalf("StepObs hot path allocates %.1f/op, want 0", allocs)

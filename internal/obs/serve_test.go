@@ -224,7 +224,7 @@ func TestConcurrentScrapeWhileStepping(t *testing.T) {
 	for i := 0; i < 20_000; i++ {
 		tok := obs.SpanBegin()
 		obs.Accept(1e-3)
-		obs.FactorHit()
+		obs.Refactor()
 		obs.SpanEnd(PhaseBookkeep, tok)
 	}
 	close(done)

@@ -37,15 +37,14 @@ type Telemetry struct {
 	Rejected  *Counter
 	FEvals    *Counter
 	Refactors *Counter
-	// FactorHits counts steps whose shifted voltage factor was reused
-	// as is. Refines has no producer; it stays registered (always 0)
-	// for readers of the factor.refines metric.
+	// FactorHits and Refines have no producer (the IMEX step refactors
+	// every step and refines never); they stay registered (always 0)
+	// for readers of the factor.cache_hits and factor.refines metrics.
 	FactorHits *Counter
 	Refines    *Counter
 
 	// Distributions.
 	StepSize    *Histogram // accepted step size h
-	NewtonIters *Histogram // Newton iterations per implicit step
 	ConvTime    *Histogram // dynamical time to convergence per solved attempt
 	AttemptWall *Histogram // wall seconds per finished attempt
 	MemState    *Histogram // memristor internal state x ∈ [0,1]
@@ -76,7 +75,6 @@ func NewTelemetry() *Telemetry {
 		FactorHits:        r.Counter("factor.cache_hits"),
 		Refines:           r.Counter("factor.refines"),
 		StepSize:          r.Histogram("step.size", ExpBuckets(1e-7, 10, 8)),
-		NewtonIters:       r.Histogram("step.newton_iters", LinearBuckets(1, 1, 25)),
 		ConvTime:          r.Histogram("attempt.conv_time", ExpBuckets(0.5, 2, 12)),
 		AttemptWall:       r.Histogram("attempt.wall_seconds", ExpBuckets(1e-3, 2, 16)),
 		MemState:          r.Histogram("physics.mem_state", LinearBuckets(0.1, 0.1, 10)),
@@ -91,14 +89,12 @@ func NewTelemetry() *Telemetry {
 // driver. Every method is nil-receiver safe so instrumented code paths
 // need no telemetry-enabled branch, and every method is allocation-free.
 type StepObs struct {
-	steps      *Counter
-	rejected   *Counter
-	refactors  *Counter
-	factorHits *Counter
-	stepSize   *Histogram
-	newton     *Histogram
-	spans      *Spans
-	flight     *Flight
+	steps     *Counter
+	rejected  *Counter
+	refactors *Counter
+	stepSize  *Histogram
+	spans     *Spans
+	flight    *Flight
 }
 
 // StepObs returns the hot-path hook set (nil for a nil telemetry).
@@ -112,14 +108,12 @@ func (tl *Telemetry) StepObsFor(fl *Flight) *StepObs {
 		return nil
 	}
 	return &StepObs{
-		steps:      tl.Steps,
-		rejected:   tl.Rejected,
-		refactors:  tl.Refactors,
-		factorHits: tl.FactorHits,
-		stepSize:   tl.StepSize,
-		newton:     tl.NewtonIters,
-		spans:      tl.Spans,
-		flight:     fl,
+		steps:     tl.Steps,
+		rejected:  tl.Rejected,
+		refactors: tl.Refactors,
+		stepSize:  tl.StepSize,
+		spans:     tl.Spans,
+		flight:    fl,
 	}
 }
 
@@ -155,16 +149,6 @@ func (o *StepObs) Refactor() {
 	o.refactors.Inc()
 }
 
-// FactorHit records one step served from the existing shifted factor.
-//
-//dmmvet:hotpath
-func (o *StepObs) FactorHit() {
-	if o == nil {
-		return
-	}
-	o.factorHits.Inc()
-}
-
 // Physics notes the latest decimated physics-probe sample for the
 // flight recorder.
 //
@@ -196,16 +180,6 @@ func (o *StepObs) SpanEnd(p Phase, tok int64) {
 		return
 	}
 	o.spans.End(p, tok)
-}
-
-// Newton records the Newton iteration count of one implicit step.
-//
-//dmmvet:hotpath
-func (o *StepObs) Newton(its int) {
-	if o == nil {
-		return
-	}
-	o.newton.Observe(float64(its))
 }
 
 // FlightFor returns a fresh flight ring for the given attempt index, or

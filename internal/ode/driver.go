@@ -44,8 +44,12 @@ func (r StopReason) String() string {
 // the budget runs out.
 type Driver struct {
 	Stepper Stepper
-	// H is the (initial) step size. For adaptive steppers it is adjusted
-	// within [HMin, HMax] to keep the error estimate near Tol.
+	// H is the initial step size. For adaptive steppers it is adjusted
+	// within [HMin, HMax] to keep the error estimate near Tol. A fixed-step
+	// stepper that implements Bounded starts at H and grows h ×1.1 per
+	// accepted step up to min(HMax, MaxStableStep()) when that exceeds H;
+	// any other fixed-step stepper runs at H. A failed or non-finite step
+	// shrinks h ×0.25 on every stepper, and only the ramp grows it back.
 	H          float64
 	HMin, HMax float64
 	Tol        float64
@@ -59,7 +63,7 @@ type Driver struct {
 	// Obs, when non-nil, receives accepted/rejected step telemetry. The
 	// driver is the single authority on acceptance, so it owns the
 	// Accept/Reject hooks; steppers report only what the driver cannot
-	// see (refactorizations, Newton iterations) through their own Obs.
+	// see (refactorizations) through their own Obs.
 	Obs *obs.StepObs
 
 	// Observe, when non-nil, is invoked after every accepted step.
@@ -105,6 +109,15 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 		tol = 1e-6
 	}
 	adaptive := d.Stepper.Adaptive()
+	// hCap is the ramp ceiling of a bounded fixed-step stepper. It stays 0
+	// (no ramp: h keeps its value, as after a failed step) when the bound
+	// or HMax does not exceed H.
+	hCap := 0.0
+	if b, ok := d.Stepper.(Bounded); ok && !adaptive {
+		if c := math.Min(hMax, b.MaxStableStep()); c > h {
+			hCap = c
+		}
+	}
 	t := t0
 	steps := 0
 	backup := x.Clone()
@@ -174,6 +187,8 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 			if h < hMin {
 				h = hMin
 			}
+		} else if h < hCap {
+			h = math.Min(h*1.1, hCap)
 		}
 		t += hTry
 		steps++

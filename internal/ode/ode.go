@@ -2,8 +2,9 @@
 // self-organizing logic circuits. The circuit layer produces an explicit
 // system ẋ = F(t, x); this package supplies the Stepper interface, the
 // driver that integrates until a caller-supplied stopping condition fires
-// (with step-size control for adaptive steppers and retry on failed or
-// non-finite steps), and the adaptive embedded Runge-Kutta (Cash-Karp
+// (with step-size control for adaptive steppers, a step-size ramp for
+// fixed-step steppers that report a stability bound, and retry on failed
+// or non-finite steps), and the adaptive embedded Runge-Kutta (Cash-Karp
 // 4(5)) that serves the quasi-static form. The production stepper, the
 // IMEX scheme on the capacitive form, lives in the circuit package.
 package ode
@@ -47,20 +48,26 @@ type Stepper interface {
 	Adaptive() bool
 }
 
+// Bounded is implemented by a non-adaptive Stepper whose explicit part
+// is stable only below a step-size ceiling. The Driver starts such a
+// stepper at H and grows h toward that ceiling (see Driver.Run).
+type Bounded interface {
+	// MaxStableStep returns the step-size ceiling, or 0 for none.
+	MaxStableStep() float64
+}
+
 // Stats accumulates integration effort counters.
 type Stats struct {
-	Steps      int // accepted steps
-	Rejected   int // rejected adaptive steps
-	FEvals     int // right-hand-side evaluations
-	JacEvals   int // Jacobian evaluations (IMEX refactorizations)
-	NewtonIts  int // total Newton iterations (implicit steppers)
-	Refactors  int // linear-operator factorizations (IMEX/quasi-static cache refreshes)
-	FactorHits int // steps served from the existing shifted factor (IMEX)
+	Steps     int // accepted steps
+	Rejected  int // rejected adaptive steps
+	FEvals    int // right-hand-side evaluations
+	JacEvals  int // Jacobian evaluations (IMEX refactorizations)
+	Refactors int // linear-operator factorizations (IMEX: one per step)
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("steps=%d rejected=%d fevals=%d jac=%d newton=%d refactors=%d fhits=%d",
-		s.Steps, s.Rejected, s.FEvals, s.JacEvals, s.NewtonIts, s.Refactors, s.FactorHits)
+	return fmt.Sprintf("steps=%d rejected=%d fevals=%d jac=%d refactors=%d",
+		s.Steps, s.Rejected, s.FEvals, s.JacEvals, s.Refactors)
 }
 
 // ErrStepFailure is returned when a step cannot be completed (a

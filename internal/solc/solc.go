@@ -141,8 +141,12 @@ const (
 
 // Options tunes the solution-mode integration.
 type Options struct {
-	// H, HMax, Tol configure the adaptive integrator (zero values select
-	// defaults suited to circuit.Default parameters).
+	// H is the initial step of every attempt. RK45 adapts h within
+	// (0, HMax] to the error tolerance Tol. IMEX grows h ×1.1 per accepted
+	// step up to min(HMax, its stability ceiling 0.7·min(2√(C/m1), 2/γ)
+	// from circuit.Params), never capping it below H: with HMax = H it
+	// runs at a fixed h. Zero values select defaults suited to
+	// circuit.Default parameters.
 	H, HMax, Tol float64
 	// TEnd is the per-attempt time horizon in circuit time units.
 	TEnd float64
