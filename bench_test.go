@@ -13,6 +13,7 @@ package repro
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/boolcirc"
 	"repro/internal/circuit"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
+	"repro/internal/la"
 	"repro/internal/memristor"
 	"repro/internal/obs"
 	"repro/internal/sat"
@@ -232,6 +234,77 @@ func BenchmarkScalingSubsetSum(b *testing.B) {
 			}
 		})
 	}
+}
+
+// ---- Compile path (compile; symbolic analysis) ----
+
+// BenchmarkCompile measures one SOLC compile — solc.Compile: circuit
+// construction, the stamp plan and the sparse symbolic analysis — on the
+// circuits the end-to-end workloads compile: the 4-bit multiplier of
+// n = 15 (factor), a 5-variable 13-clause random 3-SAT OR-tree (sat) and
+// the 11-bit multiplier (horizon's largest). Synthesis of the boolean
+// circuit is outside the timer. Besides ns/op and allocs/op it reports
+// the layer split: symbolic-ns/op is la.NewSparseLU on the compiled
+// pattern, timed on a second, untimed pass so it does not count twice,
+// and build-ns/op is the rest of the compile.
+func BenchmarkCompile(b *testing.B) {
+	satBC, _, outs, err := boolcirc.FromCNF(randomCNF(rand.New(rand.NewSource(1)), 5, 13))
+	if err != nil {
+		b.Fatal(err)
+	}
+	satPins := make(map[boolcirc.Signal]bool, len(outs))
+	for _, o := range outs {
+		satPins[o] = true
+	}
+	factorBC, _, _, factorPins := core.BuildCircuit(15, core.BitLen(15))
+	wideBC, _, _, widePins := core.BuildCircuit(2039, 11)
+	cases := []struct {
+		name string
+		bc   *boolcirc.Circuit
+		pins map[boolcirc.Signal]bool
+	}{
+		{"factor", factorBC, factorPins},
+		{"sat", satBC, satPins},
+		{"11bit", wideBC, widePins},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var symbolic time.Duration
+			for i := 0; i < b.N; i++ {
+				c := solc.Compile(tc.bc, tc.pins, circuit.Default()).Eng.(*circuit.Circuit)
+				b.StopTimer()
+				pat := c.Pattern()
+				t0 := time.Now()
+				if _, err := la.NewSparseLU(pat); err != nil {
+					b.Fatal(err)
+				}
+				symbolic += time.Since(t0)
+				b.StartTimer()
+			}
+			perOp := float64(b.N)
+			b.ReportMetric(float64(symbolic.Nanoseconds())/perOp, "symbolic-ns/op")
+			b.ReportMetric(float64((b.Elapsed()-symbolic).Nanoseconds())/perOp, "build-ns/op")
+		})
+	}
+}
+
+// randomCNF draws nc clauses over nv variables, each three distinct
+// variables with random signs (the sat workload's formula shape).
+func randomCNF(rng *rand.Rand, nv, nc int) boolcirc.CNF {
+	f := boolcirc.CNF{NumVars: nv}
+	for k := 0; k < nc; k++ {
+		var cl boolcirc.Clause
+		for _, v := range rng.Perm(nv)[:3] {
+			l := boolcirc.Lit(v + 1)
+			if rng.Intn(2) == 0 {
+				l = -l
+			}
+			cl = append(cl, l)
+		}
+		f.Clauses = append(f.Clauses, cl)
+	}
+	return f
 }
 
 // ---- Sparse vs dense IMEX voltage solve ----

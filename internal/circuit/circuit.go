@@ -57,6 +57,7 @@ func (b *Builder) Build() *Circuit {
 		gates:    b.gates,
 		pinned:   make([]bool, b.numNodes),
 		freeIdx:  make([]int, b.numNodes),
+		pins:     make([]pin, 0, len(b.pins)),
 	}
 	for n, src := range b.pins {
 		//dmmvet:allow detflow — collection order is discarded: the insertion sort below reorders pins by node index
@@ -68,6 +69,9 @@ func (b *Builder) Build() *Circuit {
 		for j := i; j > 0 && c.pins[j-1].node > c.pins[j].node; j-- {
 			c.pins[j-1], c.pins[j] = c.pins[j], c.pins[j-1]
 		}
+	}
+	if !b.params.OmitVCDCG {
+		c.dcgNodes = make([]int, 0, b.numNodes-len(c.pins))
 	}
 	for n := 0; n < b.numNodes; n++ {
 		if c.pinned[n] {
@@ -81,6 +85,19 @@ func (b *Builder) Build() *Circuit {
 		}
 	}
 	c.nd = len(c.dcgNodes)
+	var nMem, nRes int
+	for _, inst := range b.gates {
+		for t := range inst.nodes {
+			for _, br := range inst.gate.DCMs[t].Branches {
+				if br.Mem {
+					nMem++
+				} else {
+					nRes++
+				}
+			}
+		}
+	}
+	c.memBr, c.resBr = newBranchSet(nMem, true), newBranchSet(nRes, false)
 	for _, inst := range b.gates {
 		var slots [3]int32
 		if len(inst.nodes) == 2 {

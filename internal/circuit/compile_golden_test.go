@@ -1,0 +1,35 @@
+package circuit_test
+
+import (
+	"testing"
+
+	"repro/internal/circuit"
+)
+
+// TestCompileGolden pins what Build compiles for three real circuits —
+// the 4-bit multiplier of n = 15, one seeded random 3-SAT OR-tree (5
+// variables, 13 clauses) and the 11-bit multiplier — through
+// CompileDigest: the branch-set and stamp-plan arrays, the operator and
+// factor nonzeros, and the bits of one refactor + solve. The compile path
+// may be rewritten for speed, but every artifact it produces must stay
+// bit for bit the same.
+func TestCompileGolden(t *testing.T) {
+	cases := []struct {
+		name           string
+		c              *circuit.Circuit
+		plan           uint64
+		nnz, factorNNZ int
+		solve          uint64
+	}{
+		{"factor-n15-4bit", factorSOLC(15, 4), 0xfd7f6523a701e856, 90, 130, 0xcdb35c80d40bf802},
+		{"sat-5vars-13clauses-seed1", satSOLC(t, 1, 5, 13), 0x97334fe9e81c8406, 135, 173, 0xb5fbdf8a4270f9a2},
+		{"multiplier-11bit-n2039", factorSOLC(2039, 11), 0x6ede64e5040c99d8, 1448, 3718, 0x7e9db49d53fdbb03},
+	}
+	for _, tc := range cases {
+		plan, nnz, fnnz, solve := tc.c.CompileDigest()
+		if plan != tc.plan || nnz != tc.nnz || fnnz != tc.factorNNZ || solve != tc.solve {
+			t.Errorf("%s: plan %#016x nnz %d factor-nnz %d solve %#016x, want plan %#016x nnz %d factor-nnz %d solve %#016x",
+				tc.name, plan, nnz, fnnz, solve, tc.plan, tc.nnz, tc.factorNNZ, tc.solve)
+		}
+	}
+}

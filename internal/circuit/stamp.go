@@ -26,6 +26,28 @@ type branchSet struct {
 
 func (s *branchSet) len() int { return len(s.node) }
 
+// newBranchSet returns an empty set with room for n branches; its int32
+// and float64 fields each share one backing array. Only a memristor set
+// carries sigma.
+func newBranchSet(n int, mem bool) branchSet {
+	ints := make([]int32, 5*n)
+	nf := 4 * n
+	if mem {
+		nf = 5 * n
+	}
+	floats := make([]float64, nf)
+	i32 := func(k int) []int32 { return ints[k*n : k*n : (k+1)*n] }
+	f64 := func(k int) []float64 { return floats[k*n : k*n : (k+1)*n] }
+	s := branchSet{
+		node: i32(0), fi: i32(1), i1: i32(2), i2: i32(3), io: i32(4),
+		a1: f64(0), a2: f64(1), ao: f64(2), dc: f64(3),
+	}
+	if mem {
+		s.sigma = f64(4)
+	}
+	return s
+}
+
 func (s *branchSet) add(node, fi int, slots [3]int32, v device.VCVG, sigma float64, mem bool) {
 	s.node = append(s.node, int32(node))
 	s.fi = append(s.fi, int32(fi))
@@ -89,83 +111,98 @@ type stampPlan struct {
 	dDC      []float64
 }
 
-// planOver walks both branch sets in conductance-buffer order, calling fn
-// with each branch's global conductance slot, free row, and slot data.
-func (c *Circuit) planOver(fn func(br, fi int, slots [3]int32, coeffs [3]float64, dc float64)) {
-	sets := [2]*branchSet{&c.memBr, &c.resBr}
-	br := 0
-	for _, set := range sets {
-		for j := 0; j < set.len(); j++ {
-			fn(br, int(set.fi[j]),
-				[3]int32{set.i1[j], set.i2[j], set.io[j]},
-				[3]float64{set.a1[j], set.a2[j], set.ao[j]},
-				set.dc[j])
-			br++
-		}
-	}
-}
-
 // buildPlan compiles the stamp plan from the branch sets. The pattern is
 // value-independent by construction: every op position is stamped as an
 // explicit (possibly zero) entry, and la.Builder keeps explicit zeros, so
 // the symbolic factorization computed here stays valid for every
 // conductance assignment the dynamics can produce.
+//
+// Branches are walked in conductance-buffer order (memristors, then
+// resistors) twice: once to count every kind of op, so each array is
+// allocated once at its final length, and once to fill them. A branch on
+// a free row contributes +g on its diagonal and one op per nonzero VCVG
+// coefficient: a matrix op when the slot node is free, a right-hand-side
+// op when it is pinned; its DC term is one more right-hand-side op.
 func (c *Circuit) buildPlan() *stampPlan {
-	p := &stampPlan{}
-	pb := la.NewBuilder(c.nv, c.nv)
-	for f := 0; f < c.nv; f++ {
-		pb.Add(f, f, 0) // shift diagonal is always present
-	}
-	type matOp struct {
-		row, col, br int32
-		coef         float64
-	}
-	var mats []matOp
-	c.planOver(func(br, fi int, slots [3]int32, coeffs [3]float64, dc float64) {
-		if fi < 0 {
-			return // pinned terminal: its KCL row is absorbed by the source
+	sets := [2]*branchSet{&c.memBr, &c.resBr}
+	var nMat, nOff, nR, nD int
+	for _, set := range sets {
+		for j, fi := range set.fi {
+			if fi < 0 {
+				continue // pinned terminal: its KCL row is absorbed by the source
+			}
+			nMat++
+			slots := [3]int32{set.i1[j], set.i2[j], set.io[j]}
+			for k, coef := range [3]float64{set.a1[j], set.a2[j], set.ao[j]} {
+				switch {
+				case coef == 0:
+				case c.freeIdx[slots[k]] >= 0:
+					nOff++
+				default:
+					nR++
+				}
+			}
+			if set.dc[j] != 0 {
+				nD++
+			}
 		}
-		mats = append(mats, matOp{int32(fi), int32(fi), int32(br), 1}) // +g on the diagonal
-		for k := 0; k < 3; k++ {
-			if coeffs[k] == 0 {
+	}
+	nMat += nOff
+
+	p := &stampPlan{
+		diag: make([]int32, c.nv),
+		mIdx: make([]int32, 0, nMat), mBr: make([]int32, 0, nMat), mCoef: make([]float64, 0, nMat),
+		rFi: make([]int32, 0, nR), rBr: make([]int32, 0, nR), rNode: make([]int32, 0, nR), rCoef: make([]float64, 0, nR),
+		dFi: make([]int32, 0, nD), dBr: make([]int32, 0, nD), dDC: make([]float64, 0, nD),
+	}
+	pb := la.NewBuilder(c.nv, c.nv)
+	pb.Reserve(c.nv + nOff)
+	for f := 0; f < c.nv; f++ {
+		pb.Add(f, f, 0) // shift diagonal is always present: entry f
+	}
+	// Until the pattern is compiled, mIdx holds the index of the builder
+	// entry each matrix op lands on.
+	br := int32(0)
+	for _, set := range sets {
+		for j, fi := range set.fi {
+			if fi < 0 {
+				br++
 				continue
 			}
-			sn := slots[k]
-			if sf := c.freeIdx[sn]; sf >= 0 {
-				mats = append(mats, matOp{int32(fi), int32(sf), int32(br), -coeffs[k]})
-				pb.Add(fi, int(sf), 0)
-			} else {
-				p.rFi = append(p.rFi, int32(fi))
-				p.rBr = append(p.rBr, int32(br))
-				p.rNode = append(p.rNode, sn)
-				p.rCoef = append(p.rCoef, coeffs[k])
+			p.mIdx = append(p.mIdx, fi) // +g on the diagonal
+			p.mBr = append(p.mBr, br)
+			p.mCoef = append(p.mCoef, 1)
+			slots := [3]int32{set.i1[j], set.i2[j], set.io[j]}
+			for k, coef := range [3]float64{set.a1[j], set.a2[j], set.ao[j]} {
+				if coef == 0 {
+					continue
+				}
+				sn := slots[k]
+				if sf := c.freeIdx[sn]; sf >= 0 {
+					p.mIdx = append(p.mIdx, int32(pb.NNZ()))
+					p.mBr = append(p.mBr, br)
+					p.mCoef = append(p.mCoef, -coef)
+					pb.Add(int(fi), sf, 0)
+				} else {
+					p.rFi = append(p.rFi, fi)
+					p.rBr = append(p.rBr, br)
+					p.rNode = append(p.rNode, sn)
+					p.rCoef = append(p.rCoef, coef)
+				}
 			}
-		}
-		if dc != 0 {
-			p.dFi = append(p.dFi, int32(fi))
-			p.dBr = append(p.dBr, int32(br))
-			p.dDC = append(p.dDC, dc)
-		}
-	})
-	p.csr = pb.Compile()
-
-	// Resolve (row, col) positions to direct CSR value indices.
-	valIdx := func(row, col int32) int32 {
-		for t := p.csr.RowPtr[row]; t < p.csr.RowPtr[row+1]; t++ {
-			if p.csr.ColIdx[t] == int(col) {
-				return int32(t)
+			if dc := set.dc[j]; dc != 0 {
+				p.dFi = append(p.dFi, fi)
+				p.dBr = append(p.dBr, br)
+				p.dDC = append(p.dDC, dc)
 			}
+			br++
 		}
-		panic("circuit: stamp plan entry missing from compiled pattern")
 	}
-	p.diag = make([]int32, c.nv)
-	for f := 0; f < c.nv; f++ {
-		p.diag[f] = valIdx(int32(f), int32(f))
-	}
-	for _, m := range mats {
-		p.mIdx = append(p.mIdx, valIdx(m.row, m.col))
-		p.mBr = append(p.mBr, m.br)
-		p.mCoef = append(p.mCoef, m.coef)
+	var pos []int32
+	p.csr, pos = pb.CompileIndexed()
+	copy(p.diag, pos[:c.nv])
+	for k, e := range p.mIdx {
+		p.mIdx[k] = pos[e]
 	}
 	return p
 }
@@ -215,6 +252,11 @@ func (p *stampPlan) assembleRHS(rhs la.Vector, g la.Vector, nodeV la.Vector) {
 func (c *Circuit) NNZ() (nv, nnz int) {
 	return c.nv, c.plan.csr.NNZ()
 }
+
+// Pattern returns a zero-valued matrix with the voltage system's sparsity
+// pattern (the CSR Build compiled and factored symbolically). The index
+// arrays are shared and must not be written; the value array is private.
+func (c *Circuit) Pattern() *la.CSR { return c.plan.valCSR() }
 
 // FactorNNZ reports the nonzeros of the symbolic L+U factors (pattern
 // fill under the chosen ordering; observability for benchmarks).

@@ -2,7 +2,7 @@ package la
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Triplet is one (row, col, value) entry used while building a sparse matrix.
@@ -49,32 +49,81 @@ type CSR struct {
 // exactly zero are kept as explicit zeros: dropping them would make the
 // sparsity pattern value-dependent, silently invalidating any symbolic
 // factorization computed for the same topology at different values.
+//
+// The triplets are ordered by two stable counting sorts, by column and
+// then by row, so each row comes out sorted by column with its duplicates
+// adjacent in insertion order; duplicates therefore sum in the order they
+// were added, the same on every platform and Go release.
 func (b *Builder) Compile() *CSR {
-	ents := make([]Triplet, len(b.entries))
-	copy(ents, b.entries)
-	sort.Slice(ents, func(i, j int) bool {
-		if ents[i].Row != ents[j].Row {
-			return ents[i].Row < ents[j].Row
+	m, _ := b.CompileIndexed()
+	return m
+}
+
+// CompileIndexed is Compile that also reports where every entry went:
+// pos[k] is the index in m.ColIdx and m.Val of the entry the k-th Add
+// call stamped.
+func (b *Builder) CompileIndexed() (m *CSR, pos []int32) {
+	ents := b.entries
+	// Stable counting sort by column, then by row.
+	next := make([]int32, max(b.Rows, b.Cols)+1)
+	for _, e := range ents {
+		next[e.Col+1]++
+	}
+	for c := 0; c < b.Cols; c++ {
+		next[c+1] += next[c]
+	}
+	byCol := make([]int32, len(ents))
+	for i, e := range ents {
+		byCol[next[e.Col]] = int32(i)
+		next[e.Col]++
+	}
+	clear(next)
+	for _, e := range ents {
+		next[e.Row+1]++
+	}
+	for r := 0; r < b.Rows; r++ {
+		next[r+1] += next[r]
+	}
+	byRow := make([]int32, len(ents))
+	for _, i := range byCol {
+		r := ents[i].Row
+		byRow[next[r]] = i
+		next[r]++
+	}
+
+	uniq := 0
+	for k, i := range byRow {
+		if k == 0 || !samePos(ents[byRow[k-1]], ents[i]) {
+			uniq++
 		}
-		return ents[i].Col < ents[j].Col
-	})
-	m := &CSR{Rows: b.Rows, Cols: b.Cols, RowPtr: make([]int, b.Rows+1)}
-	for k := 0; k < len(ents); {
-		r, c := ents[k].Row, ents[k].Col
+	}
+	m = &CSR{
+		Rows: b.Rows, Cols: b.Cols, RowPtr: make([]int, b.Rows+1),
+		ColIdx: make([]int, 0, uniq), Val: make([]float64, 0, uniq),
+	}
+	pos = make([]int32, len(ents))
+	for k := 0; k < len(byRow); {
+		e := ents[byRow[k]]
 		var sum float64
-		for k < len(ents) && ents[k].Row == r && ents[k].Col == c {
-			sum += ents[k].Val
-			k++
+		for ; k < len(byRow) && samePos(ents[byRow[k]], e); k++ {
+			sum += ents[byRow[k]].Val
+			pos[byRow[k]] = int32(len(m.Val))
 		}
-		m.ColIdx = append(m.ColIdx, c)
+		m.ColIdx = append(m.ColIdx, e.Col)
 		m.Val = append(m.Val, sum)
-		m.RowPtr[r+1]++
+		m.RowPtr[e.Row+1]++
 	}
 	for i := 0; i < b.Rows; i++ {
 		m.RowPtr[i+1] += m.RowPtr[i]
 	}
-	return m
+	return m, pos
 }
+
+// Reserve grows the builder's capacity so that n more Add calls do not
+// reallocate.
+func (b *Builder) Reserve(n int) { b.entries = slices.Grow(b.entries, n) }
+
+func samePos(a, b Triplet) bool { return a.Row == b.Row && a.Col == b.Col }
 
 // NNZ returns the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.Val) }

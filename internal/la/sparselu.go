@@ -1,9 +1,10 @@
 package la
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -62,7 +63,7 @@ type SparseLU struct {
 
 // NNZFactors returns the stored nonzero count of L and U together
 // (observability: fill-in = NNZFactors - NNZ(A)).
-func (f *SparseLU) NNZFactors() int { return len(f.lx) + len(f.ux) }
+func (f *SparseLU) NNZFactors() int { return len(f.li) + len(f.ui) }
 
 // NewSparseLU computes the fill-reducing ordering and symbolic
 // factorization of a and binds the solver to it. The matrix must be square
@@ -75,48 +76,109 @@ func NewSparseLU(a *CSR) (*SparseLU, error) {
 		return nil, fmt.Errorf("la: SparseLU requires a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	// Symbolically factor under both candidate orderings and keep the one
-	// with less fill: RCM wins on banded chains, minimum degree on the
-	// grid-like multiplier arrays. The analysis is a one-time Build cost;
-	// every numeric refactorization repays the smaller structure.
+	// with less fill, RCM on a tie: RCM wins on banded chains, minimum
+	// degree on the grid-like multiplier arrays. The analysis is a
+	// one-time Build cost; every numeric refactorization repays the
+	// smaller structure. Both analyses share one workspace, and only the
+	// winner gets numeric arrays.
+	//
+	// Minimum degree goes first so that its fill can cap the RCM analysis:
+	// once RCM's running fill exceeds it, RCM has lost. The cap applies
+	// only under a full diagonal, where no column can be structurally
+	// singular; otherwise RCM runs to the end, because its error (not
+	// minimum degree's) is the one to report.
 	adj := symmetrizedAdjacency(a)
-	best, err := analyze(a, rcmOrder(a, adj))
-	if err != nil {
-		return nil, err
+	ws := newSymbolicWork(a.Rows)
+	md, errMD := analyze(a, mdOrder(adj), ws, -1)
+	budget := -1
+	if errMD == nil && hasFullDiagonal(a) {
+		budget = md.NNZFactors()
 	}
-	if md, errMD := analyze(a, mdOrder(adj)); errMD == nil && md.NNZFactors() < best.NNZFactors() {
+	best, err := analyze(a, rcmOrder(adj), ws, budget)
+	switch {
+	case errors.Is(err, errOverBudget):
+		best = md
+	case err != nil:
+		return nil, err
+	case errMD == nil && md.NNZFactors() < best.NNZFactors():
 		best = md
 	}
+	best.lx = make([]float64, len(best.li))
+	best.ux = make([]float64, len(best.ui))
+	best.x = make([]float64, a.Rows)
+	best.b = make([]float64, a.Rows)
 	return best, nil
 }
 
+// symbolicWork is the scratch one symbolic analysis needs, reused by the
+// next: the inverse permutation, the DFS marks, stack and reach, column
+// cursors, and the growing L and U patterns, which analyze copies out at
+// their final length.
+type symbolicWork struct {
+	inv          []int
+	mark         []int
+	next         []int32
+	stack, reach []int32
+	li, ui       []int32
+}
+
+func newSymbolicWork(n int) *symbolicWork {
+	return &symbolicWork{
+		inv:   make([]int, n),
+		mark:  make([]int, n),
+		next:  make([]int32, n),
+		stack: make([]int32, 0, n),
+		reach: make([]int32, 0, n),
+	}
+}
+
+// errOverBudget reports an analysis abandoned because its fill exceeded
+// the caller's budget.
+var errOverBudget = errors.New("la: symbolic fill over budget")
+
+// hasFullDiagonal reports whether every diagonal entry of a is stored.
+func hasFullDiagonal(a *CSR) bool {
+	for i := 0; i < a.Rows; i++ {
+		if !slices.Contains(a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], i) {
+			return false
+		}
+	}
+	return true
+}
+
 // analyze builds the scatter plan and symbolic factorization of a under
-// the given ordering (perm[new] = old).
-func analyze(a *CSR, perm []int) (*SparseLU, error) {
+// the given ordering (perm[new] = old). It sets every symbolic array but
+// leaves the numeric ones (lx, ux, x, b) to the caller. With budget ≥ 0
+// it returns errOverBudget as soon as the fill of L+U exceeds budget.
+func analyze(a *CSR, perm []int, ws *symbolicWork, budget int) (*SparseLU, error) {
 	n := a.Rows
 	f := &SparseLU{n: n, a: a, perm: perm}
-	inv := make([]int, n)
+	inv := ws.inv
 	for k, old := range perm {
 		inv[old] = k
 	}
 
-	// Permuted column structure of A with back-pointers into a.Val.
-	type ent struct{ row, src int32 }
-	cols := make([][]ent, n)
-	for i := 0; i < n; i++ {
-		pi := int32(inv[i])
+	// Permuted column structure of A with back-pointers into a.Val: a
+	// counting-sort transpose that visits the rows in permuted order, so
+	// every column's entries arrive sorted by permuted row.
+	nnz := a.RowPtr[n]
+	f.aColPtr = make([]int32, n+1)
+	for _, c := range a.ColIdx[:nnz] {
+		f.aColPtr[inv[c]+1]++
+	}
+	for j := 0; j < n; j++ {
+		f.aColPtr[j+1] += f.aColPtr[j]
+	}
+	next := ws.next
+	copy(next, f.aColPtr[:n])
+	f.aRow = make([]int32, nnz)
+	f.aSrc = make([]int32, nnz)
+	for pi, i := range perm {
 		for t := a.RowPtr[i]; t < a.RowPtr[i+1]; t++ {
 			pj := inv[a.ColIdx[t]]
-			cols[pj] = append(cols[pj], ent{pi, int32(t)})
-		}
-	}
-	f.aColPtr = make([]int32, n+1)
-	for j := 0; j < n; j++ {
-		c := cols[j]
-		sort.Slice(c, func(x, y int) bool { return c[x].row < c[y].row })
-		f.aColPtr[j+1] = f.aColPtr[j] + int32(len(c))
-		for _, e := range c {
-			f.aRow = append(f.aRow, e.row)
-			f.aSrc = append(f.aSrc, e.src)
+			f.aRow[next[pj]] = int32(pi)
+			f.aSrc[next[pj]] = int32(t)
+			next[pj]++
 		}
 	}
 
@@ -127,13 +189,12 @@ func analyze(a *CSR, perm []int) (*SparseLU, error) {
 	// the numeric phase can simply walk each stored pattern in order.
 	f.lp = make([]int32, n+1)
 	f.up = make([]int32, n+1)
-	lRows := make([][]int32, n) // strictly-lower pattern of each L column
-	mark := make([]int, n)
+	li, ui := ws.li[:0], ws.ui[:0]
+	mark := ws.mark
 	for i := range mark {
 		mark[i] = -1
 	}
-	stack := make([]int32, 0, n)
-	reach := make([]int, 0, n)
+	stack, reach := ws.stack, ws.reach
 	for j := 0; j < n; j++ {
 		reach = reach[:0]
 		for t := f.aColPtr[j]; t < f.aColPtr[j+1]; t++ {
@@ -150,9 +211,9 @@ func analyze(a *CSR, perm []int) (*SparseLU, error) {
 					continue
 				}
 				mark[v] = j
-				reach = append(reach, int(v))
+				reach = append(reach, v)
 				if int(v) < j {
-					for _, w := range lRows[v] {
+					for _, w := range li[f.lp[v]:f.lp[v+1]] {
 						if mark[w] != j {
 							stack = append(stack, w)
 						}
@@ -160,32 +221,27 @@ func analyze(a *CSR, perm []int) (*SparseLU, error) {
 				}
 			}
 		}
-		sort.Ints(reach)
-		hasDiag := false
-		var lower []int32
-		for _, r := range reach {
-			switch {
-			case r < j:
-				f.ui = append(f.ui, int32(r))
-			case r == j:
-				hasDiag = true
-			default:
-				lower = append(lower, int32(r))
-			}
+		slices.Sort(reach)
+		// reach is sorted: rows above j go to U, then the diagonal, then
+		// the rows below j to L.
+		k := 0
+		for k < len(reach) && int(reach[k]) < j {
+			k++
 		}
-		if !hasDiag {
+		if k == len(reach) || int(reach[k]) != j {
 			return nil, fmt.Errorf("la: SparseLU structurally singular (no diagonal reach at column %d)", perm[j])
 		}
-		f.ui = append(f.ui, int32(j)) // diagonal closes the column
-		f.up[j+1] = int32(len(f.ui))
-		lRows[j] = lower
-		f.li = append(f.li, lower...)
-		f.lp[j+1] = int32(len(f.li))
+		ui = append(append(ui, reach[:k]...), int32(j)) // diagonal closes the column
+		f.up[j+1] = int32(len(ui))
+		li = append(li, reach[k+1:]...)
+		f.lp[j+1] = int32(len(li))
+		if budget >= 0 && len(li)+len(ui) > budget {
+			return nil, errOverBudget
+		}
 	}
-	f.lx = make([]float64, len(f.li))
-	f.ux = make([]float64, len(f.ui))
-	f.x = make([]float64, n)
-	f.b = make([]float64, n)
+	ws.li, ws.ui, ws.stack, ws.reach = li, ui, stack, reach
+	f.li = slices.Clone(li)
+	f.ui = slices.Clone(ui)
 	return f, nil
 }
 
@@ -311,45 +367,81 @@ func (f *SparseLU) SolveInto(dst, b Vector) {
 	f.Spans.End(obs.PhaseSolve, tok)
 }
 
+// adjacency is an undirected graph in compressed form: node i's
+// neighbours are idx[ptr[i]:ptr[i+1]], ascending.
+type adjacency struct {
+	ptr, idx []int
+}
+
+func (g adjacency) nbrs(i int) []int { return g.idx[g.ptr[i]:g.ptr[i+1]] }
+
 // symmetrizedAdjacency returns the sorted, deduplicated undirected
 // adjacency (no self loops) of a's pattern — the graph both orderings
 // work on.
-func symmetrizedAdjacency(a *CSR) [][]int {
+func symmetrizedAdjacency(a *CSR) adjacency {
 	n := a.Rows
-	adj := make([][]int, n)
+	g := adjacency{ptr: make([]int, n+1)}
 	for i := 0; i < n; i++ {
-		for t := a.RowPtr[i]; t < a.RowPtr[i+1]; t++ {
-			j := a.ColIdx[t]
-			if i == j {
-				continue
+		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if i != j {
+				g.ptr[i+1]++
+				g.ptr[j+1]++
 			}
-			adj[i] = append(adj[i], j)
-			adj[j] = append(adj[j], i)
 		}
 	}
-	for i := range adj {
-		sort.Ints(adj[i])
-		k := 0
-		for t, v := range adj[i] {
-			if t == 0 || v != adj[i][k-1] {
-				adj[i][k] = v
+	for i := 0; i < n; i++ {
+		g.ptr[i+1] += g.ptr[i]
+	}
+	g.idx = make([]int, g.ptr[n])
+	next := slices.Clone(g.ptr[:n])
+	for i := 0; i < n; i++ {
+		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if i != j {
+				g.idx[next[i]] = j
+				next[i]++
+				g.idx[next[j]] = i
+				next[j]++
+			}
+		}
+	}
+	// Sort each list and drop its duplicates, compacting in place.
+	k := 0
+	for i := 0; i < n; i++ {
+		list := g.idx[g.ptr[i]:g.ptr[i+1]]
+		slices.Sort(list)
+		g.ptr[i] = k
+		for t, v := range list {
+			if t == 0 || v != g.idx[k-1] {
+				g.idx[k] = v
 				k++
 			}
 		}
-		adj[i] = adj[i][:k]
 	}
-	return adj
+	g.ptr[n] = k
+	g.idx = g.idx[:k]
+	return g
 }
 
 // rcmOrder computes a reverse Cuthill-McKee ordering of the symmetrized
 // pattern, returning perm with perm[new] = old. RCM clusters each node's
 // neighbours — for SOLC matrices, the gate terminals sharing a branch —
 // into a narrow band; it is the stronger choice for chain-like circuits.
-func rcmOrder(a *CSR, adj [][]int) []int {
-	n := a.Rows
+func rcmOrder(adj adjacency) []int {
+	n := len(adj.ptr) - 1
 	deg := make([]int, n)
-	for i := range adj {
-		deg[i] = len(adj[i])
+	for i := range deg {
+		deg[i] = len(adj.nbrs(i))
+	}
+	// The BFS visits each node's neighbours by ascending (degree, index),
+	// a total order: sort every list once, up front.
+	byDeg := adjacency{ptr: adj.ptr, idx: slices.Clone(adj.idx)}
+	for i := 0; i < n; i++ {
+		slices.SortFunc(byDeg.nbrs(i), func(x, y int) int {
+			if deg[x] != deg[y] {
+				return deg[x] - deg[y]
+			}
+			return x - y
+		})
 	}
 
 	visited := make([]bool, n)
@@ -365,15 +457,7 @@ func rcmOrder(a *CSR, adj [][]int) []int {
 		for levelStart < len(queue) {
 			levelEnd := len(queue)
 			for q := levelStart; q < levelEnd; q++ {
-				v := queue[q]
-				nbrs := append([]int(nil), adj[v]...)
-				sort.Slice(nbrs, func(x, y int) bool {
-					if deg[nbrs[x]] != deg[nbrs[y]] {
-						return deg[nbrs[x]] < deg[nbrs[y]]
-					}
-					return nbrs[x] < nbrs[y]
-				})
-				for _, w := range nbrs {
+				for _, w := range byDeg.nbrs(queue[q]) {
 					if !visited[w] {
 						visited[w] = true
 						queue = append(queue, w)
@@ -391,11 +475,6 @@ func rcmOrder(a *CSR, adj [][]int) []int {
 		}
 		return last
 	}
-	unvisit := func(nodes []int) {
-		for _, v := range nodes {
-			visited[v] = false
-		}
-	}
 
 	for start := 0; start < n; start++ {
 		if visited[start] {
@@ -404,20 +483,19 @@ func rcmOrder(a *CSR, adj [][]int) []int {
 		// Pseudo-peripheral root: one BFS hop to the farthest level's
 		// minimum-degree node.
 		last := bfs(start, false)
-		component := append([]int(nil), queue...)
-		unvisit(component)
 		best := last[0]
 		for _, v := range last {
 			if deg[v] < deg[best] {
 				best = v
 			}
 		}
+		for _, v := range queue { // the component: unvisit it for the second BFS
+			visited[v] = false
+		}
 		bfs(best, true)
 	}
 	// Reverse the Cuthill-McKee order.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	slices.Reverse(order)
 	return order
 }
 
@@ -426,12 +504,21 @@ func rcmOrder(a *CSR, adj [][]int) []int {
 // minimum-degree node and join its neighbours into a clique. Quadratic in
 // the worst case but run once per topology at Build time; on the grid-like
 // multiplier/adder arrays it beats RCM's fill by integer factors.
-func mdOrder(adj [][]int) []int {
-	n := len(adj)
-	// Private, mutable copy of the adjacency.
+func mdOrder(adj adjacency) []int {
+	n := len(adj.ptr) - 1
+	// Private, mutable copy of the adjacency. Each list is capped at its
+	// own length, so a list that grows past it moves to its own array.
+	flat := slices.Clone(adj.idx)
 	nbrs := make([][]int, n)
-	for i := range adj {
-		nbrs[i] = append([]int(nil), adj[i]...)
+	for i := range nbrs {
+		nbrs[i] = flat[adj.ptr[i]:adj.ptr[i+1]:adj.ptr[i+1]]
+	}
+	// deg mirrors len(nbrs[i]) for every uneliminated node and is
+	// MaxInt for an eliminated one, so the selection scan is one tight
+	// pass over a flat array.
+	deg := make([]int, n)
+	for i := range deg {
+		deg[i] = len(nbrs[i])
 	}
 	eliminated := make([]bool, n)
 	mark := make([]int, n)
@@ -443,14 +530,15 @@ func mdOrder(adj [][]int) []int {
 	for len(order) < n {
 		// Pick the minimum-degree uneliminated node (ties: lowest index,
 		// keeping the ordering deterministic).
-		v := -1
-		for i := 0; i < n; i++ {
-			if !eliminated[i] && (v < 0 || len(nbrs[i]) < len(nbrs[v])) {
+		v := 0
+		for i, d := range deg {
+			if d < deg[v] {
 				v = i
 			}
 		}
 		order = append(order, v)
 		eliminated[v] = true
+		deg[v] = math.MaxInt
 		clique := nbrs[v]
 		for _, u := range clique {
 			if eliminated[u] {
@@ -474,6 +562,7 @@ func mdOrder(adj [][]int) []int {
 					nbrs[u] = append(nbrs[u], w)
 				}
 			}
+			deg[u] = len(nbrs[u])
 		}
 	}
 	return order

@@ -335,7 +335,43 @@ func terminalIndex(k Kind, t int) int {
 // parameters populated: clamp branches from the logic design and the
 // resistor branch solved for zero net current at every correct
 // configuration. vc is the logic reference voltage.
+//
+// vc enters a gate only as the factor on each VCVG's DC term, so New
+// scales a copy of the kind's gate at vc = 1, derived once at start-up;
+// since x·1 = x exactly, the copy has the bits derive(k, vc) gives.
 func New(k Kind, vc float64) (*Gate, error) {
+	if k < AND || k > NOT {
+		return derive(k, vc)
+	}
+	u := unitGates[k]
+	if u.err != nil {
+		return nil, u.err
+	}
+	g := &Gate{Kind: k, DCMs: make([]DCM, len(u.gate.DCMs))}
+	for t, dcm := range u.gate.DCMs {
+		brs := append([]Branch(nil), dcm.Branches...)
+		for b := range brs {
+			brs[b].L.DC *= vc
+		}
+		g.DCMs[t].Branches = brs
+	}
+	return g, nil
+}
+
+// unitGates holds each gate kind derived at vc = 1, with its error.
+var unitGates = func() (t [NOT + 1]struct {
+	gate *Gate
+	err  error
+}) {
+	for k := range t {
+		t[k].gate, t[k].err = derive(Kind(k), 1)
+	}
+	return t
+}()
+
+// derive builds the gate of kind k at vc: the clamp branches of the logic
+// design plus the resistor branch from the least-squares solve.
+func derive(k Kind, vc float64) (*Gate, error) {
 	g := &Gate{Kind: k}
 	cfgs := correctConfigs(k)
 	for t := 0; t < k.Terminals(); t++ {

@@ -220,3 +220,44 @@ func TestTableIPerturbation(t *testing.T) {
 		t.Fatal("perturbed resistor VCVG should violate the contract")
 	}
 }
+
+// TestNewMatchesDerive holds New, which scales a copy of the start-up
+// gate at vc = 1, to a full derivation at each vc, bit for bit, and
+// checks that the copies New returns share no branch array.
+func TestNewMatchesDerive(t *testing.T) {
+	for _, k := range allKinds {
+		for _, v := range []float64{1, 0.7, 2.5, 1e-300, math.Copysign(0, -1), math.Inf(1), math.NaN()} {
+			got, err := New(k, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := derive(k, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.DCMs) != len(want.DCMs) || got.Kind != want.Kind {
+				t.Fatalf("%v vc=%v: got %+v, want %+v", k, v, got, want)
+			}
+			for d := range got.DCMs {
+				g, w := got.DCMs[d].Branches, want.DCMs[d].Branches
+				if len(g) != len(w) {
+					t.Fatalf("%v vc=%v terminal %d: %d branches, want %d", k, v, d, len(g), len(w))
+				}
+				for b := range g {
+					gb, wb := g[b], w[b]
+					if gb.Mem != wb.Mem || !sameBits(gb.Sigma, wb.Sigma) || !sameBits(gb.L.A1, wb.L.A1) ||
+						!sameBits(gb.L.A2, wb.L.A2) || !sameBits(gb.L.Ao, wb.L.Ao) || !sameBits(gb.L.DC, wb.L.DC) {
+						t.Fatalf("%v vc=%v terminal %d branch %d: got %+v, want %+v", k, v, d, b, gb, wb)
+					}
+				}
+			}
+		}
+		a, b := MustNew(k, 1), MustNew(k, 1)
+		a.DCMs[0].Branches[0].L.DC = 42
+		if b.DCMs[0].Branches[0].L.DC == 42 || MustNew(k, 1).DCMs[0].Branches[0].L.DC == 42 {
+			t.Fatalf("%v: gates returned by New share branch storage", k)
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
