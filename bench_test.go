@@ -337,13 +337,13 @@ func benchIMEXStep(b *testing.B, tl *obs.Telemetry) {
 	so := tl.StepObs()
 	st.Obs = so
 	h := 1e-3
-	if _, err := st.Step(c, 0, h, x); err != nil {
+	if err := st.Step(c, 0, h, x); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Step(c, float64(i+1)*h, h, x); err != nil {
+		if err := st.Step(c, float64(i+1)*h, h, x); err != nil {
 			b.Fatal(err)
 		}
 		so.Accept(h)
@@ -370,13 +370,13 @@ func TestIMEXStepTelemetryZeroAlloc(t *testing.T) {
 	st := circuit.NewIMEX(c, nil)
 	st.Obs = tl.StepObs()
 	h := 1e-3
-	if _, err := st.Step(c, 0, h, x); err != nil {
+	if err := st.Step(c, 0, h, x); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		i++
-		if _, err := st.Step(c, float64(i)*h, h, x); err != nil {
+		if err := st.Step(c, float64(i)*h, h, x); err != nil {
 			t.Fatal(err)
 		}
 		st.Obs.Accept(h)
@@ -407,13 +407,13 @@ func TestIMEXStepSpansFlightZeroAlloc(t *testing.T) {
 	st.Obs = tl.StepObsFor(fl)
 	st.Spans = tl.Spans
 	h := 1e-3
-	if _, err := st.Step(c, 0, h, x); err != nil {
+	if err := st.Step(c, 0, h, x); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		i++
-		if _, err := st.Step(c, float64(i)*h, h, x); err != nil {
+		if err := st.Step(c, float64(i)*h, h, x); err != nil {
 			t.Fatal(err)
 		}
 		tok := st.Obs.SpanBegin()
@@ -540,32 +540,6 @@ func BenchmarkBaselineSubsetSumMITM(b *testing.B) {
 
 // ---- Ablation benches (DESIGN.md design choices) ----
 
-// BenchmarkAblationIntegrators compares the IMEX stepper against the
-// adaptive explicit RK45 on the same reverse XOR gate.
-func BenchmarkAblationIntegrators(b *testing.B) {
-	solve := func(b *testing.B, mode solc.Mode, stepper string, h float64) {
-		bc := boolcirc.New()
-		x, y := bc.NewSignal(), bc.NewSignal()
-		o := bc.Xor(x, y)
-		cs := solc.CompileMode(bc, map[boolcirc.Signal]bool{o: true}, circuit.Default(), mode)
-		for i := 0; i < b.N; i++ {
-			opts := solc.DefaultOptions()
-			opts.Stepper = stepper
-			opts.H = h
-			opts.Seed = int64(i + 1)
-			opts.TEnd = 100
-			res, err := cs.Solve(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = res
-		}
-	}
-	b.Run("imex", func(b *testing.B) { solve(b, solc.ModeCapacitive, "imex", 1e-3) })
-	b.Run("rk45-capacitive", func(b *testing.B) { solve(b, solc.ModeCapacitive, "rk45", 1e-6) })
-	b.Run("rk45-quasistatic", func(b *testing.B) { solve(b, solc.ModeQuasiStatic, "rk45", 1e-5) })
-}
-
 // BenchmarkAblationCapacitance sweeps the node capacitance (the DESIGN.md
 // substitution knob): equilibria are identical; convergence time varies.
 func BenchmarkAblationCapacitance(b *testing.B) {
@@ -662,7 +636,7 @@ func TestAblationNoVCDCGSpuriousZero(t *testing.T) {
 		}
 		st := circuit.NewIMEX(c, nil)
 		for k := 0; k < 30000; k++ {
-			if _, err := st.Step(c, float64(k)*1e-3, 1e-3, x); err != nil {
+			if err := st.Step(c, float64(k)*1e-3, 1e-3, x); err != nil {
 				t.Fatal(err)
 			}
 			c.ClampState(x)

@@ -80,7 +80,7 @@ func runScalarSpans(steps int, h float64, sp *obs.Spans, fl *obs.Flight, tl *obs
 	t := 0.0
 	start := time.Now()
 	for i := 0; i < steps; i++ {
-		if _, err := s.Step(c, t, h, x); err != nil {
+		if err := s.Step(c, t, h, x); err != nil {
 			break
 		}
 		tok := s.Obs.SpanBegin()
@@ -107,13 +107,13 @@ func spansAllocsPerStep(h float64) float64 {
 	s := circuit.NewIMEX(c, nil)
 	s.Spans = tl.Spans
 	s.Obs = tl.StepObsFor(fl)
-	if _, err := s.Step(c, 0, h, x); err != nil {
+	if err := s.Step(c, 0, h, x); err != nil {
 		return -1
 	}
 	i := 0
 	return testing.AllocsPerRun(200, func() {
 		i++
-		if _, err := s.Step(c, float64(i)*h, h, x); err != nil {
+		if err := s.Step(c, float64(i)*h, h, x); err != nil {
 			panic(err)
 		}
 		tok := s.Obs.SpanBegin()

@@ -129,12 +129,13 @@ func (b *Builder) Build() *Circuit {
 }
 
 // fillConductances writes the per-branch conductance buffer in plan order:
-// g[0:nm] the memristor branches evaluated at the clamped states starting
-// at x[xOff], g[nm:] the resistor branches at 1/R.
+// g[0:nm] the memristor branches evaluated at the clamped states of x,
+// g[nm:] the resistor branches at 1/R.
 //
 //dmmvet:hotpath
-func (c *Circuit) fillConductances(g la.Vector, x la.Vector, xOff int) {
+func (c *Circuit) fillConductances(g la.Vector, x la.Vector) {
 	p := &c.Params
+	xOff := c.xOff()
 	for m := 0; m < c.nm; m++ {
 		g[m] = p.Mem.G(memristor.Clamp(x[xOff+m]))
 	}
@@ -156,7 +157,8 @@ func (c *Circuit) Counts() (freeNodes, memristors, vcdcgs int) {
 func (c *Circuit) NumGates() int { return len(c.gates) }
 
 // MemStates returns the memristor internal-state block of x as a view
-// (Engine interface).
+// (no copy): nm values in [0,1]. The physics probe histograms it on a
+// decimated cadence.
 func (c *Circuit) MemStates(x la.Vector) la.Vector {
 	return x[c.xOff() : c.xOff()+c.nm]
 }
@@ -283,12 +285,7 @@ func (c *Circuit) NodeBit(t float64, x la.Vector, n Node) bool {
 // GatesSatisfied reports whether every gate's decoded terminal bits
 // satisfy its boolean relation.
 func (c *Circuit) GatesSatisfied(t float64, x la.Vector) bool {
-	return c.gatesSatisfiedAt(c.NodeVoltages(t, x, c.nodeV))
-}
-
-// gatesSatisfiedAt checks every gate relation against decoded node
-// voltages.
-func (c *Circuit) gatesSatisfiedAt(nodeV la.Vector) bool {
+	nodeV := c.NodeVoltages(t, x, c.nodeV)
 	var in [2]bool
 	for _, inst := range c.gates {
 		nt := len(inst.nodes)

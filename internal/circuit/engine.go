@@ -6,9 +6,9 @@ import (
 	"repro/internal/la"
 )
 
-// Engine is the common surface of the two dynamical forms of a compiled
-// SOLC: the capacitive form (*Circuit, node voltages as states) and the
-// order-reduced quasi-static form (*QuasiStatic). Both satisfy ode.System.
+// Engine is the surface of a compiled SOLC that the solver drives. Its one
+// implementation is the capacitive form (*Circuit, node voltages as
+// states), which satisfies ode.System.
 type Engine interface {
 	Dim() int
 	Derivative(t float64, x, dxdt la.Vector)
@@ -24,10 +24,6 @@ type Engine interface {
 	Parameters() Params
 	NumGates() int
 	Counts() (freeNodes, memristors, vcdcgs int)
-	// MemStates returns the memristor internal-state block of x as a
-	// view (no copy): nm values in [0,1]. The physics probe histograms
-	// it on a decimated cadence.
-	MemStates(x la.Vector) la.Vector
 	// Clone returns an engine over the same compiled circuit with private
 	// scratch buffers, safe to integrate concurrently with the receiver.
 	Clone() Engine
@@ -44,29 +40,7 @@ func (c *Circuit) Clone() Engine {
 	return &cp
 }
 
-// Clone duplicates the engine with a private Kirchhoff solve workspace and
-// an empty factorization cache; the stamp plan and symbolic analysis stay
-// shared through the cloned *Circuit.
-func (q *QuasiStatic) Clone() Engine {
-	cq := *q
-	cq.C = q.C.Clone().(*Circuit)
-	nBranch := q.C.memBr.len() + q.C.resBr.len()
-	cq.g = la.NewVector(nBranch)
-	cq.rhs = la.NewVector(q.C.nv)
-	cq.vSol = la.NewVector(q.C.nv)
-	cq.nodeV = la.NewVector(q.C.numNodes)
-	cq.f = voltageFactor{}
-	cq.Refacts = 0
-	return &cq
-}
-
 // Parameters returns the electrical parameters (Engine interface).
 func (c *Circuit) Parameters() Params { return c.Params }
 
-// Parameters returns the electrical parameters (Engine interface).
-func (q *QuasiStatic) Parameters() Params { return q.C.Params }
-
-var (
-	_ Engine = (*Circuit)(nil)
-	_ Engine = (*QuasiStatic)(nil)
-)
+var _ Engine = (*Circuit)(nil)

@@ -20,7 +20,7 @@ import (
 // where the DCM resistor branches present negative differential
 // conductance (their solved VCVG levels depend on the terminal's own
 // voltage; the paper's Table I shares this structure), which defeats both
-// explicit integration (stiffness) and the pure quasi-static solve
+// explicit integration (stiffness) and a pure algebraic voltage solve
 // (ill-conditioning). Unconditional stability in v lets the step size
 // track the slow physics, up to the explicit VCDCG current's own bound
 // (MaxStableStep), which the driver grows h toward.
@@ -126,14 +126,9 @@ func (s *IMEXStepper) MaxStableStep() float64 {
 // Name identifies the method.
 func (s *IMEXStepper) Name() string { return "imex" }
 
-// Adaptive reports false: the stepper has no error estimate; the driver
-// ramps h toward MaxStableStep.
-func (s *IMEXStepper) Adaptive() bool { return false }
-
 // countRefactor tallies one numeric refactorization.
 func (s *IMEXStepper) countRefactor() {
 	if s.stats != nil {
-		s.stats.JacEvals++
 		s.stats.Refactors++
 	}
 	s.Obs.Refactor()
@@ -145,16 +140,16 @@ func (s *IMEXStepper) countRefactor() {
 // statically from this root.
 //
 //dmmvet:hotpath
-func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, error) {
+func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) error {
 	c := s.c
 	if sys != ode.System(c) {
-		return 0, fmt.Errorf("circuit: IMEXStepper bound to a different circuit")
+		return fmt.Errorf("circuit: IMEXStepper bound to a different circuit")
 	}
 	p := &c.Params
 	tok := s.Spans.Begin()
 
 	// Conductances for the current memristor states.
-	c.fillConductances(s.g, x, c.xOff())
+	c.fillConductances(s.g, x)
 
 	// Node voltages at time t+h for pinned nodes; free from state.
 	for n := 0; n < c.numNodes; n++ {
@@ -174,7 +169,7 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 	// refactorization through the solver's own hook.
 	shift := p.C / h
 	if err := s.f.refactor(c, s.Spans, shift, s.g); err != nil {
-		return 0, fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
+		return fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
 	}
 	s.countRefactor()
 	tok = s.Spans.Begin()
@@ -223,14 +218,14 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 		vb := VBoundFactor * p.Vc
 		if v := invariant.Range("voltage-bound", "free-node", step, t+h, s.vNew, -vb, vb); v != nil {
 			v.Index = c.nodeOfFree(v.Index)
-			return 0, v
+			return v
 		}
 		if v := invariant.Finite("state", step, t+h, x); v != nil {
-			return 0, v
+			return v
 		}
 	}
 	s.Spans.End(obs.PhaseMemAdvance, tok)
-	return 0, nil
+	return nil
 }
 
 // advanceSlowStates performs the explicit update of the slow states —

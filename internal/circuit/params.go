@@ -55,8 +55,8 @@ func Paper() Params {
 // equilibrium structure as Paper, with the node capacitance raised so the
 // voltage relaxation scale is comparable to the memristor switching scale
 // (the paper's condition τ_C ≪ τ_M is relaxed to τ_C ≲ τ_M, which
-// preserves the equilibria exactly and keeps the explicit adaptive
-// integrator efficient).
+// preserves the equilibria exactly and keeps the integration
+// efficient).
 // Default applies three changes, all documented in DESIGN.md and measured
 // in EXPERIMENTS.md:
 //

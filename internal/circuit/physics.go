@@ -23,8 +23,7 @@ type PhysicsSample struct {
 	// SaturatedFrac is the fraction of node voltages within SatTol·vc
 	// of ±vc — at a self-organized equilibrium it reaches 1.
 	SaturatedFrac float64
-	// MaxDvDt is max |dv/dt| over the voltage states (0 for the
-	// quasi-static form, which has no voltage states).
+	// MaxDvDt is max |dv/dt| over the voltage states.
 	MaxDvDt float64
 	// MaxDxDt is max |dx/dt| over the full ODE state.
 	MaxDxDt float64
@@ -33,35 +32,26 @@ type PhysicsSample struct {
 	MemHist [MemHistBuckets]int32
 }
 
-// PhysicsProbe samples physics observables from an engine's state with
+// PhysicsProbe samples physics observables from a circuit's state with
 // private scratch, so each portfolio attempt probes its own cloned
-// engine without contention. Sample allocates nothing.
+// circuit without contention. Sample allocates nothing.
 type PhysicsProbe struct {
-	eng   Engine
+	c     *Circuit
 	nodeV la.Vector
 	dxdt  la.Vector
 }
 
-// NewPhysicsProbe returns a probe over eng with preallocated scratch.
-func NewPhysicsProbe(eng Engine) *PhysicsProbe {
-	p := &PhysicsProbe{eng: eng, dxdt: la.NewVector(eng.Dim())}
-	// Size the node-voltage scratch without triggering a Kirchhoff solve
-	// (QuasiStatic.NodeVoltages factorizes on first use).
-	switch e := eng.(type) {
-	case *Circuit:
-		p.nodeV = la.NewVector(e.numNodes)
-	case *QuasiStatic:
-		p.nodeV = la.NewVector(e.C.numNodes)
-	}
-	return p
+// NewPhysicsProbe returns a probe over c with preallocated scratch.
+func NewPhysicsProbe(c *Circuit) *PhysicsProbe {
+	return &PhysicsProbe{c: c, nodeV: la.NewVector(c.numNodes), dxdt: la.NewVector(c.Dim())}
 }
 
 // Sample evaluates the physics observables at (t, x).
 func (p *PhysicsProbe) Sample(t float64, x la.Vector) PhysicsSample {
 	s := PhysicsSample{T: t}
-	vc := p.eng.Parameters().Vc
+	vc := p.c.Params.Vc
 
-	nodeV := p.eng.NodeVoltages(t, x, p.nodeV)
+	nodeV := p.c.NodeVoltages(t, x, p.nodeV)
 	sat := 0
 	for _, v := range nodeV {
 		if math.Abs(math.Abs(v)-vc) <= SatTol*vc {
@@ -72,13 +62,11 @@ func (p *PhysicsProbe) Sample(t float64, x la.Vector) PhysicsSample {
 		s.SaturatedFrac = float64(sat) / float64(len(nodeV))
 	}
 
-	p.eng.Derivative(t, x, p.dxdt)
+	p.c.Derivative(t, x, p.dxdt)
 	s.MaxDxDt = p.dxdt.NormInf()
-	if c, ok := p.eng.(*Circuit); ok {
-		s.MaxDvDt = p.dxdt[:c.nv].NormInf()
-	}
+	s.MaxDvDt = p.dxdt[:p.c.nv].NormInf()
 
-	for _, xi := range p.eng.MemStates(x) {
+	for _, xi := range p.c.MemStates(x) {
 		j := int(xi * MemHistBuckets)
 		if j < 0 {
 			j = 0

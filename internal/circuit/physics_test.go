@@ -8,41 +8,28 @@ import (
 )
 
 // TestPhysicsSampleBothForms checks the probe's observables are
-// well-formed on both dynamical forms: saturation and the memristor
-// histogram bounded, MemHist totals matching the memristor count, and
-// MaxDvDt populated only for the capacitive form.
+// well-formed: saturation and the memristor histogram bounded, and
+// MemHist totals matching the memristor count. It is named for the two
+// dynamical forms it once covered; the capacitive form is the one left.
 func TestPhysicsSampleBothForms(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, tc := range []struct {
-		name string
-		eng  Engine
-	}{
-		{"capacitive", buildGateCap(t, solg.AND, true)},
-		{"quasistatic", buildGateQS(t, solg.AND, true)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			x := tc.eng.InitialState(rng)
-			p := NewPhysicsProbe(tc.eng)
-			s := p.Sample(0.5, x)
-			if s.SaturatedFrac < 0 || s.SaturatedFrac > 1 {
-				t.Errorf("SaturatedFrac = %g outside [0,1]", s.SaturatedFrac)
-			}
-			if s.MaxDxDt < 0 {
-				t.Errorf("MaxDxDt = %g negative", s.MaxDxDt)
-			}
-			_, nm, _ := tc.eng.Counts()
-			total := int32(0)
-			for _, n := range s.MemHist {
-				total += n
-			}
-			if int(total) != nm {
-				t.Errorf("MemHist totals %d, want nm = %d", total, nm)
-			}
-			if _, isQS := tc.eng.(*QuasiStatic); isQS && s.MaxDvDt != 0 {
-				t.Errorf("quasi-static MaxDvDt = %g, want 0 (no voltage states)", s.MaxDvDt)
-			}
-		})
-	}
+	t.Run("capacitive", func(t *testing.T) {
+		c := buildGateCap(t, solg.AND, true)
+		x := c.InitialState(rand.New(rand.NewSource(3)))
+		s := NewPhysicsProbe(c).Sample(0.5, x)
+		if s.SaturatedFrac < 0 || s.SaturatedFrac > 1 {
+			t.Errorf("SaturatedFrac = %g outside [0,1]", s.SaturatedFrac)
+		}
+		if s.MaxDxDt < 0 || s.MaxDvDt < 0 || s.MaxDvDt > s.MaxDxDt {
+			t.Errorf("MaxDvDt = %g, MaxDxDt = %g: want 0 ≤ MaxDvDt ≤ MaxDxDt", s.MaxDvDt, s.MaxDxDt)
+		}
+		total := int32(0)
+		for _, n := range s.MemHist {
+			total += n
+		}
+		if int(total) != c.nm {
+			t.Errorf("MemHist totals %d, want nm = %d", total, c.nm)
+		}
+	})
 }
 
 // TestPhysicsSaturationDetectsRails drives the free voltage states onto
@@ -61,29 +48,21 @@ func TestPhysicsSaturationDetectsRails(t *testing.T) {
 	}
 }
 
-// TestMemStatesView pins the Engine.MemStates contract: a view, not a
+// TestMemStatesView pins the Circuit.MemStates contract: a view, not a
 // copy.
 func TestMemStatesView(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		eng  Engine
-	}{
-		{"capacitive", buildGateCap(t, solg.AND, true)},
-		{"quasistatic", buildGateQS(t, solg.AND, true)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			x := tc.eng.InitialState(rand.New(rand.NewSource(1)))
-			ms := tc.eng.MemStates(x)
-			_, nm, _ := tc.eng.Counts()
-			if len(ms) != nm {
-				t.Fatalf("len(MemStates) = %d, want %d", len(ms), nm)
-			}
-			ms[0] = 0.123
-			if tc.eng.MemStates(x)[0] != 0.123 {
-				t.Error("MemStates must be a view into x")
-			}
-		})
-	}
+	t.Run("capacitive", func(t *testing.T) {
+		c := buildGateCap(t, solg.AND, true)
+		x := c.InitialState(rand.New(rand.NewSource(1)))
+		ms := c.MemStates(x)
+		if len(ms) != c.nm {
+			t.Fatalf("len(MemStates) = %d, want %d", len(ms), c.nm)
+		}
+		ms[0] = 0.123
+		if c.MemStates(x)[0] != 0.123 {
+			t.Error("MemStates must be a view into x")
+		}
+	})
 }
 
 // TestPhysicsSampleZeroAlloc pins the decimated-cadence cost: Sample on

@@ -69,7 +69,7 @@ func TestSlowStateKernelBitIdentical(t *testing.T) {
 			var energy float64
 			for n := 0; n < steps; n++ {
 				pre := x.Clone()
-				if _, err := st.Step(c, float64(n)*h, h, x); err != nil {
+				if err := st.Step(c, float64(n)*h, h, x); err != nil {
 					t.Fatal(err)
 				}
 				want, dE := circuit.ReferenceSlowStep(st, h, pre)
@@ -102,7 +102,7 @@ func slowSnapshots(b *testing.B) (*circuit.Circuit, []circuit.SlowInputs) {
 	pre := la.NewVector(len(x))
 	for n := 0; n < 2000; n++ {
 		pre.CopyFrom(x)
-		if _, err := st.Step(c, float64(n)*h, h, x); err != nil {
+		if err := st.Step(c, float64(n)*h, h, x); err != nil {
 			b.Fatal(err)
 		}
 		if n%100 == 99 {

@@ -79,7 +79,7 @@ func (s *branchSet) level(j int, nodeV la.Vector) float64 {
 }
 
 // stampPlan is the Build-time compilation of the Kirchhoff assembly. The
-// voltage system both engines solve is
+// voltage system the IMEX step solves is
 //
 //	(shift·I + A(g))·v = b(g, nodeV, …) ,
 //

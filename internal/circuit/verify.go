@@ -48,21 +48,13 @@ func (c *Circuit) VerifyState(t float64, step int, x la.Vector) error {
 		v.Index = c.nodeOfFree(v.Index)
 		return v
 	}
-	return c.verifySlow(t, step, x, c.xOff(), c.iOff(), c.sOff())
+	return c.verifySlow(t, step, x)
 }
 
-// VerifyState checks the runtime invariants on a post-clamp reduced
-// state: memristor states in [0,1], VCDCG currents inside
-// ±IBoundFactor·IMax, bistables finite. The algebraic node voltages are
-// not re-solved here; the capacitive form checks them as states, and
-// recorded traces of either form are covered by invariant.ScanTrace.
-func (q *QuasiStatic) VerifyState(t float64, step int, x la.Vector) error {
-	return q.C.verifySlow(t, step, x, q.xOff(), q.iOff(), q.sOff())
-}
-
-// verifySlow checks the slow-state blocks shared by both dynamical forms,
-// given that form's block offsets.
-func (c *Circuit) verifySlow(t float64, step int, x la.Vector, xOff, iOff, sOff int) error {
+// verifySlow checks the slow-state blocks: memristor states, VCDCG
+// currents and bistables.
+func (c *Circuit) verifySlow(t float64, step int, x la.Vector) error {
+	xOff, iOff, sOff := c.xOff(), c.iOff(), c.sOff()
 	if v := invariant.Range("mem-state", "memristor", step, t,
 		x[xOff:xOff+c.nm], 0, 1); v != nil {
 		return v

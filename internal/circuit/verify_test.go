@@ -21,11 +21,10 @@ func buildGateCap(t *testing.T, kind solg.Kind, outBit bool) *Circuit {
 	return b.Build()
 }
 
-// VerifyState must attribute a poisoned slow-state block to the right
-// device family, index and step, for both dynamical forms.
+// VerifyState must attribute a poisoned state block to the right device
+// family, index and step.
 func TestVerifyStateAttribution(t *testing.T) {
 	c := buildGateCap(t, solg.AND, true)
-	q := buildGateQS(t, solg.AND, true)
 
 	poison := func(x la.Vector, idx int, val float64) la.Vector {
 		y := x.Clone()
@@ -83,23 +82,9 @@ func TestVerifyStateAttribution(t *testing.T) {
 			t.Errorf("misattributed: %+v", v)
 		}
 	})
-	t.Run("quasistatic/mem-state", func(t *testing.T) {
-		x := q.InitialState(rng)
-		err := q.VerifyState(2, 6, poison(x, q.xOff()+1, -0.25))
-		var v *invariant.Violation
-		if !errors.As(err, &v) {
-			t.Fatalf("expected a violation, got %v", err)
-		}
-		if v.Check != "mem-state" || v.Device != "memristor" || v.Index != 1 || v.Step != 6 {
-			t.Errorf("misattributed: %+v", v)
-		}
-	})
 	t.Run("clean states verify", func(t *testing.T) {
 		if err := c.VerifyState(0, 1, c.InitialState(rng)); err != nil {
 			t.Errorf("capacitive initial state: %v", err)
-		}
-		if err := q.VerifyState(0, 1, q.InitialState(rng)); err != nil {
-			t.Errorf("quasi-static initial state: %v", err)
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/boolcirc"
 	"repro/internal/circuit"
 	"repro/internal/la"
 	"repro/internal/obs"
@@ -31,11 +30,6 @@ type Config struct {
 	// StepH is the initial IMEX step; each attempt grows it toward the
 	// stepper's stability ceiling (solc.Options.H).
 	StepH float64
-	// Stepper overrides the integration method (default "imex").
-	Stepper string
-	// Mode selects the dynamical form (default capacitive, required by
-	// imex).
-	Mode solc.Mode
 	// Parallelism bounds how many restarts integrate concurrently
 	// (0 = GOMAXPROCS, 1 = sequential).
 	Parallelism int
@@ -67,8 +61,6 @@ func DefaultConfig() Config {
 		MaxAttempts: 4,
 		Seed:        1,
 		StepH:       1e-3,
-		Stepper:     "imex",
-		Mode:        solc.ModeCapacitive,
 		TraceEvery:  50,
 	}
 }
@@ -142,9 +134,6 @@ func (cfg Config) options() solc.Options {
 	if cfg.StepH > 0 {
 		opts.H = cfg.StepH
 	}
-	if cfg.Stepper != "" {
-		opts.Stepper = cfg.Stepper
-	}
 	opts.Parallelism = cfg.Parallelism
 	opts.Deadline = cfg.Deadline
 	if cfg.FirstWin {
@@ -153,11 +142,6 @@ func (cfg Config) options() solc.Options {
 	opts.Verify = cfg.Verify
 	opts.Telemetry = cfg.Telemetry
 	return opts
-}
-
-// compile maps a boolean problem onto the configured dynamical form.
-func (cfg Config) compile(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool) *solc.Compiled {
-	return solc.CompileMode(bc, pins, cfg.Params, cfg.Mode)
 }
 
 // solve runs the common solution-mode loop on a compiled problem with

@@ -208,7 +208,7 @@ func TestSubsetSumSingleValue(t *testing.T) {
 
 func TestConfigPresets(t *testing.T) {
 	d := DefaultConfig()
-	if d.Stepper != "imex" || d.StepH <= 0 || d.MaxAttempts < 1 {
+	if d.StepH <= 0 || d.MaxAttempts < 1 {
 		t.Fatalf("bad default config: %+v", d)
 	}
 	p := PaperConfig()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/boolcirc"
+	"repro/internal/solc"
 )
 
 // Factorizer builds and runs the prime-factorization SOLC of Sec. VII-A:
@@ -80,7 +81,7 @@ func (f *Factorizer) Factor(n uint64) (FactorResult, error) {
 	}
 	nn := BitLen(n)
 	bc, p, q, pins := BuildCircuit(n, nn)
-	cs := f.cfg.compile(bc, pins)
+	cs := solc.Compile(bc, pins, f.cfg.Params)
 	out := FactorResult{N: n}
 	out.Metrics.fill(cs)
 	res, rec, err := solve(cs, f.cfg)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/boolcirc"
+	"repro/internal/solc"
 )
 
 // SubsetSum builds and runs the subset-sum SOLC of Sec. VII-B (Fig. 14):
@@ -103,7 +104,7 @@ func (ss *SubsetSum) Solve(values []uint64, target uint64) (SubsetSumResult, err
 		out.Reason = unreachable.Error()
 		return out, nil
 	}
-	cs := ss.cfg.compile(bc, pins)
+	cs := solc.Compile(bc, pins, ss.cfg.Params)
 	out.Metrics.fill(cs)
 	res, rec, err := solve(cs, ss.cfg)
 	if err != nil {

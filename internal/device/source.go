@@ -11,7 +11,7 @@ type RampSource struct {
 
 // V returns the source voltage at time t. The profile is the C¹ smoothstep
 // 3u² - 2u³ on [0, TRise] so the initial transient injects no slope
-// discontinuity into the adaptive integrator.
+// discontinuity into the integration.
 func (s RampSource) V(t float64) float64 {
 	if s.TRise <= 0 || t >= s.TRise {
 		return s.Target

@@ -9,16 +9,14 @@ import (
 // SOLCSolver is the machine's native inverse-protocol backend: it compiles
 // the boolean system onto a self-organizing logic circuit and races
 // restart attempts on the parallel pool of internal/solc. The zero value
-// solves with circuit.Default parameters, solc.DefaultOptions settings,
-// and the capacitive IMEX configuration.
+// solves with circuit.Default parameters and solc.DefaultOptions
+// settings.
 type SOLCSolver struct {
 	// Params are the electrical parameters (circuit.Default() if zero).
 	Params circuit.Params
 	// Options tune the integration, including Parallelism, Deadline and
 	// the winner policy (solc.DefaultOptions() if zero).
 	Options solc.Options
-	// Mode is the dynamical form the circuit compiles to.
-	Mode solc.Mode
 }
 
 // SolveInverse implements Solver.
@@ -35,18 +33,7 @@ func (s SOLCSolver) SolveInverse(c *boolcirc.Circuit, pins map[boolcirc.Signal]b
 		opts.Deadline = s.Options.Deadline
 		opts.Telemetry = s.Options.Telemetry
 	}
-	mode := s.Mode
-	stepper := opts.Stepper
-	if stepper == "" {
-		stepper = solc.DefaultOptions().Stepper
-	}
-	// The IMEX stepper only exists for the capacitive form, so the
-	// zero value (Mode's zero is ModeQuasiStatic) resolves to the
-	// valid capacitive IMEX configuration instead of erroring.
-	if stepper == "imex" {
-		mode = solc.ModeCapacitive
-	}
-	res, err := solc.CompileMode(c, pins, p, mode).Solve(opts)
+	res, err := solc.Compile(c, pins, p).Solve(opts)
 	if err != nil {
 		return nil, false, err
 	}

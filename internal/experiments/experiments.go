@@ -261,7 +261,7 @@ func Fig8Adder3(cfg core.Config, target uint64, seeds int) Report {
 		for i, s := range sum {
 			pins[s] = target&(1<<uint(i)) != 0
 		}
-		cs := solc.CompileMode(bc, pins, cfg.Params, cfg.Mode)
+		cs := solc.Compile(bc, pins, cfg.Params)
 		opts := solc.DefaultOptions()
 		opts.Seed = seed
 		opts.TEnd = cfg.TEnd

@@ -24,8 +24,8 @@ import (
 //
 // The factorization is pivot-free: row/column order is decided by the
 // symbolic phase alone. That is only stable for matrices kept strongly
-// diagonally dominant by construction — here the C/h (or g_leak) diagonal
-// shift added on top of nonnegative branch conductances; see DESIGN.md
+// diagonally dominant by construction — here the C/h diagonal shift
+// added on top of nonnegative branch conductances; see DESIGN.md
 // "Sparse voltage solve".
 type SparseLU struct {
 	n int

@@ -44,17 +44,15 @@ func (r StopReason) String() string {
 // the budget runs out.
 type Driver struct {
 	Stepper Stepper
-	// H is the initial step size. For adaptive steppers it is adjusted
-	// within [HMin, HMax] to keep the error estimate near Tol. A fixed-step
-	// stepper that implements Bounded starts at H and grows h ×1.1 per
-	// accepted step up to min(HMax, MaxStableStep()) when that exceeds H;
-	// any other fixed-step stepper runs at H. A failed or non-finite step
-	// shrinks h ×0.25 on every stepper, and only the ramp grows it back.
-	H          float64
-	HMin, HMax float64
-	Tol        float64
-	TEnd       float64 // time horizon (0 means unbounded)
-	MaxSteps   int     // step budget (0 means unbounded)
+	// H is the initial step size. A stepper that implements Bounded
+	// starts at H and grows h ×1.1 per accepted step up to
+	// min(HMax, MaxStableStep()) when that exceeds H; any other stepper
+	// runs at H. A failed or non-finite step shrinks h ×0.25, and only
+	// the ramp grows it back; the run fails once h falls below 1e-6·H.
+	// HMax ≤ 0 means 1e3·H.
+	H, HMax  float64
+	TEnd     float64 // time horizon (0 means unbounded)
+	MaxSteps int     // step budget (0 means unbounded)
 
 	// Ctx, when non-nil, is polled every loop iteration; once it is
 	// cancelled (or its deadline passes) the run ends with StopCancelled.
@@ -97,23 +95,15 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 	if h <= 0 {
 		panic("ode: Driver requires H > 0")
 	}
-	hMin, hMax := d.HMin, d.HMax
-	if hMin <= 0 {
-		hMin = float64(h * 1e-6)
-	}
+	hMin, hMax := h*1e-6, d.HMax
 	if hMax <= 0 {
 		hMax = h * 1e3
 	}
-	tol := d.Tol
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	adaptive := d.Stepper.Adaptive()
-	// hCap is the ramp ceiling of a bounded fixed-step stepper. It stays 0
-	// (no ramp: h keeps its value, as after a failed step) when the bound
-	// or HMax does not exceed H.
+	// hCap is the ramp ceiling of a bounded stepper. It stays 0 (no ramp:
+	// h keeps its value, as after a failed step) when the bound or HMax
+	// does not exceed H.
 	hCap := 0.0
-	if b, ok := d.Stepper.(Bounded); ok && !adaptive {
+	if b, ok := d.Stepper.(Bounded); ok {
 		if c := math.Min(hMax, b.MaxStableStep()); c > h {
 			hCap = c
 		}
@@ -136,8 +126,7 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 			hTry = d.TEnd - t
 		}
 		backup.CopyFrom(x)
-		errEst, err := d.Stepper.Step(sys, t, hTry, x)
-		if err != nil {
+		if err := d.Stepper.Step(sys, t, hTry, x); err != nil {
 			// Retry with a smaller step for transient failures.
 			d.Obs.Reject()
 			x.CopyFrom(backup)
@@ -156,38 +145,7 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 			}
 			continue
 		}
-		if adaptive {
-			if errEst > tol {
-				// Reject and shrink.
-				d.Obs.Reject()
-				x.CopyFrom(backup)
-				shrink := 0.9 * math.Pow(tol/errEst, 0.25)
-				if shrink < 0.1 {
-					shrink = 0.1
-				}
-				h = float64(hTry * shrink)
-				if h < hMin {
-					return Result{T: t, Reason: StopError,
-						Err: fmt.Errorf("%w: adaptive step underflow (err=%.3g tol=%.3g)", ErrStepFailure, errEst, tol)}
-				}
-				continue
-			}
-			// Accept and maybe grow.
-			grow := 5.0
-			if errEst > 0 {
-				grow = 0.9 * math.Pow(tol/errEst, 0.2)
-				if grow > 5 {
-					grow = 5
-				}
-				if grow < 0.2 {
-					grow = 0.2
-				}
-			}
-			h = math.Min(hTry*grow, hMax)
-			if h < hMin {
-				h = hMin
-			}
-		} else if h < hCap {
+		if h < hCap {
 			h = math.Min(h*1.1, hCap)
 		}
 		t += hTry

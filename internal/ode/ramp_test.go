@@ -15,14 +15,13 @@ type recordStepper struct {
 	nanAt int
 }
 
-func (r *recordStepper) Name() string   { return "record" }
-func (r *recordStepper) Adaptive() bool { return false }
-func (r *recordStepper) Step(sys System, t, h float64, x la.Vector) (float64, error) {
+func (r *recordStepper) Name() string { return "record" }
+func (r *recordStepper) Step(sys System, t, h float64, x la.Vector) error {
 	r.hs = append(r.hs, h)
 	if len(r.hs) == r.nanAt {
 		x[0] = math.NaN()
 	}
-	return 0, nil
+	return nil
 }
 
 func (r *recordStepper) steps() []float64 { return r.hs }

@@ -16,21 +16,45 @@ import (
 	"repro/internal/par"
 )
 
+// Mode names the dynamical form of a PortfolioMember. Its one value is
+// ModeCapacitive, the form Compile builds.
+type Mode int
+
+// ModeCapacitive is the capacitive form: node voltages as ODE states.
+const ModeCapacitive Mode = 0
+
 // PortfolioMember describes the solver configuration a Portfolio races
-// its restart attempts on: a dynamical form plus an integration method.
+// its restart attempts on. There is one: the IMEX stepper on the
+// capacitive form. The type, Mode and the label exist for the end-to-end
+// benchmark in e2ebench, which names them; any other Mode or Stepper
+// makes Solve return an error.
 type PortfolioMember struct {
-	// Mode selects the dynamical form the member compiles to.
+	// Mode is the dynamical form: ModeCapacitive (the zero value).
 	Mode Mode
-	// Stepper selects the integration method ("" inherits
-	// Options.Stepper).
+	// Stepper is the integration method: "imex", or "" for the same.
 	Stepper string
+}
+
+// memberLabel names the one solver configuration, "<stepper>-<mode>", in
+// events and Result.WinnerMember.
+const memberLabel = "imex-capacitive"
+
+// check rejects a member other than the one configuration there is.
+func (m PortfolioMember) check() error {
+	if m.Mode != ModeCapacitive {
+		return fmt.Errorf("solc: unknown mode %d", m.Mode)
+	}
+	if m.Stepper != "" && m.Stepper != "imex" {
+		return fmt.Errorf("solc: unknown stepper %q", m.Stepper)
+	}
+	return nil
 }
 
 // Portfolio races restart attempts of one boolean problem, compiled to
 // one solver configuration, on a bounded worker pool.
 type Portfolio struct {
-	cs      *Compiled
-	stepper string
+	cs     *Compiled
+	member PortfolioMember
 	// stop, when non-nil, replaces (*Compiled).readOut as the attempts'
 	// stop predicate; tests use it to replay the same trajectories under
 	// another stop criterion.
@@ -43,8 +67,7 @@ func CompilePortfolio(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p cir
 	if len(members) != 1 {
 		panic(fmt.Sprintf("solc: CompilePortfolio takes exactly one member, got %d", len(members)))
 	}
-	m := members[0]
-	return &Portfolio{cs: CompileMode(bc, pins, p, m.Mode), stepper: m.Stepper}
+	return &Portfolio{cs: Compile(bc, pins, p), member: members[0]}
 }
 
 // Compiled returns the compiled realization of member i, which must be 0.
@@ -53,15 +76,6 @@ func (pf *Portfolio) Compiled(i int) *Compiled {
 		panic(fmt.Sprintf("solc: portfolio member %d out of range [0, 1)", i))
 	}
 	return pf.cs
-}
-
-// label names the configuration in events and Result.WinnerMember as
-// "<stepper>-<mode>", e.g. "imex-capacitive".
-func (pf *Portfolio) label(stepper string) string {
-	if pf.cs.mode == ModeQuasiStatic {
-		return stepper + "-quasistatic"
-	}
-	return stepper + "-capacitive"
 }
 
 // attemptOut is the record one restart attempt leaves in the pool.
@@ -128,16 +142,17 @@ func (st *poolState) reportSolved(i int, policy WinnerPolicy, icancel context.Ca
 // condition drawn from Seed + k, so trajectories are reproducible
 // regardless of scheduling; the winner policy decides which verified
 // equilibrium is returned and which running attempts are cancelled (via
-// context) once it can no longer be beaten. A non-finite TEnd, H, HMax or
-// Tol is an error.
+// context) once it can no longer be beaten. A non-finite TEnd, H or
+// HMax, or a member other than the IMEX stepper on the capacitive form,
+// is an error.
 func (pf *Portfolio) Solve(opts Options) (Result, error) {
+	if err := pf.member.check(); err != nil {
+		return Result{}, err
+	}
 	if err := opts.checkFinite(); err != nil {
 		return Result{}, err
 	}
 	opts = opts.withDefaults()
-	if pf.stepper != "" {
-		opts.Stepper = pf.stepper
-	}
 	//dmmvet:allow detflow — wall-clock telemetry only (Result.Wall); never feeds the trajectory or the winner policy
 	start := time.Now()
 
@@ -209,7 +224,7 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 		res.Attempts = winner + 1
 		res.WinnerAttempt = winner
 		res.WinnerSeed = opts.Seed + int64(winner)
-		res.WinnerMember = pf.label(opts.Stepper)
+		res.WinnerMember = memberLabel
 	} else {
 		res.Attempts = res.Launched
 		switch {
@@ -272,20 +287,19 @@ func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.Canc
 // mutable state, so attempts are data-race free by construction.
 func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (attemptOut, error) {
 	cs := pf.cs
-	eng := cs.Eng.Clone()
+	eng, ok := cs.Eng.Clone().(*circuit.Circuit)
+	if !ok {
+		return attemptOut{}, fmt.Errorf("solc: the IMEX stepper needs the capacitive engine, got %T", cs.Eng)
+	}
 
 	stop := pf.stop
 	if stop == nil {
 		stop = (*Compiled).readOut
 	}
 	stats := &ode.Stats{}
-	stepper, err := newStepper(opts.Stepper, stats, eng)
-	if err != nil {
-		return attemptOut{}, err
-	}
+	stepper := circuit.NewIMEX(eng, stats)
 	tl := opts.Telemetry
 	seed := opts.Seed + int64(idx)
-	label := pf.label(opts.Stepper)
 	// One flight ring per attempt: the attempt goroutine is the single
 	// writer (driver hook and stepper hook share it), dumped on
 	// divergence/cancellation below. Nil-safe throughout when the
@@ -293,11 +307,9 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	fl := tl.FlightFor(idx)
 	if tl != nil {
 		tl.AttemptsLaunched.Inc()
-		tl.Emit(obs.Event{Ev: obs.EvLaunched, Attempt: idx, Member: label, Seed: seed})
-		if im, ok := stepper.(*circuit.IMEXStepper); ok {
-			im.Obs = tl.StepObsFor(fl)
-			im.Spans = tl.Spans
-		}
+		tl.Emit(obs.Event{Ev: obs.EvLaunched, Attempt: idx, Member: memberLabel, Seed: seed})
+		stepper.Obs = tl.StepObsFor(fl)
+		stepper.Spans = tl.Spans
 	}
 	//dmmvet:allow detflow — wall-clock telemetry only (attempt duration in the trace); the trajectory reads only Seed+k state
 	wallStart := time.Now()
@@ -318,7 +330,7 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	obsStep := 0
 	driver := &ode.Driver{
 		Stepper: stepper,
-		H:       opts.H, HMax: opts.HMax, Tol: opts.Tol,
+		H:       opts.H, HMax: opts.HMax,
 		TEnd: opts.TEnd,
 		Ctx:  ctx,
 		Obs:  tl.StepObsFor(fl),
@@ -348,10 +360,8 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	}
 	run := driver.Run(eng, 0, x)
 
-	out := attemptOut{launched: true, t: run.T, steps: stats.Steps, fevals: stats.FEvals}
-	if im, ok := stepper.(*circuit.IMEXStepper); ok {
-		out.energy = im.Energy()
-	}
+	out := attemptOut{launched: true, t: run.T, steps: stats.Steps, fevals: stats.FEvals,
+		energy: stepper.Energy()}
 	switch run.Reason {
 	case ode.StopCondition:
 		assign := cs.decodeWith(eng, run.T, x)
@@ -373,17 +383,12 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 		out.reason = run.Reason.String()
 	}
 	if tl != nil {
-		// FEvals and refactorizations the per-step hooks cannot see: the
-		// function-evaluation totals accumulate in ode.Stats, and the
-		// quasi-static form counts its Kirchhoff refactorizations on the
-		// engine rather than in the stepper.
+		// The function-evaluation totals the per-step hooks cannot see
+		// accumulate in ode.Stats.
 		tl.FEvals.Add(int64(stats.FEvals))
 		tl.Energy.Add(out.energy)
-		if qs, ok := eng.(*circuit.QuasiStatic); ok {
-			tl.Refactors.Add(int64(qs.Refacts))
-		}
 		tl.AttemptWall.Observe(time.Since(wallStart).Seconds())
-		ev := obs.Event{Attempt: idx, Member: label, Seed: seed,
+		ev := obs.Event{Attempt: idx, Member: memberLabel, Seed: seed,
 			T: out.t, Steps: out.steps, Reason: out.reason}
 		switch {
 		case out.solved:

@@ -232,38 +232,6 @@ func TestConcurrentSolvesRace(t *testing.T) {
 	}
 }
 
-// TestPortfolioQuasiStaticMember solves through the portfolio with the
-// adaptive RK45 on the order-reduced quasi-static form (the ablation
-// bench's configuration) and verifies the winner's label and assignment.
-func TestPortfolioQuasiStaticMember(t *testing.T) {
-	bc, pins, in := xorProblem(true)
-	pf := CompilePortfolio(bc, pins, circuit.Default(), []PortfolioMember{{Mode: ModeQuasiStatic, Stepper: "rk45"}})
-	if _, ok := pf.Compiled(0).Eng.(*circuit.QuasiStatic); !ok {
-		t.Fatalf("member compiled to %T, want the quasi-static engine", pf.Compiled(0).Eng)
-	}
-	opts := DefaultOptions()
-	opts.H = 1e-5
-	opts.TEnd = 100
-	opts.MaxAttempts = 4
-	opts.Parallelism = 2
-	res, err := pf.Solve(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Solved {
-		t.Fatalf("not solved: %s", res.Reason)
-	}
-	if res.WinnerMember != "rk45-quasistatic" {
-		t.Fatalf("unexpected winner member %q", res.WinnerMember)
-	}
-	if res.Assignment[in[0]] == res.Assignment[in[1]] {
-		t.Fatal("XOR=1 needs unequal inputs")
-	}
-	if !bc.Satisfied(res.Assignment) {
-		t.Fatal("winning assignment does not satisfy the circuit")
-	}
-}
-
 // TestCompilePortfolioOneMember pins the single-configuration contract:
 // CompilePortfolio rejects zero or several members, and Compiled has
 // only index 0.
@@ -279,7 +247,7 @@ func TestCompilePortfolioOneMember(t *testing.T) {
 		f()
 	}
 	mustPanic("no members", func() { CompilePortfolio(bc, pins, circuit.Default(), nil) })
-	two := []PortfolioMember{{Mode: ModeCapacitive}, {Mode: ModeQuasiStatic, Stepper: "rk45"}}
+	two := []PortfolioMember{{Mode: ModeCapacitive}, {Stepper: "imex"}}
 	mustPanic("two members", func() { CompilePortfolio(bc, pins, circuit.Default(), two) })
 	mustPanic("Compiled(1)", func() { fixturePortfolio().Compiled(1) })
 }

@@ -88,12 +88,11 @@ func checkReadOut(t *testing.T, cs *Compiled, x la.Vector) {
 }
 
 // FuzzReadOutAgreesWithVerification drives checkReadOut over random small
-// circuits with random pins, on the capacitive form with the free-node
-// voltages taken from the fuzz bytes (magnitudes up to 2·vc, exact zeros
-// included) and on the quasi-static form with random memristor states and
-// generator currents. So an attempt that stops always decodes to a
-// verified assignment. The seed corpus (hand-written cases plus 300
-// pseudo-random strings) runs under plain `go test`.
+// circuits with random pins, with the free-node voltages taken from the
+// fuzz bytes (magnitudes up to 2·vc, exact zeros included). So an attempt
+// that stops always decodes to a verified assignment. The seed corpus
+// (hand-written cases plus 300 pseudo-random strings) runs under plain
+// `go test`.
 func FuzzReadOutAgreesWithVerification(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 0, 1, 3, 3, 1, 200, 60})     // XOR pinned to 1
 	f.Add([]byte{16, 1, 0, 0, 2, 3, 3, 3, 1, 60, 200}) // AND with the constant 1, output pinned to 1
@@ -116,22 +115,13 @@ func FuzzReadOutAgreesWithVerification(f *testing.F) {
 			return rest[i%len(rest)]
 		}
 
-		cs := CompileMode(bc, pins, p, ModeCapacitive)
+		cs := Compile(bc, pins, p)
 		nv, _, _ := cs.Eng.Counts()
 		x := cs.Eng.InitialState(rand.New(rand.NewSource(1)))
 		for k := 0; k < nv; k++ { // [ v | x | i | s ]: free-node voltages lead
 			x[k] = p.Vc * float64(int(byteAt(k))-128) / 64
 		}
 		checkReadOut(t, cs, x)
-
-		qs := CompileMode(bc, pins, p, ModeQuasiStatic)
-		_, nm, nd := qs.Eng.Counts()
-		rq := rand.New(rand.NewSource(int64(byteAt(0))<<8 | int64(byteAt(1))))
-		xq := qs.Eng.InitialState(rq)
-		for k := 0; k < nd; k++ { // [ x | i | s ]: currents follow the memristor states
-			xq[nm+k] = p.DCG.IMax * (2*rq.Float64() - 1)
-		}
-		checkReadOut(t, qs, xq)
 	})
 }
 

@@ -17,13 +17,15 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/la"
 	"repro/internal/obs"
-	"repro/internal/ode"
 	"repro/internal/solg"
 )
 
 // Compiled couples a boolean circuit with its SOLC realization.
 type Compiled struct {
-	BC  *boolcirc.Circuit
+	BC *boolcirc.Circuit
+	// Eng is the compiled *circuit.Circuit. It is typed as the
+	// circuit.Engine interface because the end-to-end benchmark in
+	// e2ebench type-asserts it.
 	Eng circuit.Engine
 	// NodeOf maps each boolean signal to its circuit node.
 	NodeOf []circuit.Node
@@ -32,26 +34,7 @@ type Compiled struct {
 	// pinConflict records a caller pin that contradicts a circuit
 	// constant: the problem is unsatisfiable, so no read-out is taken.
 	pinConflict bool
-	// mode is the dynamical form Eng realizes.
-	mode Mode
 }
-
-// Mode selects the dynamical form the boolean circuit is compiled to.
-type Mode int
-
-// Compilation modes.
-const (
-	// ModeQuasiStatic eliminates node voltages algebraically (the paper's
-	// order-reduced DAE form). It is Mode's zero value but not the
-	// default: the IMEX stepper cannot integrate it, so it serves the
-	// adaptive RK45 (the ablation bench and the quasi-static physics
-	// checks).
-	ModeQuasiStatic Mode = iota
-	// ModeCapacitive keeps node voltages as ODE states with an explicit
-	// node-to-ground capacitance. It is the form Compile uses, and the
-	// default IMEX stepper requires it.
-	ModeCapacitive
-)
 
 // opKind maps boolean ops onto self-organizing gate kinds.
 func opKind(op boolcirc.Op) solg.Kind {
@@ -77,14 +60,10 @@ func opKind(op boolcirc.Op) solg.Kind {
 // Compile maps every boolean signal to a circuit node, every gate to a
 // self-organizing gate, and pins the circuit constants plus the
 // caller-imposed bits (the control unit's input b of the inverse
-// protocol). It uses the capacitive engine, which the default IMEX
-// integrator requires; see CompileMode.
+// protocol). The result is the capacitive form, node voltages as ODE
+// states over an explicit node-to-ground capacitance, which the IMEX
+// integrator steps.
 func Compile(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.Params) *Compiled {
-	return CompileMode(bc, pins, p, ModeCapacitive)
-}
-
-// CompileMode is Compile with an explicit choice of dynamical form.
-func CompileMode(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.Params, mode Mode) *Compiled {
 	b := circuit.NewBuilder(p)
 	nodeOf := make([]circuit.Node, bc.NumSignals())
 	for s := range nodeOf {
@@ -110,13 +89,7 @@ func CompileMode(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.
 		//dmmvet:allow detflow — PinBit is a keyed insert per signal; Builder.Build sorts pins by node before use
 		b.PinBit(nodeOf[s], v)
 	}
-	var eng circuit.Engine
-	if mode == ModeCapacitive {
-		eng = b.Build()
-	} else {
-		eng = b.BuildQS()
-	}
-	return &Compiled{BC: bc, Eng: eng, NodeOf: nodeOf, Pins: all, pinConflict: conflict, mode: mode}
+	return &Compiled{BC: bc, Eng: b.Build(), NodeOf: nodeOf, Pins: all, pinConflict: conflict}
 }
 
 // WinnerPolicy selects how the parallel restart pool picks among attempts
@@ -141,13 +114,12 @@ const (
 
 // Options tunes the solution-mode integration.
 type Options struct {
-	// H is the initial step of every attempt. RK45 adapts h within
-	// (0, HMax] to the error tolerance Tol. IMEX grows h ×1.1 per accepted
-	// step up to min(HMax, its stability ceiling 0.7·min(2√(C/m1), 2/γ)
-	// from circuit.Params), never capping it below H: with HMax = H it
-	// runs at a fixed h. Zero values select defaults suited to
-	// circuit.Default parameters.
-	H, HMax, Tol float64
+	// H is the initial step of every attempt. The IMEX stepper grows h
+	// ×1.1 per accepted step up to min(HMax, its stability ceiling
+	// 0.7·min(2√(C/m1), 2/γ) from circuit.Params), never capping it
+	// below H: with HMax = H it runs at a fixed h. Zero values select
+	// defaults suited to circuit.Default parameters.
+	H, HMax float64
 	// TEnd is the per-attempt time horizon in circuit time units.
 	TEnd float64
 	// MaxAttempts bounds the number of random restarts.
@@ -156,10 +128,6 @@ type Options struct {
 	// initial state from Seed + k, so a given attempt's trajectory is
 	// reproducible regardless of scheduling or Parallelism.
 	Seed int64
-	// Stepper selects the integration method: "imex" (the default and
-	// the production path; requires ModeCapacitive compilation) or the
-	// adaptive "rk45" (either form; the quasi-static form needs it).
-	Stepper string
 	// Parallelism bounds how many restarts integrate concurrently:
 	// 0 selects GOMAXPROCS, 1 recovers the sequential restart loop.
 	Parallelism int
@@ -193,22 +161,21 @@ type Options struct {
 // DefaultOptions returns solver settings tuned for circuit.Default.
 func DefaultOptions() Options {
 	return Options{
-		H: 1e-3, HMax: 1e-1, Tol: 1e-6,
+		H: 1e-3, HMax: 1e-1,
 		TEnd:        200,
 		MaxAttempts: 3,
 		Seed:        1,
-		Stepper:     "imex",
 	}
 }
 
-// checkFinite rejects a NaN or infinite TEnd, H, HMax or Tol.
+// checkFinite rejects a NaN or infinite TEnd, H or HMax.
 // withDefaults replaces only values <= 0, so a NaN or +Inf TEnd would
 // otherwise reach the driver as an unbounded horizon and never return.
 func (o Options) checkFinite() error {
 	for _, f := range [...]struct {
 		name string
 		v    float64
-	}{{"TEnd", o.TEnd}, {"H", o.H}, {"HMax", o.HMax}, {"Tol", o.Tol}} {
+	}{{"TEnd", o.TEnd}, {"H", o.H}, {"HMax", o.HMax}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("solc: Options.%s = %v, want a finite value", f.name, f.v)
 		}
@@ -225,17 +192,11 @@ func (o Options) withDefaults() Options {
 	if o.HMax <= 0 {
 		o.HMax = 1e-1
 	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-6
-	}
 	if o.TEnd <= 0 {
 		o.TEnd = 200
 	}
 	if o.MaxAttempts < 1 {
 		o.MaxAttempts = 1
-	}
-	if o.Stepper == "" {
-		o.Stepper = "imex"
 	}
 	return o
 }
@@ -277,24 +238,8 @@ type Result struct {
 	WinnerAttempt int
 	WinnerSeed    int64
 	// WinnerMember labels the solver configuration that produced the
-	// solution as "<stepper>-<mode>", e.g. "imex-capacitive".
+	// solution: always memberLabel, "imex-capacitive".
 	WinnerMember string
-}
-
-// newStepper builds the requested integration method. eng is consulted
-// for the IMEX stepper, which is bound to a capacitive circuit.
-func newStepper(name string, stats *ode.Stats, eng circuit.Engine) (ode.Stepper, error) {
-	switch name {
-	case "", "imex":
-		c, ok := eng.(*circuit.Circuit)
-		if !ok {
-			return nil, fmt.Errorf("solc: stepper %q requires the capacitive engine (ModeCapacitive)", "imex")
-		}
-		return circuit.NewIMEX(c, stats), nil
-	case "rk45":
-		return ode.NewRK45(stats), nil
-	}
-	return nil, fmt.Errorf("solc: unknown stepper %q", name)
 }
 
 // Solve runs solution mode: integrate from random initial conditions until

@@ -51,7 +51,6 @@ func TestSolveRejectsNonFiniteOptions(t *testing.T) {
 		{"TEnd", func(o *Options, v float64) { o.TEnd = v }},
 		{"H", func(o *Options, v float64) { o.H = v }},
 		{"HMax", func(o *Options, v float64) { o.HMax = v }},
-		{"Tol", func(o *Options, v float64) { o.Tol = v }},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -129,34 +128,66 @@ func TestSolveRespectsConstants(t *testing.T) {
 	}
 }
 
-func TestCompileModes(t *testing.T) {
-	bc, pins, _ := xorProblem(false)
-	csCap := CompileMode(bc, pins, circuit.Default(), ModeCapacitive)
-	if _, ok := csCap.Eng.(*circuit.Circuit); !ok {
-		t.Fatal("ModeCapacitive should produce *circuit.Circuit")
+// solveMember compiles the XOR problem as a one-member portfolio and
+// solves it, checking first that the member compiled to the capacitive
+// circuit, which is the engine every member builds.
+func solveMember(t *testing.T, m PortfolioMember) (Result, error) {
+	t.Helper()
+	bc, pins, _ := xorProblem(true)
+	pf := CompilePortfolio(bc, pins, circuit.Default(), []PortfolioMember{m})
+	if !isCircuit(pf.Compiled(0).Eng) {
+		t.Fatalf("%+v compiled to %T, want *circuit.Circuit", m, pf.Compiled(0).Eng)
 	}
-	csQS := CompileMode(bc, pins, circuit.Default(), ModeQuasiStatic)
-	if _, ok := csQS.Eng.(*circuit.QuasiStatic); !ok {
-		t.Fatal("ModeQuasiStatic should produce *circuit.QuasiStatic")
-	}
-}
-
-func TestIMEXRequiresCapacitive(t *testing.T) {
-	bc, pins, _ := xorProblem(false)
-	cs := CompileMode(bc, pins, circuit.Default(), ModeQuasiStatic)
-	opts := DefaultOptions() // imex
-	if _, err := cs.Solve(opts); err == nil {
-		t.Fatal("imex stepper on the quasi-static engine must error")
-	}
-}
-
-func TestUnknownStepper(t *testing.T) {
-	bc, pins, _ := xorProblem(false)
-	cs := Compile(bc, pins, circuit.Default())
 	opts := DefaultOptions()
-	opts.Stepper = "simplectic-leapfrog"
-	if _, err := cs.Solve(opts); err == nil {
-		t.Fatal("unknown stepper must error")
+	opts.TEnd = 100
+	return pf.Solve(opts)
+}
+
+func isCircuit(e circuit.Engine) bool {
+	_, ok := e.(*circuit.Circuit)
+	return ok
+}
+
+// TestCompileModes pins what is left of the member API kept for the
+// frozen benchmark: Compile, the zero PortfolioMember and
+// {ModeCapacitive, "imex"} all compile to the capacitive circuit, and
+// both members win as "imex-capacitive".
+func TestCompileModes(t *testing.T) {
+	bc, pins, _ := xorProblem(true)
+	if cs := Compile(bc, pins, circuit.Default()); !isCircuit(cs.Eng) {
+		t.Fatalf("Compile built %T, want *circuit.Circuit", cs.Eng)
+	}
+	for _, m := range []PortfolioMember{{}, {Mode: ModeCapacitive, Stepper: "imex"}} {
+		res, err := solveMember(t, m)
+		if err != nil {
+			t.Fatalf("%+v: %v", m, err)
+		}
+		if !res.Solved || res.WinnerMember != "imex-capacitive" {
+			t.Fatalf("%+v: solved=%v winner %q, want a solve won by imex-capacitive", m, res.Solved, res.WinnerMember)
+		}
+	}
+}
+
+// TestIMEXRequiresCapacitive checks that a member naming any mode other
+// than ModeCapacitive is an error returned by Solve, not a panic.
+func TestIMEXRequiresCapacitive(t *testing.T) {
+	m := PortfolioMember{Mode: ModeCapacitive + 1, Stepper: "imex"}
+	if _, err := solveMember(t, m); err == nil {
+		t.Fatalf("Solve accepted %+v", m)
+	}
+}
+
+// TestUnknownStepper checks that any stepper other than "imex" (or the
+// empty default), including the deleted "rk45", is an error returned by
+// Solve, not a panic.
+func TestUnknownStepper(t *testing.T) {
+	for _, m := range []PortfolioMember{
+		{Stepper: "rk45"},
+		{Mode: ModeCapacitive, Stepper: "simplectic-leapfrog"},
+	} {
+		if _, err := solveMember(t, m); err == nil {
+			t.Fatalf("Solve accepted %+v", m)
+		}
 	}
 }
 
