@@ -5,30 +5,26 @@
 //	floateq         no ==/!= on floating-point expressions
 //	seeddet         no global math/rand or wall-clock seeding (Seed+attempt determinism)
 //	stateclone      methods must not retain caller-provided slices without Clone/copy
-//	ctxfirst        context.Context is always the first parameter
 //	nakedgoroutine  all fan-out goes through internal/par
 //	hotalloc        no allocations reachable from //dmmvet:hotpath roots
 //	detflow         no map-order/wall-clock dataflow into solver results
-//	atomicstate     no mixed atomic/plain access to the same field
-//	goroleak        every entry-point-reachable goroutine has a termination path
-//	lockorder       mutexes released on every warm path; acquisition order acyclic
-//	chandisc        channels close once, never racing senders; hot sends buffered
+//	lockorder       mutexes released on every non-failure path
 //	fparith         hot-path FMA-fusable float products carry an explicit
 //	                rounding barrier (or math.FMA, or a waiver)
 //
+// The rest of the concurrency contract is dynamic: every go statement
+// lives in internal/par (nakedgoroutine), and `go test -race` plus the
+// tests cover what runs there.
+//
 // Usage:
 //
-//	dmmvet [-checks floateq,hotalloc,...] [-json] [-stats] [-changed ref] [packages]
+//	dmmvet [-checks floateq,hotalloc,...] [-json] [-stats] [packages]
 //	dmmvet -list
 //	dmmvet -allowlist [packages]
 //
-// Packages default to ./... — run hotalloc over the full module; with a
-// partial package set its call graph treats in-repo callees as external.
-// -changed <git-ref> restricts the findings to files modified since the
-// ref (per git diff --name-only, plus untracked files); a summary line
-// on stderr counts the findings skipped in unchanged files. The full
-// module is still loaded and analyzed — only the report is filtered —
-// so cross-package analyses keep their whole-program precision.
+// Packages default to ./... — run hotalloc and fparith over the full
+// module; with a partial package set their call graph treats in-repo
+// callees as external.
 //
 // Annotation contract:
 //
@@ -60,19 +56,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicstate"
-	"repro/internal/analysis/chandisc"
-	"repro/internal/analysis/ctxfirst"
 	"repro/internal/analysis/detflow"
 	"repro/internal/analysis/floateq"
 	"repro/internal/analysis/fparith"
-	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nakedgoroutine"
@@ -82,13 +71,9 @@ import (
 
 func all() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicstate.Analyzer,
-		chandisc.Analyzer,
-		ctxfirst.Analyzer,
 		detflow.Analyzer,
 		floateq.Analyzer,
 		fparith.Analyzer,
-		goroleak.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
 		nakedgoroutine.Analyzer,
@@ -97,62 +82,12 @@ func all() []*analysis.Analyzer {
 	}
 }
 
-// changedFiles resolves the set of files modified since ref — tracked
-// changes per `git diff --name-only ref`, plus untracked files — as
-// absolute paths, so findings (whose positions the loader reports
-// relative to the working directory) can be filtered against it.
-func changedFiles(ref string) (map[string]bool, error) {
-	set := make(map[string]bool)
-	for _, args := range [][]string{
-		{"diff", "--name-only", ref},
-		{"ls-files", "--others", "--exclude-standard"},
-	} {
-		out, err := exec.Command("git", args...).Output()
-		if err != nil {
-			return nil, fmt.Errorf("git %s: %v", strings.Join(args, " "), err)
-		}
-		for _, line := range strings.Split(string(out), "\n") {
-			if line = strings.TrimSpace(line); line == "" {
-				continue
-			}
-			abs, err := filepath.Abs(line)
-			if err != nil {
-				continue
-			}
-			set[abs] = true
-		}
-	}
-	return set, nil
-}
-
-// filterChanged splits findings into those in changed files and those
-// skipped, returning the kept findings and the sorted list of files
-// whose findings were dropped.
-func filterChanged(findings []analysis.Finding, changed map[string]bool) (kept []analysis.Finding, skippedFiles []string, skipped int) {
-	seen := make(map[string]bool)
-	for _, f := range findings {
-		abs, err := filepath.Abs(f.Pos.Filename)
-		if err == nil && changed[abs] {
-			kept = append(kept, f)
-			continue
-		}
-		skipped++
-		if !seen[f.Pos.Filename] {
-			seen[f.Pos.Filename] = true
-			skippedFiles = append(skippedFiles, f.Pos.Filename)
-		}
-	}
-	sort.Strings(skippedFiles)
-	return kept, skippedFiles, skipped
-}
-
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	checks := flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as a stable JSON array")
 	stats := flag.Bool("stats", false, "report per-analyzer finding counts and wall time")
 	allowlist := flag.Bool("allowlist", false, "print every active //dmmvet:allow suppression and exit")
-	changed := flag.String("changed", "", "restrict findings to files modified since this git ref")
 	flag.Parse()
 
 	analyzers := all()
@@ -199,20 +134,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dmmvet:", err)
 		os.Exit(2)
-	}
-	if *changed != "" {
-		set, err := changedFiles(*changed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmmvet: -changed:", err)
-			os.Exit(2)
-		}
-		var skippedFiles []string
-		var skipped int
-		findings, skippedFiles, skipped = filterChanged(findings, set)
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "dmmvet: -changed %s: skipped %d finding(s) in %d unchanged file(s): %s\n",
-				*changed, skipped, len(skippedFiles), strings.Join(skippedFiles, ", "))
-		}
 	}
 	switch {
 	case *jsonOut && *stats:

@@ -69,15 +69,15 @@ func loadCallGraphFixture(t *testing.T) *cfg.CallGraph {
 
 // TestCallGraphDumpGolden pins the graph shape: cross-package static
 // edges resolve by FullName, calls inside a spawned literal are
-// attributed to the enclosing declaration (Run -> b.Spin), a call
-// through a function value counts as dynamic, and passing a function as
-// an argument (Run(b.Unused)) creates no edge.
+// attributed to the enclosing declaration (Run -> b.Spin), and neither a
+// call through a function value (f() in Run) nor passing a function as
+// an argument (Run(b.Unused)) creates an edge.
 func TestCallGraphDumpGolden(t *testing.T) {
 	cg := loadCallGraphFixture(t)
 	want := `callgraph (6 functions):
   (cgtest/a.T).M -> cgtest/b.Helper
   cgtest/a.Main -> (cgtest/a.T).M, cgtest/a.Run
-  cgtest/a.Run -> cgtest/b.Spin [dyn 1]
+  cgtest/a.Run -> cgtest/b.Spin
   cgtest/b.Helper
   cgtest/b.Spin
   cgtest/b.Unused

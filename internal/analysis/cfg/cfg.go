@@ -2,25 +2,23 @@
 // a per-function control-flow graph over go/ast with go/types-aware
 // constant-branch folding, block-local reaching definitions with SSA-lite
 // use-def chains (defs.go), a conservative allocation/escape classifier
-// (escape.go), and a failure-exit ("cold block") analysis that separates
-// error unwinding from the steady-state path.
+// (escape.go), a failure-exit ("cold block") analysis that separates
+// error unwinding from the steady-state path, a per-function mutex-op
+// summary (concsum.go) and a module-wide static call graph
+// (callgraph.go).
 //
 // The graph is deliberately small: basic blocks hold the statements and
 // control expressions they execute in order, and edges carry no labels.
-// That is enough for the three dataflow analyzers bundled into cmd/dmmvet
-// (hotalloc, detflow, atomicstate) while staying stdlib-only, since the
+// That is enough for the dataflow analyzers bundled into cmd/dmmvet
+// (hotalloc, detflow, lockorder) while staying stdlib-only, since the
 // offline build cannot fetch golang.org/x/tools/go/cfg.
 package cfg
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
 	"go/constant"
-	"go/printer"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Block is one basic block: Nodes execute in order, then control moves to
@@ -486,57 +484,4 @@ func (b *builder) branchStmt(s *ast.BranchStmt) {
 	case token.FALLTHROUGH:
 		// handled structurally by switchStmt
 	}
-}
-
-// Dump renders the graph as one line per block —
-//
-//	b0 entry: [x := 0; if x > 0] -> b1 b3
-//
-// — stable across runs, for golden tests and debugging.
-func (g *Graph) Dump(fset *token.FileSet) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s:\n", g.Name)
-	for _, blk := range g.Blocks {
-		fmt.Fprintf(&sb, "  b%d %s: [%s]", blk.Index, blk.Kind, nodeSummary(fset, blk.Nodes))
-		if len(blk.Succs) > 0 {
-			sb.WriteString(" ->")
-			for _, s := range blk.Succs {
-				fmt.Fprintf(&sb, " b%d", s.Index)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-func nodeSummary(fset *token.FileSet, nodes []ast.Node) string {
-	parts := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		if rs, ok := n.(*ast.RangeStmt); ok {
-			// Print only the binding, not the whole loop body.
-			var kv []string
-			if rs.Key != nil {
-				kv = append(kv, exprString(fset, rs.Key))
-			}
-			if rs.Value != nil {
-				kv = append(kv, exprString(fset, rs.Value))
-			}
-			parts = append(parts, fmt.Sprintf("range-bind %s", strings.Join(kv, ", ")))
-			continue
-		}
-		parts = append(parts, exprString(fset, n))
-	}
-	return strings.Join(parts, "; ")
-}
-
-func exprString(fset *token.FileSet, n ast.Node) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, n); err != nil {
-		return fmt.Sprintf("<%T>", n)
-	}
-	s := buf.String()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i] + " …"
-	}
-	return s
 }

@@ -5,59 +5,32 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// ConcSummary is the goroutine-spawn / synchronization-op summary of one
-// function body, the per-function input to the concurrency analyzers
-// bundled into cmd/dmmvet (goroleak, lockorder, chandisc). Ops are
-// recorded in source order. A nested function literal is a boundary: its
-// interior ops belong to the literal's own summary (reachable through
-// Spawns for `go func(){…}()` and Lits for plain closures), because a
-// closure's body does not execute where it is written.
+// ConcSummary is the mutex-op summary of one function body, the
+// per-function input to the lockorder analyzer bundled into cmd/dmmvet.
+// Ops are recorded in source order. A nested function literal is a
+// boundary: its interior ops belong to the literal's own summary
+// (reachable through Lits), because a closure's body does not execute
+// where it is written.
 type ConcSummary struct {
-	Name string
-	// Spawns are the `go` statements at this level.
-	Spawns []SpawnSite
-	// Lits are the non-spawned function literals at this level.
-	Lits []LitSite
-	// CtxPolls are calls to (context.Context).Done or .Err — the points
-	// where this code observes cancellation.
-	CtxPolls []token.Pos
+	// Lits are the bodies of the function literals at this level,
+	// spawned or not.
+	Lits []*ast.BlockStmt
+	// Deferred are the bodies among Lits of `defer func(){…}()`
+	// literals, whose ops run at function exit like directly deferred
+	// calls.
+	Deferred []*ast.BlockStmt
 	// Locks are sync.Mutex/RWMutex acquire/release calls.
 	Locks []LockOp
-	// WGs are sync.WaitGroup Add/Done/Wait calls.
-	WGs []WGOp
-	// Chans are channel make/send/recv/close/range operations.
-	Chans []ChanOp
-}
-
-// SpawnSite is one `go` statement.
-type SpawnSite struct {
-	Pos token.Pos
-	// Callee is the spawned static callee's FullName; empty when the go
-	// statement spawns a function literal or a dynamic call.
-	Callee string
-	// Body is the spawned literal's body; nil for a named callee.
-	Body *ast.BlockStmt
-}
-
-// LitSite is one function literal that is not directly spawned.
-type LitSite struct {
-	Pos token.Pos
-	// Deferred marks `defer func(){…}()` literals, whose ops run at
-	// function exit like directly deferred calls.
-	Deferred bool
-	Body     *ast.BlockStmt
 }
 
 // LockOp is one mutex operation.
 type LockOp struct {
 	Pos token.Pos
-	// Key identifies the mutex module-wide: "(pkg/path.Type).field" for
-	// fields, "pkg/path.name" for package-level variables, the bare name
-	// for locals (locals cannot collide across functions in the analyses
-	// that consume this, which compare local keys only within one unit).
+	// Key names the mutex: "(pkg/path.Type).field" for fields,
+	// "pkg/path.name" for package-level variables, the bare name for
+	// locals.
 	Key string
 	// Obj is the variable identity when the mutex is a resolvable
 	// variable or field; nil otherwise.
@@ -65,48 +38,16 @@ type LockOp struct {
 	// Op is "Lock", "RLock", "TryLock", "Unlock" or "RUnlock".
 	Op       string
 	Deferred bool
-	// Node is the statement carrying the call, for CFG block lookup.
-	Node ast.Node
 }
-
-// Acquire reports whether the op takes the lock.
-func (l LockOp) Acquire() bool { return l.Op == "Lock" || l.Op == "RLock" || l.Op == "TryLock" }
 
 // Release reports whether the op drops the lock.
 func (l LockOp) Release() bool { return l.Op == "Unlock" || l.Op == "RUnlock" }
 
-// WGOp is one sync.WaitGroup operation.
-type WGOp struct {
-	Pos      token.Pos
-	Key      string
-	Obj      *types.Var
-	Op       string // "Add", "Done" or "Wait"
-	Deferred bool
-}
-
-// ChanOp is one channel operation.
-type ChanOp struct {
-	Pos token.Pos
-	Key string
-	Obj *types.Var
-	// Op is "make", "send", "recv", "close" or "range".
-	Op string
-	// Unbuffered is meaningful for "make": true when the capacity is
-	// absent or the constant 0. A make with a non-constant capacity is
-	// recorded as buffered (the conservative side for blocking checks is
-	// handled by consumers that treat unknown channels as unbuffered).
-	Unbuffered bool
-	// Node is the statement or expression carrying the op.
-	Node ast.Node
-}
-
-// Summarize computes the concurrency summary of one function body. name
-// labels the summary (typically types.Func.FullName).
-func Summarize(name string, body *ast.BlockStmt, info *types.Info) *ConcSummary {
-	s := &ConcSummary{Name: name}
-	w := &sumWalker{info: info, sum: s}
-	w.walk(body, false)
-	return s
+// Summarize computes the mutex-op summary of one function body.
+func Summarize(body *ast.BlockStmt, info *types.Info) *ConcSummary {
+	w := &sumWalker{info: info, sum: &ConcSummary{}}
+	w.walk(body)
+	return w.sum
 }
 
 type sumWalker struct {
@@ -115,186 +56,78 @@ type sumWalker struct {
 }
 
 // walk records ops in n, stopping at function-literal boundaries.
-// deferred marks ops syntactically inside a defer statement.
-func (w *sumWalker) walk(n ast.Node, deferred bool) {
+func (w *sumWalker) walk(n ast.Node) {
 	if n == nil {
 		return
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			w.spawn(n)
+			// The spawned call runs elsewhere; a spawned literal is a
+			// unit of its own, and the arguments evaluate here.
+			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+				w.sum.Lits = append(w.sum.Lits, lit.Body)
+			}
+			for _, arg := range n.Call.Args {
+				w.walk(arg)
+			}
 			return false
 		case *ast.DeferStmt:
 			w.deferCall(n)
 			return false
 		case *ast.FuncLit:
-			w.sum.Lits = append(w.sum.Lits, LitSite{Pos: n.Pos(), Deferred: deferred, Body: n.Body})
+			w.sum.Lits = append(w.sum.Lits, n.Body)
 			return false
 		case *ast.CallExpr:
-			w.call(n, nil, deferred)
-			return true // arguments may hold nested ops (closed over below the lit boundary)
-		case *ast.SendStmt:
-			w.chanOp(n.Chan, "send", n, deferred)
-			return true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				w.chanOp(n.X, "recv", n, deferred)
-			}
-			return true
-		case *ast.RangeStmt:
-			if tv, ok := w.info.Types[n.X]; ok && tv.Type != nil {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					w.chanOp(n.X, "range", n, deferred)
-				}
-			}
-			return true
-		case *ast.AssignStmt:
-			w.assign(n, deferred)
-			return true
+			w.call(n, false)
 		}
 		return true
 	})
 }
 
-// spawn records a go statement and classifies what it runs.
-func (w *sumWalker) spawn(g *ast.GoStmt) {
-	site := SpawnSite{Pos: g.Pos()}
-	switch fun := ast.Unparen(g.Call.Fun).(type) {
-	case *ast.FuncLit:
-		site.Body = fun.Body
-	default:
-		if fn := calleeOf(w.info, g.Call); fn != nil {
-			site.Callee = fn.FullName()
-		}
-	}
-	w.sum.Spawns = append(w.sum.Spawns, site)
-	// Argument expressions evaluate at spawn time in the spawner.
-	for _, arg := range g.Call.Args {
-		w.walk(arg, false)
-	}
-}
-
-// deferCall records a deferred call's op (if it is itself a sync op) and
-// walks its arguments; a deferred literal becomes a deferred LitSite.
+// deferCall records a deferred call's op (if it is itself a mutex op)
+// and walks its arguments; a deferred literal joins Lits and Deferred.
 func (w *sumWalker) deferCall(d *ast.DeferStmt) {
 	if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-		w.sum.Lits = append(w.sum.Lits, LitSite{Pos: lit.Pos(), Deferred: true, Body: lit.Body})
+		w.sum.Lits = append(w.sum.Lits, lit.Body)
+		w.sum.Deferred = append(w.sum.Deferred, lit.Body)
 	} else {
-		w.call(d.Call, d, true)
+		w.call(d.Call, true)
 	}
 	for _, arg := range d.Call.Args {
-		w.walk(arg, false)
+		w.walk(arg)
 	}
 }
 
-// call classifies one call expression as a mutex, waitgroup, context or
-// close op. node overrides the recorded statement (for defers).
-func (w *sumWalker) call(call *ast.CallExpr, node ast.Node, deferred bool) {
-	if node == nil {
-		node = call
-	}
-	// close(ch)
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := w.info.Uses[id].(*types.Builtin); isB && b.Name() == "close" && len(call.Args) == 1 {
-			w.chanOpNode(call.Args[0], "close", node, deferred, call.Pos())
-			return
-		}
-	}
+// call records call if it is a sync.Mutex or sync.RWMutex method call.
+func (w *sumWalker) call(call *ast.CallExpr, deferred bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	fn := calleeOf(w.info, call)
-	if fn == nil || fn.Pkg() == nil {
+	if !ok || fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return
 	}
-	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	switch fn.Pkg().Path() {
-	case "sync":
-		recv := recvNamedType(fn)
-		if sel == nil || recv == "" {
-			return
-		}
-		switch recv {
-		case "Mutex", "RWMutex":
-			switch fn.Name() {
-			case "Lock", "RLock", "TryLock", "Unlock", "RUnlock":
-				key, obj := SyncObjKey(w.info, sel.X)
-				w.sum.Locks = append(w.sum.Locks, LockOp{
-					Pos: call.Pos(), Key: key, Obj: obj, Op: fn.Name(), Deferred: deferred, Node: node,
-				})
-			}
-		case "WaitGroup":
-			switch fn.Name() {
-			case "Add", "Done", "Wait":
-				key, obj := SyncObjKey(w.info, sel.X)
-				w.sum.WGs = append(w.sum.WGs, WGOp{
-					Pos: call.Pos(), Key: key, Obj: obj, Op: fn.Name(), Deferred: deferred,
-				})
-			}
-		}
-	case "context":
-		if fn.Name() == "Done" || fn.Name() == "Err" {
-			w.sum.CtxPolls = append(w.sum.CtxPolls, call.Pos())
-		}
-	}
-}
-
-// assign records channel makes: `ch := make(chan T[, cap])`.
-func (w *sumWalker) assign(a *ast.AssignStmt, deferred bool) {
-	if len(a.Lhs) != len(a.Rhs) {
+	if r := recvNamedType(fn); r != "Mutex" && r != "RWMutex" {
 		return
 	}
-	for i, rhs := range a.Rhs {
-		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if b, isB := w.info.Uses[id].(*types.Builtin); !isB || b.Name() != "make" || len(call.Args) == 0 {
-			continue
-		}
-		tv, ok := w.info.Types[call.Args[0]]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		if _, isChan := tv.Type.Underlying().(*types.Chan); !isChan {
-			continue
-		}
-		unbuf := len(call.Args) < 2
-		if !unbuf {
-			if ctv, ok := w.info.Types[call.Args[1]]; ok && ctv.Value != nil && ctv.Value.String() == "0" {
-				unbuf = true
-			}
-		}
-		key, obj := SyncObjKey(w.info, a.Lhs[i])
-		w.sum.Chans = append(w.sum.Chans, ChanOp{
-			Pos: call.Pos(), Key: key, Obj: obj, Op: "make", Unbuffered: unbuf, Node: a,
+	switch fn.Name() {
+	case "Lock", "RLock", "TryLock", "Unlock", "RUnlock":
+		key, obj := lockKey(w.info, sel.X)
+		w.sum.Locks = append(w.sum.Locks, LockOp{
+			Pos: call.Pos(), Key: key, Obj: obj, Op: fn.Name(), Deferred: deferred,
 		})
 	}
 }
 
-func (w *sumWalker) chanOp(ch ast.Expr, op string, node ast.Node, deferred bool) {
-	w.chanOpNode(ch, op, node, deferred, ch.Pos())
-}
-
-func (w *sumWalker) chanOpNode(ch ast.Expr, op string, node ast.Node, deferred bool, pos token.Pos) {
-	key, obj := SyncObjKey(w.info, ch)
-	w.sum.Chans = append(w.sum.Chans, ChanOp{Pos: pos, Key: key, Obj: obj, Op: op, Node: node})
-	_ = deferred
-}
-
-// SyncObjKey derives a stable identity for the object a sync op targets
-// (a mutex receiver, a waitgroup receiver, a channel expression):
+// lockKey derives a stable name for the mutex a lock op targets:
 //
-//	x.mu / s.done   -> "(pkg/path.Type).mu"   (field: module-wide identity)
-//	pkgVar          -> "pkg/path.name"        (package-level variable)
-//	local           -> "name"                 (function-local; unit-scoped)
+//	x.mu     -> "(pkg/path.Type).mu"   (field)
+//	pkgVar   -> "pkg/path.name"        (package-level variable)
+//	local    -> "name"                 (function-local)
 //
 // The returned *types.Var (when non-nil) is the precise object identity
-// within one package's type universe; consumers prefer it over the key
-// when both sides live in the same package.
-func SyncObjKey(info *types.Info, e ast.Expr) (string, *types.Var) {
+// within one package's type universe; the analyzer prefers it over the
+// key when both sides resolved.
+func lockKey(info *types.Info, e ast.Expr) (string, *types.Var) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		v, _ := info.Uses[e].(*types.Var)
@@ -320,14 +153,14 @@ func SyncObjKey(info *types.Info, e ast.Expr) (string, *types.Var) {
 			}
 		}
 		// Fall back to the selector spelling.
-		base, _ := SyncObjKey(info, e.X)
+		base, _ := lockKey(info, e.X)
 		return base + "." + e.Sel.Name, v
 	case *ast.IndexExpr:
-		base, v := SyncObjKey(info, e.X)
+		base, v := lockKey(info, e.X)
 		return base + "[…]", v
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
-			return SyncObjKey(info, e.X)
+			return lockKey(info, e.X)
 		}
 	case *ast.CallExpr:
 		if fn := calleeOf(info, e); fn != nil {
@@ -354,12 +187,6 @@ func recvNamedType(fn *types.Func) string {
 	return ""
 }
 
-// CalleeOf resolves a call to a *types.Func through an identifier or
-// selector; nil for dynamic calls, builtins and conversions.
-func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	return calleeOf(info, call)
-}
-
 // calleeOf resolves a call to a *types.Func through an identifier or
 // selector; nil for dynamic calls, builtins and conversions.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -374,77 +201,4 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// Dump renders the summary one op per line in source order —
-//
-//	summary ForEach:
-//	  spawn literal @12
-//	  wg Done wg deferred @14
-//
-// — stable across runs, for golden tests. Positions are line numbers
-// resolved through fset.
-func (s *ConcSummary) Dump(fset *token.FileSet) string {
-	type row struct {
-		pos  token.Pos
-		text string
-	}
-	var rows []row
-	add := func(pos token.Pos, format string, args ...any) {
-		rows = append(rows, row{pos, fmt.Sprintf(format, args...)})
-	}
-	for _, sp := range s.Spawns {
-		what := "literal"
-		if sp.Callee != "" {
-			what = sp.Callee
-		}
-		add(sp.Pos, "spawn %s", what)
-	}
-	for _, l := range s.Lits {
-		if l.Deferred {
-			add(l.Pos, "lit deferred")
-		} else {
-			add(l.Pos, "lit")
-		}
-	}
-	for _, p := range s.CtxPolls {
-		add(p, "ctx poll")
-	}
-	for _, l := range s.Locks {
-		add(l.Pos, "mutex %s %s%s", l.Op, l.Key, deferredTag(l.Deferred))
-	}
-	for _, wg := range s.WGs {
-		add(wg.Pos, "wg %s %s%s", wg.Op, wg.Key, deferredTag(wg.Deferred))
-	}
-	for _, c := range s.Chans {
-		extra := ""
-		if c.Op == "make" {
-			if c.Unbuffered {
-				extra = " unbuffered"
-			} else {
-				extra = " buffered"
-			}
-		}
-		add(c.Pos, "chan %s %s%s", c.Op, c.Key, extra)
-	}
-	// Stable source order; ties broken by text.
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && (rows[j].pos < rows[j-1].pos ||
-			(rows[j].pos == rows[j-1].pos && rows[j].text < rows[j-1].text)); j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "summary %s:\n", s.Name)
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "  %s @%d\n", r.text, fset.Position(r.pos).Line)
-	}
-	return sb.String()
-}
-
-func deferredTag(d bool) string {
-	if d {
-		return " deferred"
-	}
-	return ""
 }

@@ -53,11 +53,12 @@ func (s *S) run(ctx context.Context, in chan int) {
 }
 `
 
-// TestConcSummaryDumpGolden pins the spawn/sync-op summary of a function
-// exercising every recorded op kind. The nested goroutine literal is a
-// boundary: its interior ops (the deferred Done, the ctx.Done select,
-// the send on buf) belong to the literal's own summary, pinned by the
-// second golden below.
+// TestConcSummaryDumpGolden pins the mutex-op summary of a function
+// that also exercises the operations the summary ignores (context polls,
+// WaitGroup calls, channel ops, a named spawn). Every function literal —
+// the spawned goroutine body included — is a boundary: its interior ops
+// (the deferred Done, the ctx.Done select, the send on buf) belong to
+// the literal's own summary, pinned by the second golden below.
 func TestConcSummaryDumpGolden(t *testing.T) {
 	fset, file, info := check(t, concSrc)
 	var fd *ast.FuncDecl
@@ -66,48 +67,23 @@ func TestConcSummaryDumpGolden(t *testing.T) {
 			fd = f
 		}
 	}
-	sum := cfg.Summarize("(p.S).run", fd.Body, info)
+	sum := cfg.Summarize(fd.Body, info)
 
-	want := `summary (p.S).run:
-  ctx poll @16
-  mutex Lock (p.S).mu @19
-  mutex Unlock (p.S).mu deferred @20
-  mutex RLock rw @22
-  mutex RUnlock rw @23
-  chan make done unbuffered @24
-  chan make buf buffered @25
-  wg Add (p.S).wg @26
-  spawn literal @27
-  spawn p.worker @38
-  wg Wait (p.S).wg @39
-  chan close done @40
-  chan recv done @41
-  chan range in @42
+	want := `mutex Lock (p.S).mu @19
+mutex Unlock (p.S).mu deferred @20
+mutex RLock rw @22
+mutex RUnlock rw @23
+lit @27
 `
 	if got := sum.Dump(fset); got != want {
 		t.Errorf("summary dump mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 
-	if len(sum.Spawns) != 2 {
-		t.Fatalf("got %d spawns, want 2", len(sum.Spawns))
+	if len(sum.Lits) != 1 || len(sum.Deferred) != 0 {
+		t.Fatalf("want the spawned literal as the one non-deferred literal, got %d literals, %d deferred", len(sum.Lits), len(sum.Deferred))
 	}
-	lit := sum.Spawns[0]
-	if lit.Body == nil || lit.Callee != "" {
-		t.Fatalf("first spawn should be a literal, got callee %q", lit.Callee)
-	}
-	if named := sum.Spawns[1]; named.Callee != "p.worker" || named.Body != nil {
-		t.Fatalf("second spawn should be the named p.worker, got %q", named.Callee)
-	}
-
-	inner := cfg.Summarize("spawn@27", lit.Body, info)
-	wantInner := `summary spawn@27:
-  wg Done (p.S).wg deferred @28
-  chan recv (context.Context).Done() @31
-  ctx poll @31
-  chan recv in @33
-  chan send buf @34
-`
-	if got := inner.Dump(fset); got != wantInner {
-		t.Errorf("inner summary dump mismatch:\n--- got ---\n%s--- want ---\n%s", got, wantInner)
+	inner := cfg.Summarize(sum.Lits[0], info)
+	if got := inner.Dump(fset); got != "" {
+		t.Errorf("spawned body holds no mutex op, got:\n%s", got)
 	}
 }

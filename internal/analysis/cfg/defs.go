@@ -129,25 +129,6 @@ func (ud *UseDef) record(blk *Block, d Def) {
 	ud.byBlock[blk] = append(ud.byBlock[blk], d)
 }
 
-// DefsOf returns every recorded definition of v.
-func (ud *UseDef) DefsOf(v *types.Var) []Def { return ud.defs[v] }
-
-// BlockDefs returns blk's definitions in execution order (the block-local
-// reaching-definitions gen set).
-func (ud *UseDef) BlockDefs(blk *Block) []Def { return ud.byBlock[blk] }
-
-// ReachingOut returns the definitions live at the end of blk: the last
-// definition per variable within the block (block-local kill), which is
-// the gen set a full dataflow fixpoint would propagate. Exposed for
-// tests; the analyzers use Trace.
-func (ud *UseDef) ReachingOut(blk *Block) map[*types.Var]Def {
-	out := make(map[*types.Var]Def)
-	for _, d := range ud.byBlock[blk] {
-		out[d.Var] = d // later defs overwrite earlier: block-local kill
-	}
-	return out
-}
-
 // Trace walks the use-def chains backward from expr, calling visit for
 // every expression that can contribute a value to it: expr itself, the
 // operands of arithmetic/conversions, and — through the SSA-lite chains —

@@ -1,38 +1,25 @@
-// Package lockorder enforces two mutex disciplines across the module.
+// Package lockorder enforces the mutex release discipline: a
+// sync.Mutex.Lock or RWMutex.RLock must be balanced on every non-failure
+// path out of the function, by a release on the path or by a defer
+// (including `defer func(){ mu.Unlock() }()`) whose statement the path
+// runs or that was deferred before the acquire. Failure exits — paths
+// ending in `return …, err` with a non-nil error, or a panic — are
+// exempt, matching the cold-path pruning the hotalloc analyzer uses: a
+// run that takes one is over. TryLock is conditional by construction and
+// is skipped.
 //
-// Release discipline: a sync.Mutex.Lock or RWMutex.RLock must be
-// balanced on every non-failure path out of the function (or covered by
-// a defer, including `defer func(){ mu.Unlock() }()`). Failure exits —
-// paths ending in `return …, err` with a non-nil error, or a panic —
-// are exempt, matching the cold-path pruning the hotalloc analyzer uses:
-// a run that takes one is over. TryLock is conditional by construction
-// and is skipped.
-//
-// Acquisition order: the module-wide lock-order graph — an edge A→B
-// whenever some function acquires B (directly or through a static
-// callee) while holding A — must be acyclic. A cycle is a deadlock
-// waiting for the right interleaving: dmm-serve drives Portfolio solves
-// from concurrent request goroutines, so two handlers taking (A,B) and
-// (B,A) will eventually wedge the service. Acquiring a lock that is
-// already held on every path to the acquire site (directly or through a
-// call) is reported as a self-deadlock; Go mutexes are not reentrant.
-//
-// Lock identity follows cfg.SyncObjKey: fields and package-level
-// variables unify module-wide, function-local mutexes are scoped to
-// their defining function. The dataflow is may-held (union at joins)
-// for order edges and must-held (intersection) for self-deadlocks, so
-// branchy code errs toward edges and away from false re-entry reports.
-// Run it over ./... — with a partial package set, in-module callees
-// look external and their acquisitions go unseen.
+// The check is per function, so it catches the leak a test cannot: an
+// early return that keeps the lock on a path no test takes (a capacity
+// guard, a rare error branch) wedges the next caller only in the run
+// that takes it. Function literals, spawned or not, are checked as
+// functions of their own.
 package lockorder
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/cfg"
@@ -41,154 +28,70 @@ import (
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "mutexes must be released on every non-failure path (or deferred), the module-wide " +
-		"lock-acquisition-order graph must be acyclic, and no lock may be re-acquired while held",
-	RunModule: run,
+	Doc: "every Lock/RLock must be released on every non-failure path out of its function; " +
+		"a deferred release covers the paths that reach its defer statement",
+	Run: run,
 }
 
-// unit is one analyzable body: a function declaration, a function
-// literal, or a spawned goroutine body. Literal and goroutine units get
-// their own CFG and their own local-key namespace.
-type unit struct {
-	pkg  *analysis.Package
-	name string // decl FullName, with ·lit<line>/·go<line> suffixes for nested units
-	decl string // enclosing declaration's FullName ("" when unresolved)
-	body *ast.BlockStmt
-	sig  *types.Signature // nil for literals: only panics classify as failure exits
-	sum  *cfg.ConcSummary
-
-	// deferredReleases are releases hoisted out of deferred function
-	// literals (`defer func(){ mu.Unlock() }()`): they run at unit exit
-	// like directly deferred unlocks.
-	deferredReleases []cfg.LockOp
-}
-
-// gkey is op's module-wide graph key: module identities (fields,
-// package-level vars) pass through, local names are scoped to the unit.
-func (u *unit) gkey(op cfg.LockOp) string {
-	if strings.Contains(op.Key, ".") {
-		return op.Key
-	}
-	return u.name + "·" + op.Key
-}
-
-// display strips the unit namespace off a graph key for messages.
-func display(key string) string {
-	if i := strings.LastIndex(key, "·"); i >= 0 {
-		return key[i+len("·"):]
-	}
-	return key
-}
-
-func run(mp *analysis.ModulePass) error {
-	cg := cfg.BuildCallGraph(mp.Pkgs)
-
-	var units []*unit
-	for _, pkg := range mp.Pkgs {
-		units = append(units, collectUnits(pkg)...)
-	}
-
-	trans := transAcquires(cg, units)
-
-	type edgeKey struct{ from, to string }
-	type edgeInfo struct {
-		pos token.Pos
-		pkg *analysis.Package
-	}
-	edges := make(map[edgeKey]edgeInfo)
-	var edgeOrder []edgeKey
-	addEdge := func(from, to string, pos token.Pos, pkg *analysis.Package) {
-		k := edgeKey{from, to}
-		if _, dup := edges[k]; dup {
-			return
+func run(pass *analysis.Pass) error {
+	// walk checks one body, then the function literals inside it, each
+	// as a function of its own (sig is nil for literals: only panics
+	// classify as their failure exits).
+	var walk func(name string, body *ast.BlockStmt, sig *types.Signature)
+	walk = func(name string, body *ast.BlockStmt, sig *types.Signature) {
+		sum := cfg.Summarize(body, pass.TypesInfo)
+		ops := sum.Locks
+		for _, lit := range sum.Deferred {
+			ops = append(ops, releasesIn(pass.TypesInfo, lit)...)
 		}
-		edges[k] = edgeInfo{pos, pkg}
-		edgeOrder = append(edgeOrder, k)
-	}
-
-	for _, u := range units {
-		checkReleases(mp, u)
-		replayOrder(mp, cg, u, trans, addEdge)
-	}
-
-	// Adjacency over recorded edges; an edge is reported when its head
-	// can walk back to its tail — it participates in a cycle.
-	succs := make(map[string][]string)
-	for _, k := range edgeOrder {
-		succs[k.from] = append(succs[k.from], k.to)
-	}
-	for _, k := range edgeOrder {
-		if !pathExists(succs, k.to, k.from) {
-			continue
-		}
-		info := edges[k]
-		mp.Reportf(info.pkg, info.pos,
-			"acquiring %s while holding %s is inconsistent with the reverse order used elsewhere: lock-order cycle can deadlock",
-			display(k.to), display(k.from))
-	}
-	return nil
-}
-
-// collectUnits returns pkg's declaration bodies plus every nested
-// literal and spawned body, each with its summary, in source order.
-func collectUnits(pkg *analysis.Package) []*unit {
-	var units []*unit
-	var walk func(name, decl string, body *ast.BlockStmt, sig *types.Signature)
-	walk = func(name, decl string, body *ast.BlockStmt, sig *types.Signature) {
-		sum := cfg.Summarize(name, body, pkg.TypesInfo)
-		u := &unit{pkg: pkg, name: name, decl: decl, body: body, sig: sig, sum: sum}
-		units = append(units, u)
-		for _, l := range sum.Lits {
-			line := pkg.Fset.Position(l.Pos).Line
-			walk(fmt.Sprintf("%s·lit%d", name, line), decl, l.Body, nil)
-			if l.Deferred {
-				u.deferredReleases = append(u.deferredReleases, releasesIn(pkg, l.Body)...)
-			}
-		}
-		for _, sp := range sum.Spawns {
-			if sp.Body != nil {
-				line := pkg.Fset.Position(sp.Pos).Line
-				walk(fmt.Sprintf("%s·go%d", name, line), "", sp.Body, nil)
-			}
+		checkReleases(pass, name, body, sig, ops)
+		for _, lit := range sum.Lits {
+			walk(name+"·lit", lit, nil)
 		}
 	}
-	for _, file := range pkg.Syntax {
+	for _, file := range pass.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || fd.Name == nil {
 				continue
 			}
-			name := fd.Name.Name
 			var sig *types.Signature
-			if obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				name = obj.FullName()
+			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 				sig, _ = obj.Type().(*types.Signature)
 			}
-			walk(name, name, fd.Body, sig)
+			walk(fd.Name.Name, fd.Body, sig)
 		}
 	}
-	return units
+	return nil
 }
 
 // releasesIn lists the release ops at the top level of a deferred
-// literal's body (nested literals inside it run only if called).
-func releasesIn(pkg *analysis.Package, body *ast.BlockStmt) []cfg.LockOp {
+// literal's body (nested literals inside it run only if called), marked
+// Deferred: they run at exit like directly deferred unlocks.
+func releasesIn(info *types.Info, body *ast.BlockStmt) []cfg.LockOp {
 	var out []cfg.LockOp
-	for _, op := range cfg.Summarize("", body, pkg.TypesInfo).Locks {
+	for _, op := range cfg.Summarize(body, info).Locks {
 		if op.Release() {
+			op.Deferred = true
 			out = append(out, op)
 		}
 	}
 	return out
 }
 
-// sameLock matches two ops on the same unit by object identity when
+// sameLock matches two ops in the same body by object identity when
 // both resolved, else by key.
 func sameLock(a, b cfg.LockOp) bool {
 	if a.Obj != nil && b.Obj != nil {
 		return a.Obj == b.Obj
 	}
 	return a.Key == b.Key
+}
+
+// isAcquire reports whether op takes a lock the function must release:
+// a non-deferred Lock or RLock (TryLock is conditional by construction).
+func isAcquire(op cfg.LockOp) bool {
+	return !op.Deferred && (op.Op == "Lock" || op.Op == "RLock")
 }
 
 // releaseKind is the balancing release for an acquire.
@@ -221,37 +124,37 @@ func locate(g *cfg.Graph, ops []cfg.LockOp) map[int][2]int {
 	return loc
 }
 
-// checkReleases enforces the release discipline on one unit.
-func checkReleases(mp *analysis.ModulePass, u *unit) {
-	var acquires []cfg.LockOp
-	for _, op := range u.sum.Locks {
-		if !op.Deferred && (op.Op == "Lock" || op.Op == "RLock") {
-			acquires = append(acquires, op)
-		}
-	}
-	if len(acquires) == 0 {
+// checkReleases enforces the release discipline on one body, given its
+// lock ops, deferred-literal releases included. A release balances the
+// paths that reach it; a deferred one counts where its defer statement
+// runs, so an early return before the defer still leaks. A release
+// deferred before the acquire covers it outright.
+func checkReleases(pass *analysis.Pass, name string, body *ast.BlockStmt, sig *types.Signature, ops []cfg.LockOp) {
+	if !slices.ContainsFunc(ops, isAcquire) {
 		return
 	}
-	g := cfg.New(u.name, u.body, u.pkg.TypesInfo)
-	cold := g.ColdBlocks(u.pkg.TypesInfo, u.sig)
-	loc := locate(g, u.sum.Locks)
+	g := cfg.New(name, body, pass.TypesInfo)
+	cold := g.ColdBlocks(pass.TypesInfo, sig)
+	loc := locate(g, ops)
 
-	// releaseAt[block][node] lists indices of release ops located there.
+	// releaseAt[block][node] lists indices of release ops located there;
+	// a deferred release sits at its defer statement.
 	releaseAt := make(map[[2]int][]int)
-	for oi, op := range u.sum.Locks {
-		if op.Release() && !op.Deferred {
+	for oi, op := range ops {
+		if op.Release() {
 			if l, ok := loc[oi]; ok {
 				releaseAt[l] = append(releaseAt[l], oi)
 			}
 		}
 	}
 
-	for ai, op := range u.sum.Locks {
-		if op.Deferred || !(op.Op == "Lock" || op.Op == "RLock") {
+	for ai, op := range ops {
+		if !isAcquire(op) {
 			continue
 		}
 		want := releaseKind(op.Op)
-		if hasDeferredRelease(u, op, want) {
+		matches := func(r cfg.LockOp) bool { return r.Op == want && sameLock(r, op) }
+		if slices.ContainsFunc(ops, func(r cfg.LockOp) bool { return r.Deferred && r.Pos < op.Pos && matches(r) }) {
 			continue
 		}
 		start, ok := loc[ai]
@@ -260,8 +163,7 @@ func checkReleases(mp *analysis.ModulePass, u *unit) {
 		}
 		releasedHere := func(bi, ni int) bool {
 			for _, ri := range releaseAt[[2]int{bi, ni}] {
-				r := u.sum.Locks[ri]
-				if r.Op == want && sameLock(r, op) {
+				if matches(ops[ri]) {
 					return true
 				}
 			}
@@ -295,319 +197,9 @@ func checkReleases(mp *analysis.ModulePass, u *unit) {
 		}
 		dfs(start[0], start[1]+1)
 		if leaks {
-			mp.Reportf(u.pkg, op.Pos,
+			pass.Reportf(op.Pos,
 				"%s acquired with %s is not released on every non-failure path; release before each return or defer the %s",
-				display(u.gkey(op)), op.Op, want)
+				op.Key, op.Op, want)
 		}
 	}
-}
-
-// hasDeferredRelease reports whether the unit defers a balancing
-// release for op, directly or inside a deferred literal.
-func hasDeferredRelease(u *unit, op cfg.LockOp, want string) bool {
-	for _, r := range u.sum.Locks {
-		if r.Deferred && r.Op == want && sameLock(r, op) {
-			return true
-		}
-	}
-	for _, r := range u.deferredReleases {
-		if r.Op == want && sameLock(r, op) {
-			return true
-		}
-	}
-	return false
-}
-
-// event is one point the held-set dataflow reacts to, in block order.
-type event struct {
-	pos    token.Pos
-	kind   string // "acquire", "release", "call"
-	key    string // graph key for lock events
-	op     string // Lock/RLock/TryLock/Unlock/RUnlock
-	callee string // static callee full name for call events
-}
-
-// unitEvents builds the per-block event lists for u: non-deferred lock
-// ops plus static calls into loaded functions. Deferred ops and calls,
-// literals and go statements are excluded — they run elsewhere.
-func unitEvents(cg *cfg.CallGraph, u *unit, g *cfg.Graph) map[int][]event {
-	events := make(map[int][]event)
-	loc := locate(g, u.sum.Locks)
-	for oi, op := range u.sum.Locks {
-		if op.Deferred {
-			continue
-		}
-		l, ok := loc[oi]
-		if !ok {
-			continue
-		}
-		kind := "release"
-		if op.Acquire() {
-			kind = "acquire"
-		}
-		events[l[0]] = append(events[l[0]], event{pos: op.Pos, kind: kind, key: u.gkey(op), op: op.Op})
-	}
-	seenCall := make(map[token.Pos]bool)
-	for bi, blk := range g.Blocks {
-		for _, n := range blk.Nodes {
-			ast.Inspect(n, func(c ast.Node) bool {
-				switch c.(type) {
-				case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-					return false
-				}
-				call, ok := c.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := cfg.CalleeOf(u.pkg.TypesInfo, call)
-				if fn == nil || seenCall[call.Pos()] {
-					return true
-				}
-				if cg.Nodes[fn.FullName()] == nil {
-					return true
-				}
-				seenCall[call.Pos()] = true
-				events[bi] = append(events[bi], event{pos: call.Pos(), kind: "call", callee: fn.FullName()})
-				return true
-			})
-		}
-	}
-	for bi := range events {
-		evs := events[bi]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
-		events[bi] = evs
-	}
-	return events
-}
-
-// held maps graph key -> strongest acquire op holding it ("Lock" beats
-// "RLock"/"TryLock").
-type held map[string]string
-
-func (h held) clone() held {
-	c := make(held, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-func stronger(a, b string) string {
-	if a == "Lock" || b == "Lock" {
-		return "Lock"
-	}
-	return a
-}
-
-// transAcquires computes, per declaration, the set of lock keys it can
-// acquire transitively through static calls (its own units except
-// spawned bodies, then fixpoint over the call graph).
-func transAcquires(cg *cfg.CallGraph, units []*unit) map[string]held {
-	trans := make(map[string]held)
-	for _, u := range units {
-		if u.decl == "" {
-			continue // spawned bodies acquire on their own goroutine
-		}
-		set := trans[u.decl]
-		if set == nil {
-			set = make(held)
-			trans[u.decl] = set
-		}
-		for _, op := range u.sum.Locks {
-			if op.Acquire() && !op.Deferred {
-				if prev, ok := set[u.gkey(op)]; ok {
-					set[u.gkey(op)] = stronger(prev, op.Op)
-				} else {
-					set[u.gkey(op)] = op.Op
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, name := range cg.Names() {
-			node := cg.Nodes[name]
-			for _, e := range node.Callees {
-				callee := trans[e.Callee]
-				if len(callee) == 0 {
-					continue
-				}
-				set := trans[name]
-				if set == nil {
-					set = make(held)
-					trans[name] = set
-				}
-				for k, op := range callee {
-					if prev, ok := set[k]; !ok || stronger(prev, op) != prev {
-						set[k] = strongerOrNew(set, k, op)
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return trans
-}
-
-func strongerOrNew(s held, k, op string) string {
-	if prev, ok := s[k]; ok {
-		return stronger(prev, op)
-	}
-	return op
-}
-
-// replayOrder runs the may/must held-set dataflow over u's CFG and
-// reports self-deadlocks and order edges through addEdge.
-func replayOrder(mp *analysis.ModulePass, cg *cfg.CallGraph, u *unit, trans map[string]held, addEdge func(from, to string, pos token.Pos, pkg *analysis.Package)) {
-	if len(u.sum.Locks) == 0 && len(trans) == 0 {
-		return
-	}
-	g := cfg.New(u.name, u.body, u.pkg.TypesInfo)
-	events := unitEvents(cg, u, g)
-
-	type state struct {
-		may, must held
-		reached   bool
-	}
-	in := make([]state, len(g.Blocks))
-	entry := g.Entry.Index
-	in[entry] = state{may: make(held), must: make(held), reached: true}
-
-	transfer := func(s state, evs []event) (held, held) {
-		may, must := s.may.clone(), s.must.clone()
-		for _, ev := range evs {
-			switch ev.kind {
-			case "acquire":
-				may[ev.key] = strongerOrNew(may, ev.key, ev.op)
-				if ev.op != "TryLock" {
-					must[ev.key] = strongerOrNew(must, ev.key, ev.op)
-				}
-			case "release":
-				delete(may, ev.key)
-				delete(must, ev.key)
-			}
-		}
-		return may, must
-	}
-
-	work := []int{entry}
-	for len(work) > 0 {
-		bi := work[len(work)-1]
-		work = work[:len(work)-1]
-		may, must := transfer(in[bi], events[bi])
-		for _, s := range g.Blocks[bi].Succs {
-			si := s.Index
-			changed := false
-			if !in[si].reached {
-				in[si] = state{may: may.clone(), must: must.clone(), reached: true}
-				changed = true
-			} else {
-				for k, op := range may {
-					if prev, ok := in[si].may[k]; !ok || stronger(prev, op) != prev {
-						in[si].may[k] = strongerOrNew(in[si].may, k, op)
-						changed = true
-					}
-				}
-				for k, op := range in[si].must {
-					if nop, ok := must[k]; !ok {
-						delete(in[si].must, k)
-						changed = true
-					} else if nop != op && stronger(op, nop) == op {
-						// Paths disagree on the mode: keep the weaker claim.
-						in[si].must[k] = nop
-						changed = true
-					}
-				}
-			}
-			if changed {
-				work = append(work, si)
-			}
-		}
-	}
-
-	// Replay each reached block against its fixed-point in-state.
-	for bi := range g.Blocks {
-		if !in[bi].reached {
-			continue
-		}
-		may, must := in[bi].may.clone(), in[bi].must.clone()
-		for _, ev := range events[bi] {
-			switch ev.kind {
-			case "acquire":
-				if ev.op != "TryLock" { // TryLock never blocks: no deadlock edge into it
-					for _, h := range sortedKeys(may) {
-						if h != ev.key {
-							addEdge(h, ev.key, ev.pos, u.pkg)
-						}
-					}
-				}
-				if heldOp, ok := must[ev.key]; ok &&
-					(ev.op == "Lock" || (ev.op == "RLock" && heldOp == "Lock")) {
-					mp.Reportf(u.pkg, ev.pos,
-						"%s is acquired here while already held on every path to this point: self-deadlock", display(ev.key))
-				}
-				may[ev.key] = strongerOrNew(may, ev.key, ev.op)
-				if ev.op != "TryLock" {
-					must[ev.key] = strongerOrNew(must, ev.key, ev.op)
-				}
-			case "release":
-				delete(may, ev.key)
-				delete(must, ev.key)
-			case "call":
-				acq := trans[ev.callee]
-				if len(acq) == 0 {
-					continue
-				}
-				for _, k := range sortedKeys(acq) {
-					if heldOp, hk := must[k]; hk &&
-						(acq[k] == "Lock" || (acq[k] == "RLock" && heldOp == "Lock")) {
-						mp.Reportf(u.pkg, ev.pos,
-							"call into %s acquires %s, which is already held here: self-deadlock", shortName(ev.callee), display(k))
-					}
-					for _, h := range sortedKeys(may) {
-						if h != k {
-							addEdge(h, k, ev.pos, u.pkg)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func sortedKeys(h held) []string {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// pathExists walks succs from start looking for goal.
-func pathExists(succs map[string][]string, start, goal string) bool {
-	seen := map[string]bool{start: true}
-	queue := []string{start}
-	for len(queue) > 0 {
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if n == goal {
-			return true
-		}
-		for _, s := range succs[n] {
-			if !seen[s] {
-				seen[s] = true
-				queue = append(queue, s)
-			}
-		}
-	}
-	return false
-}
-
-// shortName trims the module path prefix off a FullName for messages.
-func shortName(full string) string {
-	if i := strings.LastIndex(full, "/"); i >= 0 {
-		return full[i+1:]
-	}
-	return full
 }

@@ -1,6 +1,6 @@
-// Fixture for the lockorder analyzer: order cycles, self-deadlocks and
-// unbalanced acquires are flagged; deferred unlocks, failure-path
-// exits, TryLock and consistent global order are exempt.
+// Fixture for the lockorder analyzer: unbalanced acquires are flagged,
+// in declarations and in literals; deferred unlocks, failure-path exits
+// and TryLock are exempt.
 package lockordertest
 
 import (
@@ -8,43 +8,7 @@ import (
 	"sync"
 )
 
-var a, b sync.Mutex
-
-// AB and BA acquire the two package-level mutexes in opposite orders:
-// both edges of the cycle are reported at their acquire sites.
-func AB() {
-	a.Lock()
-	b.Lock() // want `acquiring lockordertest\.b while holding lockordertest\.a is inconsistent with the reverse order used elsewhere`
-	b.Unlock()
-	a.Unlock()
-}
-
-func BA() {
-	b.Lock()
-	a.Lock() // want `acquiring lockordertest\.a while holding lockordertest\.b is inconsistent with the reverse order used elsewhere`
-	a.Unlock()
-	b.Unlock()
-}
-
-// Double re-acquires a non-reentrant mutex.
-func Double() {
-	a.Lock()
-	a.Lock() // want `lockordertest\.a is acquired here while already held on every path to this point: self-deadlock`
-	a.Unlock()
-	a.Unlock()
-}
-
-// Reenter holds a across a call into a function that locks a again.
-func Reenter() {
-	a.Lock()
-	helperLocksA() // want `call into lockordertest\.helperLocksA acquires lockordertest\.a, which is already held here: self-deadlock`
-	a.Unlock()
-}
-
-func helperLocksA() {
-	a.Lock()
-	a.Unlock()
-}
+var a sync.Mutex
 
 // LeakyLock returns on one branch without unlocking, and the branch is
 // not a failure exit.
@@ -76,6 +40,26 @@ func DeferredOK(cond bool) error {
 	return nil
 }
 
+// ReturnBeforeDefer leaks on the early return: the deferred release only
+// covers the paths that reach the defer statement.
+func ReturnBeforeDefer(cond bool) {
+	a.Lock() // want `lockordertest\.a acquired with Lock is not released on every non-failure path`
+	if cond {
+		return
+	}
+	defer a.Unlock()
+}
+
+// DeferredFirstOK is exempt: a release deferred before the acquire runs
+// at every exit after it.
+func DeferredFirstOK(cond bool) {
+	defer a.Unlock()
+	a.Lock()
+	if cond {
+		return
+	}
+}
+
 // DeferredLitOK is exempt: the release lives inside a deferred literal.
 func DeferredLitOK() {
 	a.Lock()
@@ -103,35 +87,13 @@ func TryOK() {
 	}
 }
 
-// Pair's methods take mu1 then mu2 through a call chain in First, and
-// mu2 then mu1 in Backwards: an interprocedural cycle on field keys.
-type Pair struct {
-	mu1, mu2 sync.Mutex
-}
-
-func (p *Pair) First() {
-	p.mu1.Lock()
-	defer p.mu1.Unlock()
-	p.second() // want `acquiring \(lockordertest\.Pair\)\.mu2 while holding \(lockordertest\.Pair\)\.mu1 is inconsistent with the reverse order used elsewhere`
-}
-
-func (p *Pair) second() {
-	p.mu2.Lock()
-	defer p.mu2.Unlock()
-}
-
-func (p *Pair) Backwards() {
-	p.mu2.Lock()
-	p.mu1.Lock() // want `acquiring \(lockordertest\.Pair\)\.mu1 while holding \(lockordertest\.Pair\)\.mu2 is inconsistent with the reverse order used elsewhere`
-	p.mu1.Unlock()
-	p.mu2.Unlock()
-}
-
-// Consistent acquires in the same a-then-b order as AB: the shared
-// edge joins the existing cycle report sites, adding none of its own.
-func Consistent() {
-	a.Lock()
-	defer a.Unlock()
-	b.Lock()
-	defer b.Unlock()
+// LeakyGoroutine: a spawned literal is checked as a function of its own.
+func LeakyGoroutine(cond bool) {
+	go func() {
+		a.Lock() // want `lockordertest\.a acquired with Lock is not released on every non-failure path`
+		if cond {
+			return
+		}
+		a.Unlock()
+	}()
 }

@@ -4,13 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicstate"
-	"repro/internal/analysis/chandisc"
-	"repro/internal/analysis/ctxfirst"
 	"repro/internal/analysis/detflow"
 	"repro/internal/analysis/floateq"
 	"repro/internal/analysis/fparith"
-	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nakedgoroutine"
@@ -18,14 +14,15 @@ import (
 	"repro/internal/analysis/stateclone"
 )
 
-// TestSelfVet runs the complete dmmvet suite over the repository's own
-// packages and requires zero findings — the tree must stay clean under
+// TestSelfVet runs the complete dmmvet suite — the same analyzers, in
+// the same order, as cmd/dmmvet's all() — over the repository's own
+// packages and requires zero findings: the tree must stay clean under
 // its own analyzers, with every waiver justified. This is the tier-1
 // regression gate for the analyzers themselves: a change that makes
 // hotalloc or detflow misfire on real code fails here, not in CI after
 // merge. It is also the main place cross-package call-graph traversal
-// (hotalloc's Step → obs/la walk, goroleak's entry-point reachability
-// into internal/par) is exercised over real module-sized input.
+// (hotalloc's Step → obs/la walk, fparith's sweep from the same roots)
+// is exercised over real module-sized input.
 func TestSelfVet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-vet type-checks the whole module; skipped in -short")
@@ -36,13 +33,9 @@ func TestSelfVet(t *testing.T) {
 		t.Fatalf("loading repository packages: %v", err)
 	}
 	analyzers := []*analysis.Analyzer{
-		atomicstate.Analyzer,
-		chandisc.Analyzer,
-		ctxfirst.Analyzer,
 		detflow.Analyzer,
 		floateq.Analyzer,
 		fparith.Analyzer,
-		goroleak.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
 		nakedgoroutine.Analyzer,

@@ -183,6 +183,29 @@ func TestHealthzDuringDrain(t *testing.T) {
 	}
 }
 
+// TestShutdownJoinsServeGoroutine pins Shutdown's last step: it returns
+// only after the accept goroutine has exited, so s.done is already
+// closed when it returns — callers need no par.Join to know the server
+// is gone. Without the join, the goroutine usually, but not always,
+// loses the race to Shutdown's return, so the check runs several rounds.
+func TestShutdownJoinsServeGoroutine(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		s, err := Serve("127.0.0.1:0", NewTelemetry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		select {
+		case <-s.done:
+		default:
+			t.Fatalf("round %d: Shutdown returned before the serve goroutine exited", round)
+		}
+	}
+	par.Join()
+}
+
 // TestConcurrentScrapeWhileStepping races /metrics, /debug/phases and
 // /debug/flight scrapes against a hot stepping loop; under -race this is
 // the no-stop-the-world guarantee of the exposition path.

@@ -20,7 +20,8 @@ func Limit(n int) int {
 }
 
 // bg tracks every goroutine started by Go, so Join can act as a
-// process-exit barrier and the goroleak analyzer sees a join discipline.
+// process-exit barrier; the obs tests use it to join the exposition
+// server's goroutine.
 var bg sync.WaitGroup
 
 // Go runs fn on its own goroutine. It exists for the few long-lived
