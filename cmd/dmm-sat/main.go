@@ -7,11 +7,16 @@
 //	dmm-sat -f formula.cnf [-tend 150] [-attempts 4] [-seed 1]
 //	dmm-sat -random-vars 6 -random-clauses 18
 //	dmm-sat -random-vars 8 -random-clauses 24 -parallel 4 [-first-win]
+//
+// The random instance is 3-SAT: -random-vars must be at least 3 and
+// -random-clauses at least 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -24,33 +29,46 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	file := flag.String("f", "", "DIMACS CNF file (omit to generate a random 3-SAT instance)")
-	rv := flag.Int("random-vars", 6, "variables for the random instance")
-	rc := flag.Int("random-clauses", 18, "clauses for the random instance")
-	seed := flag.Int64("seed", 1, "initial-condition seed")
-	tEnd := flag.Float64("tend", 150, "per-attempt time horizon")
-	attempts := flag.Int("attempts", 4, "random restarts")
-	parallel := flag.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
-	firstWin := flag.Bool("first-win", false, "first verified winner cancels all attempts")
-	deadline := flag.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
-	co := obs.BindFlags("dmm-sat", flag.CommandLine)
-	flag.Parse()
+// run is the command with its arguments and output streams passed in; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dmm-sat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	file := fs.String("f", "", "DIMACS CNF file (omit to generate a random 3-SAT instance)")
+	rv := fs.Int("random-vars", 6, "variables for the random instance (at least 3)")
+	rc := fs.Int("random-clauses", 18, "clauses for the random instance (at least 1)")
+	seed := fs.Int64("seed", 1, "initial-condition seed")
+	tEnd := fs.Float64("tend", 150, "per-attempt time horizon")
+	attempts := fs.Int("attempts", 4, "random restarts")
+	parallel := fs.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
+	firstWin := fs.Bool("first-win", false, "first verified winner cancels all attempts")
+	deadline := fs.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
+	co := obs.BindFlags("dmm-sat", fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the status flag.ExitOnError uses
+	}
+	if *file == "" && (*rv < 3 || *rc < 1) {
+		fmt.Fprintf(stderr, "dmm-sat: a random 3-SAT instance needs -random-vars >= 3 and -random-clauses >= 1, got %d and %d\n", *rv, *rc)
+		return 2
+	}
 
 	var f boolcirc.CNF
 	if *file != "" {
 		fh, err := os.Open(*file)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmm-sat:", err)
+			fmt.Fprintln(stderr, "dmm-sat:", err)
 			return 1
 		}
 		f, err = boolcirc.ParseDIMACS(fh)
 		fh.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmm-sat:", err)
+			fmt.Fprintln(stderr, "dmm-sat:", err)
 			return 1
 		}
 	} else {
@@ -59,7 +77,7 @@ func run() int {
 		for c := 0; c < *rc; c++ {
 			seen := map[int]bool{}
 			var clause boolcirc.Clause
-			for len(clause) < 3 && len(clause) < *rv {
+			for len(clause) < 3 {
 				v := 1 + rng.Intn(*rv)
 				if seen[v] {
 					continue
@@ -74,18 +92,18 @@ func run() int {
 			f.Clauses = append(f.Clauses, clause)
 		}
 	}
-	fmt.Printf("formula: %d variables, %d clauses\n", f.NumVars, len(f.Clauses))
+	fmt.Fprintf(stdout, "formula: %d variables, %d clauses\n", f.NumVars, len(f.Clauses))
 
 	dp := sat.DPLL(f, 0)
-	fmt.Printf("DPLL baseline: %v (%d decisions)\n", dp.Status, dp.Decisions)
+	fmt.Fprintf(stdout, "DPLL baseline: %v (%d decisions)\n", dp.Status, dp.Decisions)
 
 	if err := co.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer func() {
-		if err := co.Finish(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if err := co.Finish(stdout); err != nil {
+			fmt.Fprintln(stderr, err)
 		}
 	}()
 
@@ -101,28 +119,28 @@ func run() int {
 	opts.Telemetry = co.Telemetry
 	res, err := solc.SolveCNF(f, circuit.Default(), opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmm-sat:", err)
+		fmt.Fprintln(stderr, "dmm-sat:", err)
 		return 1
 	}
 	if res.Solved {
-		fmt.Printf("SOLC: SAT, first verified read-out at t* = %.2f (attempts %d, winner %s, wall %v)\nassignment:",
+		fmt.Fprintf(stdout, "SOLC: SAT, first verified read-out at t* = %.2f (attempts %d, winner %s, wall %v)\nassignment:",
 			res.Result.T, res.Result.Attempts, res.Result.WinnerMember, res.Result.Wall)
 		for v, val := range res.Assignment {
 			lit := v + 1
 			if !val {
 				lit = -lit
 			}
-			fmt.Printf(" %d", lit)
+			fmt.Fprintf(stdout, " %d", lit)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if dp.Status == sat.Unsatisfiable {
-			fmt.Println("WARNING: SOLC claims SAT on a DPLL-UNSAT formula (verification bug)")
+			fmt.Fprintln(stdout, "WARNING: SOLC claims SAT on a DPLL-UNSAT formula (verification bug)")
 			return 1
 		}
 	} else {
-		fmt.Printf("SOLC: no equilibrium found (%s)\n", res.Result.Reason)
+		fmt.Fprintf(stdout, "SOLC: no equilibrium found (%s)\n", res.Result.Reason)
 		if dp.Status == sat.Satisfiable {
-			fmt.Println("note: instance is satisfiable; increase -tend/-attempts")
+			fmt.Fprintln(stdout, "note: instance is satisfiable; increase -tend/-attempts")
 			return 2
 		}
 	}

@@ -265,6 +265,14 @@ func (c *Circuit) ClampState(x la.Vector) {
 // currents zero, bistables in the drive region (s = 1).
 func (c *Circuit) InitialState(rng *rand.Rand) la.Vector {
 	x := la.NewVector(c.Dim())
+	c.InitialStateInto(rng, x)
+	return x
+}
+
+// InitialStateInto overwrites every entry of x (length Dim) with the
+// start state InitialState would return for the same rng, so a reused
+// state vector starts a trajectory exactly where a fresh one would.
+func (c *Circuit) InitialStateInto(rng *rand.Rand, x la.Vector) {
 	for f := 0; f < c.nv; f++ {
 		x[c.vOff()+f] = 0.02 * c.Params.Vc * (float64(2*rng.Float64()) - 1)
 	}
@@ -272,9 +280,9 @@ func (c *Circuit) InitialState(rng *rand.Rand) la.Vector {
 		x[c.xOff()+m] = rng.Float64()
 	}
 	for k := 0; k < c.nd; k++ {
+		x[c.iOff()+k] = 0
 		x[c.sOff()+k] = 1
 	}
-	return x
 }
 
 // NodeBit decodes a node voltage into a logic value (v > 0 ↔ 1).

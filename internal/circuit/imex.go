@@ -44,8 +44,8 @@ type IMEXStepper struct {
 
 	// Spans, when non-nil, receives the per-phase lap timings of Step.
 	// The stepper laps around the self-timed SparseLU calls (Refactor,
-	// SolveInto — wired onto its private clone in voltageFactor.bind) so
-	// no interval is ever charged to two phases.
+	// SolveInto — wired onto its private clone in voltageFactor.refactor)
+	// so no interval is ever charged to two phases.
 	Spans *obs.Spans
 
 	// f is the factor of (C/h·I + A), refactored every step: h grows

@@ -150,6 +150,57 @@ func TestSparseLUSingular(t *testing.T) {
 	}
 }
 
+// TestSparseLURefactorAfterSingular pins that a failed Refactor leaves
+// nothing behind, which lets a solver serve the next trajectory after a
+// rejected step. A NaN on one diagonal entry fails the pivot of that
+// column with the rows below it still in the workspace; they are
+// harmless because the first column to touch a row in the next Refactor
+// assigns it from A before any update reads it. Once the value is
+// restored the next Refactor must solve bit for bit as before; every
+// column takes a turn.
+func TestSparseLURefactorAfterSingular(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 30
+	m := randShiftedSparse(rng, n, 0.2, 8).Compile()
+	f, err := NewSparseLU(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := NewVector(n)
+	for i := range rhs {
+		rhs[i] = rng.Float64()
+	}
+	solve := func() Vector {
+		t.Helper()
+		if err := f.Refactor(); err != nil {
+			t.Fatal(err)
+		}
+		x := NewVector(n)
+		f.SolveInto(x, rhs)
+		return x
+	}
+	want := solve()
+	for i := 0; i < n; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			if m.ColIdx[k] != i {
+				continue
+			}
+			v := m.Val[k]
+			m.Val[k] = math.NaN()
+			if err := f.Refactor(); err == nil {
+				t.Fatalf("diagonal %d: expected a singular-matrix error on NaN", i)
+			}
+			m.Val[k] = v
+			got := solve()
+			for r := range got {
+				if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("diagonal %d: x[%d] after a failed refactor = %v, want %v", i, r, got[r], want[r])
+				}
+			}
+		}
+	}
+}
+
 // TestSparseLUStructurallySingular verifies a missing diagonal reach is
 // caught at symbolic time.
 func TestSparseLUStructurallySingular(t *testing.T) {

@@ -73,6 +73,11 @@ type Driver struct {
 	// Stop, when non-nil, is checked after every accepted step; returning
 	// true ends the run with StopCondition.
 	Stop func(t float64, x la.Vector) bool
+
+	// backup is the pre-step state a rejected step restores. Run
+	// allocates it on its first call and reuses it while the state
+	// length stays the same.
+	backup la.Vector
 }
 
 // Result summarizes an integration run.
@@ -86,7 +91,8 @@ type Result struct {
 var ErrNaNState = errors.New("ode: state became NaN or Inf")
 
 // Run integrates x in place starting at time t0 and returns the final time
-// and stop reason.
+// and stop reason. Runs of one Driver must not overlap: they share its
+// rejection backup.
 func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 	if d.Stepper == nil {
 		panic("ode: Driver requires a Stepper")
@@ -110,7 +116,10 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 	}
 	t := t0
 	steps := 0
-	backup := x.Clone()
+	if len(d.backup) != len(x) {
+		d.backup = la.NewVector(len(x))
+	}
+	backup := d.backup
 	for {
 		if d.Ctx != nil && d.Ctx.Err() != nil {
 			return Result{T: t, Reason: StopCancelled, Err: d.Ctx.Err()}

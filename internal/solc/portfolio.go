@@ -138,11 +138,12 @@ func (st *poolState) reportSolved(i int, policy WinnerPolicy, icancel context.Ca
 }
 
 // Solve races up to MaxAttempts restarts on Options.Parallelism workers.
-// Every attempt k integrates its own cloned engine from the initial
-// condition drawn from Seed + k, so trajectories are reproducible
-// regardless of scheduling; the winner policy decides which verified
-// equilibrium is returned and which running attempts are cancelled (via
-// context) once it can no longer be beaten. A non-finite TEnd, H or
+// Every attempt k integrates, on a pooled workspace no other running
+// attempt holds, the initial condition drawn from Seed + k, so
+// trajectories are reproducible regardless of scheduling; the winner
+// policy decides which verified equilibrium is returned and which
+// running attempts are cancelled (via context) once it can no longer be
+// beaten. A non-finite TEnd, H or
 // HMax, or a member other than the IMEX stepper on the capacitive form,
 // is an error.
 func (pf *Portfolio) Solve(opts Options) (Result, error) {
@@ -282,22 +283,171 @@ func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.Canc
 	})
 }
 
-// runAttempt integrates restart attempt idx on a freshly cloned engine and
-// classifies the outcome. It is the only code that touches per-attempt
-// mutable state, so attempts are data-race free by construction.
-func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (attemptOut, error) {
-	cs := pf.cs
+// workspace is the mutable state of one restart attempt on cs: a private
+// engine clone, its IMEX stepper (CSR values and SparseLU numerics), the
+// state vector, integration counters, the driver with its rejection
+// backup, and the RNG. Restarts are a large share of a solve's attempts,
+// so an attempt takes a workspace from the pool of cs and returns it
+// instead of building one. reset rewrites everything a trajectory reads;
+// attempt k therefore depends only on Seed + k, whichever workspace it
+// runs on.
+type workspace struct {
+	cs      *Compiled
+	eng     *circuit.Circuit
+	stats   ode.Stats
+	stepper *circuit.IMEXStepper
+	driver  ode.Driver
+	rng     *rand.Rand
+	x       la.Vector
+	nodeV   la.Vector             // Options.Observe's node voltages
+	probe   *circuit.PhysicsProbe // built by the first attempt with telemetry
+	// verify is the verifyState method value, bound once like the
+	// driver's Observe and Stop hooks so an attempt allocates no closure.
+	verify func(t float64, x la.Vector) error
+
+	// The running attempt's bindings, read by the hooks.
+	stop       func(cs *Compiled, eng circuit.Engine, t float64, x la.Vector) bool
+	observe    func(t float64, nodeV la.Vector)
+	tl         *obs.Telemetry
+	fl         *obs.Flight
+	physEvery  int
+	obsStep    int
+	verifyStep int
+}
+
+// newWorkspace builds a workspace over a fresh engine clone of cs.
+func newWorkspace(cs *Compiled) (*workspace, error) {
 	eng, ok := cs.Eng.Clone().(*circuit.Circuit)
 	if !ok {
-		return attemptOut{}, fmt.Errorf("solc: the IMEX stepper needs the capacitive engine, got %T", cs.Eng)
+		return nil, fmt.Errorf("solc: the IMEX stepper needs the capacitive engine, got %T", cs.Eng)
 	}
+	w := &workspace{
+		cs:  cs,
+		eng: eng,
+		rng: rand.New(rand.NewSource(0)),
+		x:   la.NewVector(eng.Dim()),
+	}
+	w.stepper = circuit.NewIMEX(eng, &w.stats)
+	w.driver = ode.Driver{Stepper: w.stepper, Observe: w.observeStep, Stop: w.stopAt}
+	w.verify = w.verifyState
+	return w, nil
+}
+
+// reset binds the workspace to one attempt and draws its initial state
+// from seed. rng.Seed replays rand.New(rand.NewSource(seed)) exactly,
+// InitialStateInto overwrites all of x, and the counters and energy
+// restart at zero; the stepper's and engine's scratch is overwritten
+// before every read within a step, so the trajectory reads nothing of
+// the previous attempt.
+func (w *workspace) reset(ctx context.Context, stop func(*Compiled, circuit.Engine, float64, la.Vector) bool,
+	opts Options, seed int64, fl *obs.Flight) {
+	tl := opts.Telemetry
+	w.stop, w.observe, w.tl, w.fl = stop, opts.Observe, tl, fl
+	w.obsStep, w.verifyStep = 0, 0
+	w.stats = ode.Stats{}
+	w.stepper.ResetEnergy()
+	w.stepper.Obs, w.stepper.Spans = tl.StepObsFor(fl), nil
+	if tl != nil {
+		w.stepper.Spans = tl.Spans
+		if w.probe == nil {
+			w.probe = circuit.NewPhysicsProbe(w.eng)
+		}
+		w.physEvery = tl.PhysicsEvery
+		if w.physEvery <= 0 {
+			w.physEvery = obs.DefaultPhysicsEvery
+		}
+	}
+	d := &w.driver
+	d.H, d.HMax, d.TEnd, d.Ctx, d.Obs = opts.H, opts.HMax, opts.TEnd, ctx, tl.StepObsFor(fl)
+	d.Verify = nil
+	if opts.Verify || invariant.Enabled {
+		d.Verify = w.verify
+	}
+	w.rng.Seed(seed)
+	w.eng.InitialStateInto(w.rng, w.x)
+}
+
+// release drops the attempt's references (context, callbacks,
+// telemetry) so an idle workspace keeps no finished solve alive.
+func (w *workspace) release() {
+	w.stop, w.observe, w.tl, w.fl = nil, nil, nil, nil
+	w.stepper.Obs, w.stepper.Spans = nil, nil
+	w.driver.Ctx, w.driver.Obs = nil, nil
+}
+
+// observeStep is the driver's Observe hook: clamp the state, then feed
+// Options.Observe and the decimated physics probe.
+func (w *workspace) observeStep(t float64, x la.Vector) {
+	w.eng.ClampState(x)
+	if w.observe != nil {
+		w.nodeV = w.eng.NodeVoltages(t, x, w.nodeV)
+		w.observe(t, w.nodeV)
+	}
+	if w.tl != nil {
+		w.obsStep++
+		if w.obsStep%w.physEvery == 0 {
+			ps := w.probe.Sample(t, x)
+			w.tl.RecordPhysics(ps.SaturatedFrac, ps.MaxDvDt, ps.MaxDxDt, ps.MemHist[:])
+			w.fl.Physics(ps.SaturatedFrac, ps.MaxDvDt)
+		}
+	}
+}
+
+// stopAt is the driver's Stop hook.
+func (w *workspace) stopAt(t float64, x la.Vector) bool { return w.stop(w.cs, w.eng, t, x) }
+
+// verifyState is the driver's Verify hook when the attempt checks
+// invariants.
+func (w *workspace) verifyState(t float64, x la.Vector) error {
+	w.verifyStep++
+	return w.eng.VerifyState(t, w.verifyStep, x)
+}
+
+// workspacePool holds the idle attempt workspaces of one Compiled. get
+// builds a workspace only when every existing one is in use, so the pool
+// never holds more than the most attempts that ever ran at once, and
+// repeated solves of one compile reuse them too.
+type workspacePool struct {
+	mu   sync.Mutex
+	idle []*workspace
+}
+
+// get takes an idle workspace, or builds one over cs.
+func (p *workspacePool) get(cs *Compiled) (*workspace, error) {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		w := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return w, nil
+	}
+	p.mu.Unlock()
+	return newWorkspace(cs)
+}
+
+// put returns w to the pool.
+func (p *workspacePool) put(w *workspace) {
+	w.release()
+	p.mu.Lock()
+	p.idle = append(p.idle, w)
+	p.mu.Unlock()
+}
+
+// runAttempt integrates restart attempt idx on a pooled workspace and
+// classifies the outcome. The workspace is the attempt's alone until it
+// returns it, so attempts are data-race free by construction.
+func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (attemptOut, error) {
+	cs := pf.cs
+	w, err := cs.pool.get(cs)
+	if err != nil {
+		return attemptOut{}, err
+	}
+	defer cs.pool.put(w)
 
 	stop := pf.stop
 	if stop == nil {
 		stop = (*Compiled).readOut
 	}
-	stats := &ode.Stats{}
-	stepper := circuit.NewIMEX(eng, stats)
 	tl := opts.Telemetry
 	seed := opts.Seed + int64(idx)
 	// One flight ring per attempt: the attempt goroutine is the single
@@ -308,63 +458,18 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	if tl != nil {
 		tl.AttemptsLaunched.Inc()
 		tl.Emit(obs.Event{Ev: obs.EvLaunched, Attempt: idx, Member: memberLabel, Seed: seed})
-		stepper.Obs = tl.StepObsFor(fl)
-		stepper.Spans = tl.Spans
 	}
 	//dmmvet:allow detflow — wall-clock telemetry only (attempt duration in the trace); the trajectory reads only Seed+k state
 	wallStart := time.Now()
 
-	rng := rand.New(rand.NewSource(seed))
-	x := eng.InitialState(rng)
-	var nodeVBuf la.Vector
-	// Decimated physics probe over this attempt's private engine clone.
-	var probe *circuit.PhysicsProbe
-	physEvery := 0
-	if tl != nil {
-		probe = circuit.NewPhysicsProbe(eng)
-		physEvery = tl.PhysicsEvery
-		if physEvery <= 0 {
-			physEvery = obs.DefaultPhysicsEvery
-		}
-	}
-	obsStep := 0
-	driver := &ode.Driver{
-		Stepper: stepper,
-		H:       opts.H, HMax: opts.HMax,
-		TEnd: opts.TEnd,
-		Ctx:  ctx,
-		Obs:  tl.StepObsFor(fl),
-		Observe: func(t float64, x la.Vector) {
-			eng.ClampState(x)
-			if opts.Observe != nil {
-				nodeVBuf = eng.NodeVoltages(t, x, nodeVBuf)
-				opts.Observe(t, nodeVBuf)
-			}
-			if probe != nil {
-				obsStep++
-				if obsStep%physEvery == 0 {
-					ps := probe.Sample(t, x)
-					tl.RecordPhysics(ps.SaturatedFrac, ps.MaxDvDt, ps.MaxDxDt, ps.MemHist[:])
-					fl.Physics(ps.SaturatedFrac, ps.MaxDvDt)
-				}
-			}
-		},
-		Stop: func(t float64, x la.Vector) bool { return stop(cs, eng, t, x) },
-	}
-	if opts.Verify || invariant.Enabled {
-		step := 0
-		driver.Verify = func(t float64, x la.Vector) error {
-			step++
-			return eng.VerifyState(t, step, x)
-		}
-	}
-	run := driver.Run(eng, 0, x)
+	w.reset(ctx, stop, opts, seed, fl)
+	run := w.driver.Run(w.eng, 0, w.x)
 
-	out := attemptOut{launched: true, t: run.T, steps: stats.Steps, fevals: stats.FEvals,
-		energy: stepper.Energy()}
+	out := attemptOut{launched: true, t: run.T, steps: w.stats.Steps, fevals: w.stats.FEvals,
+		energy: w.stepper.Energy()}
 	switch run.Reason {
 	case ode.StopCondition:
-		assign := cs.decodeWith(eng, run.T, x)
+		assign := cs.decodeWith(w.eng, run.T, w.x)
 		if cs.BC.Satisfied(assign) && cs.pinsRespected(assign) {
 			out.solved = true
 			out.assign = assign
@@ -385,7 +490,7 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	if tl != nil {
 		// The function-evaluation totals the per-step hooks cannot see
 		// accumulate in ode.Stats.
-		tl.FEvals.Add(int64(stats.FEvals))
+		tl.FEvals.Add(int64(w.stats.FEvals))
 		tl.Energy.Add(out.energy)
 		tl.AttemptWall.Observe(time.Since(wallStart).Seconds())
 		ev := obs.Event{Attempt: idx, Member: memberLabel, Seed: seed,

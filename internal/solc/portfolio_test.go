@@ -2,6 +2,7 @@ package solc
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -26,11 +27,17 @@ func unsatProblem() (*boolcirc.Circuit, map[boolcirc.Signal]bool) {
 // to 15 = 5 × 3: small, but unlike a single gate it has restarts that
 // wander to the horizon.
 func factor15Problem() (*boolcirc.Circuit, map[boolcirc.Signal]bool) {
+	return productProblem(15, 3, 2)
+}
+
+// productProblem is the np-bit × nq-bit multiplier with its product
+// pinned to n.
+func productProblem(n uint64, np, nq int) (*boolcirc.Circuit, map[boolcirc.Signal]bool) {
 	bc := boolcirc.New()
-	prod := bc.Multiplier(bc.NewSignals(3), bc.NewSignals(2))
+	prod := bc.Multiplier(bc.NewSignals(np), bc.NewSignals(nq))
 	pins := make(map[boolcirc.Signal]bool, len(prod))
 	for i, sig := range prod {
-		pins[sig] = 15&(1<<uint(i)) != 0
+		pins[sig] = n&(1<<uint(i)) != 0
 	}
 	return bc, pins
 }
@@ -96,9 +103,9 @@ func solveFixture(t *testing.T, parallelism int) Result {
 }
 
 // TestParallelDeterminism is the seed-derivation contract: with the default
-// WinnerLowestAttempt policy, the winning attempt, its seed, and the decoded
-// assignment are identical whether restarts run sequentially or race on
-// four workers.
+// WinnerLowestAttempt policy, the winning attempt, its seed, the bits of
+// t* and the decoded assignment are identical whether restarts run
+// sequentially or race on four workers.
 func TestParallelDeterminism(t *testing.T) {
 	seq := solveFixture(t, 1)
 	par := solveFixture(t, 4)
@@ -116,6 +123,9 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	if seq.WinnerMember != par.WinnerMember {
 		t.Fatalf("winner member: sequential=%q parallel=%q", seq.WinnerMember, par.WinnerMember)
+	}
+	if math.Float64bits(seq.T) != math.Float64bits(par.T) {
+		t.Fatalf("t*: sequential=%v parallel=%v", seq.T, par.T)
 	}
 	if len(seq.Assignment) != len(par.Assignment) {
 		t.Fatalf("assignment lengths differ: %d vs %d", len(seq.Assignment), len(par.Assignment))
@@ -198,9 +208,10 @@ func TestParallelRaceStress(t *testing.T) {
 
 // TestConcurrentSolvesRace shares one compiled portfolio between two
 // goroutines calling Solve at once — the dmm-serve shape, where request
-// handlers reuse the compiled circuit and each attempt clones its engine.
-// Under `go test -race` this guards the read-only compile state against
-// mutation by a concurrent solve, and since attempt 0 fails by
+// handlers reuse the compiled circuit and each attempt takes its own
+// workspace from the compile's pool. Under `go test -race` this guards
+// the read-only compile state and the workspace pool against a
+// concurrent solve, and since attempt 0 fails by
 // construction both callers must land on the same deterministic winner.
 func TestConcurrentSolvesRace(t *testing.T) {
 	pf := fixturePortfolio()

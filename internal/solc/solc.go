@@ -34,6 +34,9 @@ type Compiled struct {
 	// pinConflict records a caller pin that contradicts a circuit
 	// constant: the problem is unsatisfiable, so no read-out is taken.
 	pinConflict bool
+	// pool holds the restart-attempt workspaces every Solve on this
+	// compile reuses.
+	pool workspacePool
 }
 
 // opKind maps boolean ops onto self-organizing gate kinds.
