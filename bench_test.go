@@ -248,26 +248,7 @@ func BenchmarkScalingSubsetSum(b *testing.B) {
 // pattern, timed on a second, untimed pass so it does not count twice,
 // and build-ns/op is the rest of the compile.
 func BenchmarkCompile(b *testing.B) {
-	satBC, _, outs, err := boolcirc.FromCNF(randomCNF(rand.New(rand.NewSource(1)), 5, 13))
-	if err != nil {
-		b.Fatal(err)
-	}
-	satPins := make(map[boolcirc.Signal]bool, len(outs))
-	for _, o := range outs {
-		satPins[o] = true
-	}
-	factorBC, _, _, factorPins := core.BuildCircuit(15, core.BitLen(15))
-	wideBC, _, _, widePins := core.BuildCircuit(2039, 11)
-	cases := []struct {
-		name string
-		bc   *boolcirc.Circuit
-		pins map[boolcirc.Signal]bool
-	}{
-		{"factor", factorBC, factorPins},
-		{"sat", satBC, satPins},
-		{"11bit", wideBC, widePins},
-	}
-	for _, tc := range cases {
+	for _, tc := range compileCases(b) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var symbolic time.Duration
@@ -286,6 +267,34 @@ func BenchmarkCompile(b *testing.B) {
 			b.ReportMetric(float64(symbolic.Nanoseconds())/perOp, "symbolic-ns/op")
 			b.ReportMetric(float64((b.Elapsed()-symbolic).Nanoseconds())/perOp, "build-ns/op")
 		})
+	}
+}
+
+// compileCase is one boolean circuit with its pins, ready to compile.
+type compileCase struct {
+	name string
+	bc   *boolcirc.Circuit
+	pins map[boolcirc.Signal]bool
+}
+
+// compileCases returns the circuits the end-to-end workloads compile:
+// the n = 15 multiplier (factor), a 5-variable 13-clause random 3-SAT
+// OR-tree (sat) and the 11-bit multiplier (horizon's largest).
+func compileCases(tb testing.TB) []compileCase {
+	satBC, _, outs, err := boolcirc.FromCNF(randomCNF(rand.New(rand.NewSource(1)), 5, 13))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	satPins := make(map[boolcirc.Signal]bool, len(outs))
+	for _, o := range outs {
+		satPins[o] = true
+	}
+	factorBC, _, _, factorPins := core.BuildCircuit(15, core.BitLen(15))
+	wideBC, _, _, widePins := core.BuildCircuit(2039, 11)
+	return []compileCase{
+		{"factor", factorBC, factorPins},
+		{"sat", satBC, satPins},
+		{"11bit", wideBC, widePins},
 	}
 }
 

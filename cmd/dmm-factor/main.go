@@ -49,6 +49,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2 // the status flag.ExitOnError uses
 	}
+	if fs.NArg() > 0 {
+		// Parsing stops at the first positional argument, so any flag
+		// after it was dropped too.
+		fmt.Fprintf(stderr, "dmm-factor: unexpected argument %q: every setting is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 
 	if err := co.Start(); err != nil {
 		fmt.Fprintln(stderr, err)

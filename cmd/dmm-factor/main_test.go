@@ -43,3 +43,19 @@ func TestNonFiniteHorizonIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestPositionalArgumentIsAnError: `dmm-factor 15` used to factor the
+// default 35, because flag parsing stops at the first positional
+// argument. Any positional argument must now exit 2 with the usage.
+func TestPositionalArgumentIsAnError(t *testing.T) {
+	for _, args := range [][]string{{"15"}, {"-n", "15", "15", "-tend", "5"}} {
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), `unexpected argument "15"`) || !strings.Contains(stderr.String(), "-attempts") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming the argument, then the usage", args, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran anyway: %q", args, stdout.String())
+		}
+	}
+}

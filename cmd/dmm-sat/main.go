@@ -53,6 +53,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2 // the status flag.ExitOnError uses
 	}
+	if fs.NArg() > 0 {
+		// Parsing stops at the first positional argument, so any flag
+		// after it was dropped too.
+		fmt.Fprintf(stderr, "dmm-sat: unexpected argument %q: every setting is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 	if *file == "" && (*rv < 3 || *rc < 1) {
 		fmt.Fprintf(stderr, "dmm-sat: a random 3-SAT instance needs -random-vars >= 3 and -random-clauses >= 1, got %d and %d\n", *rv, *rc)
 		return 2

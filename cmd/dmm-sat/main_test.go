@@ -36,3 +36,20 @@ func TestSmallestRandomInstance(t *testing.T) {
 		t.Fatalf("exit %d, stdout %q, stderr %q; want a solved 3-variable clause", code, out, stderr.String())
 	}
 }
+
+// TestPositionalArgumentIsAnError: `dmm-sat foo.cnf` used to solve a
+// random formula, and `dmm-sat foo.cnf -tend 5` to drop -tend as well,
+// because flag parsing stops at the first positional argument. Any
+// positional argument must now exit 2 with the usage.
+func TestPositionalArgumentIsAnError(t *testing.T) {
+	for _, args := range [][]string{{"foo.cnf"}, {"foo.cnf", "-tend", "5"}} {
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), `unexpected argument "foo.cnf"`) || !strings.Contains(stderr.String(), "-random-vars") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming the argument, then the usage", args, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran anyway: %q", args, stdout.String())
+		}
+	}
+}

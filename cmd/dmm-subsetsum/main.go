@@ -47,6 +47,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2 // the status flag.ExitOnError uses
 	}
+	if fs.NArg() > 0 {
+		// Parsing stops at the first positional argument, so any flag
+		// after it was dropped too.
+		fmt.Fprintf(stderr, "dmm-subsetsum: unexpected argument %q: every setting is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 
 	var values []uint64
 	for _, tok := range strings.Split(*valuesFlag, ",") {

@@ -25,3 +25,20 @@ func TestSingleValueTargets(t *testing.T) {
 		}
 	}
 }
+
+// TestPositionalArgumentIsAnError: `dmm-subsetsum 3,5,6` used to solve
+// the default instance, because flag parsing stops at the first
+// positional argument. Any positional argument must now exit 2 with the
+// usage.
+func TestPositionalArgumentIsAnError(t *testing.T) {
+	for _, args := range [][]string{{"3,5,6"}, {"-values", "3,5", "8", "-target", "8"}} {
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), "unexpected argument") || !strings.Contains(stderr.String(), "-values") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming the argument, then the usage", args, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran anyway: %q", args, stdout.String())
+		}
+	}
+}

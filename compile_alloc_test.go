@@ -1,0 +1,47 @@
+package repro
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/circuit"
+	"repro/internal/solc"
+)
+
+// TestCompileAllocations bounds what one solc.Compile allocates on each
+// circuit of compileCases. A compile allocates the arrays its solves keep
+// (branch sets, stamp plan, CSR pattern, symbolic structure) and nothing
+// else: no triplet list, no sorted index copies, no numeric arrays on the
+// symbolic template, and its ordering and bucket scratch comes from a
+// pool. Each budget is the measured figure plus under 3.1% of the bytes
+// and 5 objects; the compile that built all of the above allocated 61.8 KB
+// and 140 objects (factor), 82.7 KB and 150 (sat), and 907 KB and 622
+// (11bit).
+func TestCompileAllocations(t *testing.T) {
+	budget := map[string]struct{ bytes, objects float64 }{
+		"factor": {41_000, 85},   // measures 39,928 B and 80 objects
+		"sat":    {53_500, 98},   // 51,936 B and 93
+		"11bit":  {500_000, 318}, // 486,432 B and 313
+	}
+	for _, tc := range compileCases(t) {
+		// The first compile fills the scratch pool; the least of a few
+		// more discards allocations by the runtime itself.
+		solc.Compile(tc.bc, tc.pins, circuit.Default())
+		bytes, objects := math.Inf(1), math.Inf(1)
+		for rep := 0; rep < 5; rep++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			solc.Compile(tc.bc, tc.pins, circuit.Default())
+			runtime.ReadMemStats(&m1)
+			bytes = math.Min(bytes, float64(m1.TotalAlloc-m0.TotalAlloc))
+			objects = math.Min(objects, float64(m1.Mallocs-m0.Mallocs))
+		}
+		b := budget[tc.name]
+		t.Logf("%s: %.0f B, %.0f objects (budget %.0f B, %.0f)", tc.name, bytes, objects, b.bytes, b.objects)
+		if bytes > b.bytes || objects > b.objects {
+			t.Errorf("%s: a compile allocates %.0f B and %.0f objects, want at most %.0f B and %.0f",
+				tc.name, bytes, objects, b.bytes, b.objects)
+		}
+	}
+}

@@ -64,7 +64,18 @@ func FromCNF(f CNF) (c *Circuit, vars []Signal, clauseOuts []Signal, err error) 
 	return c, vars, clauseOuts, nil
 }
 
-// ParseDIMACS reads a DIMACS CNF file.
+// MaxDIMACSVars caps the variable count a DIMACS problem line may
+// declare. Its consumers allocate per declared variable (one signal per
+// variable in FromCNF, one assignment slot in the SAT baselines), so an
+// unchecked count such as 99999999999 would exhaust memory instead of
+// being refused. 2^20 variables is far beyond any SOLC this simulator can
+// integrate.
+const MaxDIMACSVars = 1 << 20
+
+// ParseDIMACS reads a DIMACS CNF file. Malformed input is an error: a
+// problem line that is missing, repeated, or declares a variable count
+// outside [0, MaxDIMACSVars], and a literal that is not an integer or
+// names a variable above the declared count.
 func ParseDIMACS(r io.Reader) (CNF, error) {
 	var f CNF
 	sc := bufio.NewScanner(r)
@@ -77,6 +88,9 @@ func ParseDIMACS(r io.Reader) (CNF, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "p") {
+			if sawHeader {
+				return f, fmt.Errorf("boolcirc: second problem line %q", line)
+			}
 			fields := strings.Fields(line)
 			if len(fields) != 4 || fields[1] != "cnf" {
 				return f, fmt.Errorf("boolcirc: malformed problem line %q", line)
@@ -84,6 +98,9 @@ func ParseDIMACS(r io.Reader) (CNF, error) {
 			nv, err := strconv.Atoi(fields[2])
 			if err != nil {
 				return f, fmt.Errorf("boolcirc: bad variable count: %v", err)
+			}
+			if nv < 0 || nv > MaxDIMACSVars {
+				return f, fmt.Errorf("boolcirc: variable count %d outside [0, %d]", nv, MaxDIMACSVars)
 			}
 			f.NumVars = nv
 			sawHeader = true
@@ -101,6 +118,9 @@ func ParseDIMACS(r io.Reader) (CNF, error) {
 				f.Clauses = append(f.Clauses, cur)
 				cur = nil
 				continue
+			}
+			if v < -f.NumVars || v > f.NumVars {
+				return f, fmt.Errorf("boolcirc: literal %d names a variable above the declared count %d", v, f.NumVars)
 			}
 			cur = append(cur, Lit(v))
 		}

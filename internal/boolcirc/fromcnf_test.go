@@ -116,4 +116,16 @@ func TestParseDIMACSErrors(t *testing.T) {
 	if _, err := ParseDIMACS(strings.NewReader("p cnf 2 1\n1 z 0\n")); err == nil {
 		t.Fatal("bad literal should error")
 	}
+	// Each of these used to be accepted, and dmm-sat then panicked in
+	// the DPLL baseline (index out of range) or ran out of memory.
+	for _, in := range []string{
+		"p cnf 2 1\n1 -3 0\n",         // literal above the declared count
+		"p cnf -1 1\n1 0\n",           // negative variable count
+		"p cnf 99999999999 1\n1 0\n",  // count beyond MaxDIMACSVars
+		"p cnf 1 1\np cnf 3 1\n3 0\n", // a second problem line
+	} {
+		if _, err := ParseDIMACS(strings.NewReader(in)); err == nil {
+			t.Errorf("%q: want an error", in)
+		}
+	}
 }

@@ -34,6 +34,8 @@ type Circuit struct {
 	// plan is the Build-time stamp plan of the voltage system and symb its
 	// one-time symbolic factorization; both are immutable and shared by
 	// every engine instance over this circuit (see internal/circuit/stamp.go).
+	// symb is a template with no numeric arrays: each stepper factors a
+	// CloneFor of it that owns its own.
 	plan *stampPlan
 	symb *la.SparseLU
 
@@ -118,7 +120,7 @@ func (b *Builder) Build() *Circuit {
 	}
 	c.plan = c.buildPlan()
 	var err error
-	if c.symb, err = la.NewSparseLU(c.plan.csr); err != nil {
+	if c.symb, err = la.NewSymbolicLU(c.plan.csr); err != nil {
 		// The shift diagonal makes the pattern structurally nonsingular;
 		// reaching this indicates a stamp-plan bug, not a user error.
 		panic(fmt.Sprintf("circuit: symbolic factorization failed: %v", err))

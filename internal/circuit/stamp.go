@@ -112,33 +112,35 @@ type stampPlan struct {
 }
 
 // buildPlan compiles the stamp plan from the branch sets. The pattern is
-// value-independent by construction: every op position is stamped as an
-// explicit (possibly zero) entry, and la.Builder keeps explicit zeros, so
-// the symbolic factorization computed here stays valid for every
-// conductance assignment the dynamics can produce.
+// value-independent by construction: every op position is an explicit
+// (zero) entry of the pattern, so the symbolic factorization computed
+// for it stays valid for every conductance assignment the dynamics can
+// produce.
 //
 // Branches are walked in conductance-buffer order (memristors, then
-// resistors) twice: once to count every kind of op, so each array is
-// allocated once at its final length, and once to fill them. A branch on
-// a free row contributes +g on its diagonal and one op per nonzero VCVG
-// coefficient: a matrix op when the slot node is free, a right-hand-side
-// op when it is pinned; its DC term is one more right-hand-side op.
+// resistors). A branch on a free row contributes +g on its diagonal and
+// one op per nonzero VCVG coefficient: a matrix op when the slot node is
+// free, a right-hand-side op when it is pinned; its DC term is one more
+// right-hand-side op. A first walk counts every kind of op, so each array
+// is allocated once at its final length, and a second fills them.
+//
+// The pattern's entries are the nv shift diagonals followed by one entry
+// per matrix op, and their lists are the plan's own arrays: the rows go
+// into the array that la.CompilePattern overwrites with the entries'
+// CSR value indices, which become diag and mIdx, and the columns into
+// the one that becomes mBr, which a third walk then fills with branch
+// indices. The compile therefore allocates no list it throws away.
 func (c *Circuit) buildPlan() *stampPlan {
 	sets := [2]*branchSet{&c.memBr, &c.resBr}
-	var nMat, nOff, nR, nD int
+	var nMat, nR, nD int
 	for _, set := range sets {
 		for j, fi := range set.fi {
 			if fi < 0 {
 				continue // pinned terminal: its KCL row is absorbed by the source
 			}
-			nMat++
-			slots := [3]int32{set.i1[j], set.i2[j], set.io[j]}
+			nMat += c.matOps(set, j)
 			for k, coef := range [3]float64{set.a1[j], set.a2[j], set.ao[j]} {
-				switch {
-				case coef == 0:
-				case c.freeIdx[slots[k]] >= 0:
-					nOff++
-				default:
+				if coef != 0 && c.freeIdx[set.slot(j, k)] < 0 {
 					nR++
 				}
 			}
@@ -147,21 +149,19 @@ func (c *Circuit) buildPlan() *stampPlan {
 			}
 		}
 	}
-	nMat += nOff
 
+	nv := c.nv
+	rows := make([]int32, nv+nMat)
+	cols := make([]int32, nv+nMat)
 	p := &stampPlan{
-		diag: make([]int32, c.nv),
-		mIdx: make([]int32, 0, nMat), mBr: make([]int32, 0, nMat), mCoef: make([]float64, 0, nMat),
+		diag: rows[:nv:nv], mIdx: rows[nv:], mBr: cols[nv:], mCoef: make([]float64, nMat),
 		rFi: make([]int32, 0, nR), rBr: make([]int32, 0, nR), rNode: make([]int32, 0, nR), rCoef: make([]float64, 0, nR),
 		dFi: make([]int32, 0, nD), dBr: make([]int32, 0, nD), dDC: make([]float64, 0, nD),
 	}
-	pb := la.NewBuilder(c.nv, c.nv)
-	pb.Reserve(c.nv + nOff)
-	for f := 0; f < c.nv; f++ {
-		pb.Add(f, f, 0) // shift diagonal is always present: entry f
+	for f := 0; f < nv; f++ {
+		rows[f], cols[f] = int32(f), int32(f) // the shift diagonal
 	}
-	// Until the pattern is compiled, mIdx holds the index of the builder
-	// entry each matrix op lands on.
+	e := nv // next matrix entry
 	br := int32(0)
 	for _, set := range sets {
 		for j, fi := range set.fi {
@@ -169,20 +169,18 @@ func (c *Circuit) buildPlan() *stampPlan {
 				br++
 				continue
 			}
-			p.mIdx = append(p.mIdx, fi) // +g on the diagonal
-			p.mBr = append(p.mBr, br)
-			p.mCoef = append(p.mCoef, 1)
-			slots := [3]int32{set.i1[j], set.i2[j], set.io[j]}
+			rows[e], cols[e] = fi, fi // +g on the diagonal
+			p.mCoef[e-nv] = 1
+			e++
 			for k, coef := range [3]float64{set.a1[j], set.a2[j], set.ao[j]} {
 				if coef == 0 {
 					continue
 				}
-				sn := slots[k]
+				sn := set.slot(j, k)
 				if sf := c.freeIdx[sn]; sf >= 0 {
-					p.mIdx = append(p.mIdx, int32(pb.NNZ()))
-					p.mBr = append(p.mBr, br)
-					p.mCoef = append(p.mCoef, -coef)
-					pb.Add(int(fi), sf, 0)
+					rows[e], cols[e] = fi, int32(sf)
+					p.mCoef[e-nv] = -coef
+					e++
 				} else {
 					p.rFi = append(p.rFi, fi)
 					p.rBr = append(p.rBr, br)
@@ -198,13 +196,37 @@ func (c *Circuit) buildPlan() *stampPlan {
 			br++
 		}
 	}
-	var pos []int32
-	p.csr, pos = pb.CompileIndexed()
-	copy(p.diag, pos[:c.nv])
-	for k, e := range p.mIdx {
-		p.mIdx[k] = pos[e]
+	p.csr = la.CompilePattern(nv, nv, rows, cols, rows)
+	k, br := 0, int32(0)
+	for _, set := range sets {
+		for j, fi := range set.fi {
+			if fi >= 0 {
+				for end := k + c.matOps(set, j); k < end; k++ {
+					p.mBr[k] = br
+				}
+			}
+			br++
+		}
 	}
 	return p
+}
+
+// slot returns the node of VCVG slot k (0, 1 or 2) of branch j.
+func (s *branchSet) slot(j, k int) int32 {
+	return [3]int32{s.i1[j], s.i2[j], s.io[j]}[k]
+}
+
+// matOps returns the number of matrix ops of branch j of set, which must
+// hang off a free node: its diagonal and one per nonzero VCVG coefficient
+// whose slot node is free.
+func (c *Circuit) matOps(set *branchSet, j int) int {
+	n := 1
+	for k, coef := range [3]float64{set.a1[j], set.a2[j], set.ao[j]} {
+		if coef != 0 && c.freeIdx[set.slot(j, k)] >= 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // valCSR returns a private value array bound to the shared pattern, for

@@ -1,0 +1,10 @@
+package la
+
+// The standalone forms of the scratch-backed orderings, each on a fresh
+// scratch, for FuzzSymbolicMatchesReference.
+
+func symmetrizedAdjacency(a *CSR) adjacency { return new(scratch).adjacency(a) }
+
+func rcmOrder(adj adjacency) []int { return new(scratch).rcmOrder(adj, nil) }
+
+func mdOrder(adj adjacency) []int { return new(scratch).mdOrder(adj, nil) }

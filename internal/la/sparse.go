@@ -1,9 +1,6 @@
 package la
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Triplet is one (row, col, value) entry used while building a sparse matrix.
 type Triplet struct {
@@ -49,11 +46,8 @@ type CSR struct {
 // exactly zero are kept as explicit zeros: dropping them would make the
 // sparsity pattern value-dependent, silently invalidating any symbolic
 // factorization computed for the same topology at different values.
-//
-// The triplets are ordered by two stable counting sorts, by column and
-// then by row, so each row comes out sorted by column with its duplicates
-// adjacent in insertion order; duplicates therefore sum in the order they
-// were added, the same on every platform and Go release.
+// Duplicates sum in the order they were added, starting from +0, the same
+// on every platform and Go release.
 func (b *Builder) Compile() *CSR {
 	m, _ := b.CompileIndexed()
 	return m
@@ -63,67 +57,87 @@ func (b *Builder) Compile() *CSR {
 // pos[k] is the index in m.ColIdx and m.Val of the entry the k-th Add
 // call stamped.
 func (b *Builder) CompileIndexed() (m *CSR, pos []int32) {
-	ents := b.entries
-	// Stable counting sort by column, then by row.
-	next := make([]int32, max(b.Rows, b.Cols)+1)
-	for _, e := range ents {
-		next[e.Col+1]++
+	pos = make([]int32, len(b.entries))
+	ci := make([]int32, len(b.entries))
+	for k, e := range b.entries {
+		pos[k], ci[k] = int32(e.Row), int32(e.Col)
 	}
-	for c := 0; c < b.Cols; c++ {
-		next[c+1] += next[c]
-	}
-	byCol := make([]int32, len(ents))
-	for i, e := range ents {
-		byCol[next[e.Col]] = int32(i)
-		next[e.Col]++
-	}
-	clear(next)
-	for _, e := range ents {
-		next[e.Row+1]++
-	}
-	for r := 0; r < b.Rows; r++ {
-		next[r+1] += next[r]
-	}
-	byRow := make([]int32, len(ents))
-	for _, i := range byCol {
-		r := ents[i].Row
-		byRow[next[r]] = i
-		next[r]++
-	}
-
-	uniq := 0
-	for k, i := range byRow {
-		if k == 0 || !samePos(ents[byRow[k-1]], ents[i]) {
-			uniq++
-		}
-	}
-	m = &CSR{
-		Rows: b.Rows, Cols: b.Cols, RowPtr: make([]int, b.Rows+1),
-		ColIdx: make([]int, 0, uniq), Val: make([]float64, 0, uniq),
-	}
-	pos = make([]int32, len(ents))
-	for k := 0; k < len(byRow); {
-		e := ents[byRow[k]]
-		var sum float64
-		for ; k < len(byRow) && samePos(ents[byRow[k]], e); k++ {
-			sum += ents[byRow[k]].Val
-			pos[byRow[k]] = int32(len(m.Val))
-		}
-		m.ColIdx = append(m.ColIdx, e.Col)
-		m.Val = append(m.Val, sum)
-		m.RowPtr[e.Row+1]++
-	}
-	for i := 0; i < b.Rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
+	m = CompilePattern(b.Rows, b.Cols, pos, ci, pos)
+	for k, e := range b.entries {
+		m.Val[pos[k]] += e.Val
 	}
 	return m, pos
 }
 
-// Reserve grows the builder's capacity so that n more Add calls do not
-// reallocate.
-func (b *Builder) Reserve(n int) { b.entries = slices.Grow(b.entries, n) }
+// CompilePattern returns the sparsity pattern of the rows×cols matrix
+// with an entry at (ri[k], ci[k]) for every k — each row sorted by
+// column, duplicate positions merged, every value zero — and writes to
+// pos[k] the index in ColIdx and Val of entry k. pos may be ri or ci
+// itself: each entry's row and column are read before its index is
+// written.
+//
+// The entries are bucketed by column with a counting sort, so a walk
+// over the buckets appends every row's columns in ascending order and
+// meets each duplicate right after the first copy of its position: no
+// comparison sort, and nothing allocated but the CSR (the buckets are
+// pooled scratch).
+func CompilePattern(rows, cols int, ri, ci, pos []int32) *CSR {
+	if len(ci) != len(ri) || len(pos) != len(ri) {
+		panic(fmt.Sprintf("la: CompilePattern list lengths %d, %d and %d differ", len(ri), len(ci), len(pos)))
+	}
+	s := getScratch()
+	defer putScratch(s)
+	colPtr := resize(s.colPtr, cols+1)
+	clear(colPtr)
+	for _, c := range ci {
+		colPtr[c+1]++
+	}
+	for c := 0; c < cols; c++ {
+		colPtr[c+1] += colPtr[c]
+	}
+	byCol := resize(s.byCol, len(ci))
+	for k, c := range ci {
+		byCol[colPtr[c]] = int32(k)
+		colPtr[c]++
+	}
 
-func samePos(a, b Triplet) bool { return a.Row == b.Row && a.Col == b.Col }
+	// Count each row's distinct columns: mark holds the last column the
+	// row took, and the walk delivers every row's columns ascending.
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	mark := resize(s.rowMark, rows)
+	for r := range mark {
+		mark[r] = -1
+	}
+	for _, k := range byCol {
+		if r, c := ri[k], ci[k]; mark[r] != c {
+			mark[r] = c
+			m.RowPtr[r+1]++
+		}
+	}
+	for r := 0; r < rows; r++ {
+		m.RowPtr[r+1] += m.RowPtr[r]
+	}
+	nnz := m.RowPtr[rows]
+	m.ColIdx, m.Val = make([]int, nnz), make([]float64, nnz)
+
+	// The same walk fills the rows. mark is now each row's fill cursor;
+	// an entry whose column is the last one its row took is a duplicate.
+	for r := range mark {
+		mark[r] = int32(m.RowPtr[r])
+	}
+	for _, k := range byCol {
+		r, c := ri[k], int(ci[k])
+		p := int(mark[r])
+		if p == m.RowPtr[r] || m.ColIdx[p-1] != c {
+			m.ColIdx[p] = c
+			p++
+			mark[r] = int32(p)
+		}
+		pos[k] = int32(p - 1)
+	}
+	s.colPtr, s.byCol, s.rowMark = colPtr, byCol, mark
+	return m
+}
 
 // NNZ returns the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.Val) }

@@ -20,7 +20,9 @@ import (
 // elimination that fixes the nonzero structure of L and U once. Refactor
 // then recomputes only the numeric values into the frozen structure (no
 // allocation, no pattern work), and SolveInto runs the permuted triangular
-// solves.
+// solves. NewSymbolicLU runs the symbolic phase alone: its template owns
+// no numeric arrays (lx, ux, x and b are nil), and each of its CloneFor
+// solvers owns its own.
 //
 // The factorization is pivot-free: row/column order is decided by the
 // symbolic phase alone. That is only stable for matrices kept strongly
@@ -66,12 +68,26 @@ type SparseLU struct {
 func (f *SparseLU) NNZFactors() int { return len(f.li) + len(f.ui) }
 
 // NewSparseLU computes the fill-reducing ordering and symbolic
-// factorization of a and binds the solver to it. The matrix must be square
-// with a structurally present diagonal (the circuit assembly guarantees
-// this via the C/h·I shift). Subsequent Refactor calls read a.Val in place,
-// so the caller may rewrite values — but not the pattern — between
-// refactorizations.
+// factorization of a and binds the solver to it, with numeric arrays of
+// its own. The matrix must be square with a structurally present
+// diagonal (the circuit assembly guarantees this via the C/h·I shift).
+// Subsequent Refactor calls read a.Val in place, so the caller may
+// rewrite values — but not the pattern — between refactorizations.
 func NewSparseLU(a *CSR) (*SparseLU, error) {
+	f, err := NewSymbolicLU(a)
+	if err != nil {
+		return nil, err
+	}
+	f.allocNumeric()
+	return f, nil
+}
+
+// NewSymbolicLU is the symbolic phase of NewSparseLU alone: it returns a
+// template that holds the ordering, scatter plan and factor structure of
+// a but owns no numeric arrays, so Refactor and SolveInto must not be
+// called on it. Each CloneFor of the template is a solver that owns its
+// numeric arrays; one template serves any number of concurrent clones.
+func NewSymbolicLU(a *CSR) (*SparseLU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("la: SparseLU requires a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
@@ -79,57 +95,61 @@ func NewSparseLU(a *CSR) (*SparseLU, error) {
 	// with less fill, RCM on a tie: RCM wins on banded chains, minimum
 	// degree on the grid-like multiplier arrays. The analysis is a
 	// one-time Build cost; every numeric refactorization repays the
-	// smaller structure. Both analyses share one workspace, and only the
-	// winner gets numeric arrays.
+	// smaller structure. Both analyses run in pooled scratch, and only
+	// the winner is copied out.
 	//
 	// Minimum degree goes first so that its fill can cap the RCM analysis:
 	// once RCM's running fill exceeds it, RCM has lost. The cap applies
 	// only under a full diagonal, where no column can be structurally
 	// singular; otherwise RCM runs to the end, because its error (not
 	// minimum degree's) is the one to report.
-	adj := symmetrizedAdjacency(a)
-	ws := newSymbolicWork(a.Rows)
-	md, errMD := analyze(a, mdOrder(adj), ws, -1)
+	s := getScratch()
+	defer putScratch(s)
+	adj := s.adjacency(a)
+	md, rcm := &s.cand[0], &s.cand[1]
+	md.perm = s.mdOrder(adj, md.perm)
+	errMD := s.analyze(a, md, -1)
 	budget := -1
 	if errMD == nil && hasFullDiagonal(a) {
 		budget = md.NNZFactors()
 	}
-	best, err := analyze(a, rcmOrder(adj), ws, budget)
-	switch {
+	rcm.perm = s.rcmOrder(adj, rcm.perm)
+	best := rcm
+	switch err := s.analyze(a, rcm, budget); {
 	case errors.Is(err, errOverBudget):
 		best = md
 	case err != nil:
 		return nil, err
-	case errMD == nil && md.NNZFactors() < best.NNZFactors():
+	case errMD == nil && md.NNZFactors() < rcm.NNZFactors():
 		best = md
 	}
-	best.lx = make([]float64, len(best.li))
-	best.ux = make([]float64, len(best.ui))
-	best.x = make([]float64, a.Rows)
-	best.b = make([]float64, a.Rows)
-	return best, nil
+	return best.copySymbolic(), nil
 }
 
-// symbolicWork is the scratch one symbolic analysis needs, reused by the
-// next: the inverse permutation, the DFS marks, stack and reach, column
-// cursors, and the growing L and U patterns, which analyze copies out at
-// their final length.
-type symbolicWork struct {
-	inv          []int
-	mark         []int
-	next         []int32
-	stack, reach []int32
-	li, ui       []int32
-}
-
-func newSymbolicWork(n int) *symbolicWork {
-	return &symbolicWork{
-		inv:   make([]int, n),
-		mark:  make([]int, n),
-		next:  make([]int32, n),
-		stack: make([]int32, 0, n),
-		reach: make([]int32, 0, n),
+// copySymbolic returns a template with its own copy of f's symbolic
+// arrays; the int32 ones share one allocation.
+func (f *SparseLU) copySymbolic() *SparseLU {
+	n := f.n
+	ints := make([]int32, 0, 3*(n+1)+2*len(f.aRow)+len(f.li)+len(f.ui))
+	take := func(src []int32) []int32 {
+		k := len(ints)
+		ints = append(ints, src...)
+		return ints[k:len(ints):len(ints)]
 	}
+	return &SparseLU{
+		n: n, a: f.a, perm: slices.Clone(f.perm),
+		aColPtr: take(f.aColPtr), aRow: take(f.aRow), aSrc: take(f.aSrc),
+		lp: take(f.lp), li: take(f.li),
+		up: take(f.up), ui: take(f.ui),
+	}
+}
+
+// allocNumeric gives f numeric arrays of its own.
+func (f *SparseLU) allocNumeric() {
+	f.lx = make([]float64, len(f.li))
+	f.ux = make([]float64, len(f.ui))
+	f.x = make([]float64, f.n)
+	f.b = make([]float64, f.n)
 }
 
 // errOverBudget reports an analysis abandoned because its fill exceeded
@@ -146,15 +166,15 @@ func hasFullDiagonal(a *CSR) bool {
 	return true
 }
 
-// analyze builds the scatter plan and symbolic factorization of a under
-// the given ordering (perm[new] = old). It sets every symbolic array but
-// leaves the numeric ones (lx, ux, x, b) to the caller. With budget ≥ 0
-// it returns errOverBudget as soon as the fill of L+U exceeds budget.
-func analyze(a *CSR, perm []int, ws *symbolicWork, budget int) (*SparseLU, error) {
+// analyze builds into f the scatter plan and symbolic factorization of a
+// under the ordering f.perm (perm[new] = old), reusing f's arrays. It
+// sets every symbolic array and no numeric one. With budget ≥ 0 it
+// returns errOverBudget as soon as the fill of L+U exceeds budget.
+func (s *scratch) analyze(a *CSR, f *SparseLU, budget int) error {
 	n := a.Rows
-	f := &SparseLU{n: n, a: a, perm: perm}
-	inv := ws.inv
-	for k, old := range perm {
+	f.n, f.a = n, a
+	inv := resize(s.inv, n)
+	for k, old := range f.perm {
 		inv[old] = k
 	}
 
@@ -162,18 +182,19 @@ func analyze(a *CSR, perm []int, ws *symbolicWork, budget int) (*SparseLU, error
 	// counting-sort transpose that visits the rows in permuted order, so
 	// every column's entries arrive sorted by permuted row.
 	nnz := a.RowPtr[n]
-	f.aColPtr = make([]int32, n+1)
+	f.aColPtr = resize(f.aColPtr, n+1)
+	clear(f.aColPtr)
 	for _, c := range a.ColIdx[:nnz] {
 		f.aColPtr[inv[c]+1]++
 	}
 	for j := 0; j < n; j++ {
 		f.aColPtr[j+1] += f.aColPtr[j]
 	}
-	next := ws.next
+	next := resize(s.next, n)
 	copy(next, f.aColPtr[:n])
-	f.aRow = make([]int32, nnz)
-	f.aSrc = make([]int32, nnz)
-	for pi, i := range perm {
+	f.aRow = resize(f.aRow, nnz)
+	f.aSrc = resize(f.aSrc, nnz)
+	for pi, i := range f.perm {
 		for t := a.RowPtr[i]; t < a.RowPtr[i+1]; t++ {
 			pj := inv[a.ColIdx[t]]
 			f.aRow[next[pj]] = int32(pi)
@@ -187,14 +208,17 @@ func analyze(a *CSR, perm []int, ws *symbolicWork, budget int) (*SparseLU, error
 	// computed L columns (edge k→i when L[i,k] ≠ 0). Ascending index order
 	// is a valid topological order for the lower-triangular dependency, so
 	// the numeric phase can simply walk each stored pattern in order.
-	f.lp = make([]int32, n+1)
-	f.up = make([]int32, n+1)
-	li, ui := ws.li[:0], ws.ui[:0]
-	mark := ws.mark
+	f.lp = resize(f.lp, n+1)
+	f.up = resize(f.up, n+1)
+	f.lp[0], f.up[0] = 0, 0
+	li, ui := f.li[:0], f.ui[:0]
+	mark := resize(s.mark, n)
 	for i := range mark {
 		mark[i] = -1
 	}
-	stack, reach := ws.stack, ws.reach
+	stack, reach := s.stack, s.reach
+	s.inv, s.next, s.mark = inv, next, mark
+	defer func() { f.li, f.ui, s.stack, s.reach = li, ui, stack, reach }()
 	for j := 0; j < n; j++ {
 		reach = reach[:0]
 		for t := f.aColPtr[j]; t < f.aColPtr[j+1]; t++ {
@@ -229,28 +253,28 @@ func analyze(a *CSR, perm []int, ws *symbolicWork, budget int) (*SparseLU, error
 			k++
 		}
 		if k == len(reach) || int(reach[k]) != j {
-			return nil, fmt.Errorf("la: SparseLU structurally singular (no diagonal reach at column %d)", perm[j])
+			return fmt.Errorf("la: SparseLU structurally singular (no diagonal reach at column %d)", f.perm[j])
 		}
 		ui = append(append(ui, reach[:k]...), int32(j)) // diagonal closes the column
 		f.up[j+1] = int32(len(ui))
 		li = append(li, reach[k+1:]...)
 		f.lp[j+1] = int32(len(li))
 		if budget >= 0 && len(li)+len(ui) > budget {
-			return nil, errOverBudget
+			return errOverBudget
 		}
 	}
-	ws.li, ws.ui, ws.stack, ws.reach = li, ui, stack, reach
-	f.li = slices.Clone(li)
-	f.ui = slices.Clone(ui)
-	return f, nil
+	return nil
 }
 
 // CloneFor returns a solver bound to a, sharing the receiver's symbolic
 // analysis (ordering, scatter plan, and factor structure — all immutable
-// after NewSparseLU) with private numeric arrays. a must have exactly the
-// pattern the symbolic phase was computed for; engine clones use this so a
-// circuit's one-time symbolic factorization serves every concurrent
-// attempt.
+// after the symbolic phase) and owning numeric arrays of its own: the
+// clone, never the receiver, is what Refactor writes. The receiver may be
+// a NewSymbolicLU template, which has no numeric arrays, or a NewSparseLU
+// solver, whose numerics the clone does not touch. a must have exactly
+// the pattern the symbolic phase was computed for; engine clones use
+// this so a circuit's one-time symbolic factorization serves every
+// concurrent attempt.
 func (f *SparseLU) CloneFor(a *CSR) (*SparseLU, error) {
 	if a.Rows != f.a.Rows || a.Cols != f.a.Cols || len(a.Val) != len(f.a.Val) {
 		return nil, fmt.Errorf("la: SparseLU.CloneFor pattern mismatch (%dx%d/%d vs %dx%d/%d)",
@@ -258,10 +282,7 @@ func (f *SparseLU) CloneFor(a *CSR) (*SparseLU, error) {
 	}
 	cp := *f
 	cp.a = a
-	cp.lx = make([]float64, len(f.li))
-	cp.ux = make([]float64, len(f.ui))
-	cp.x = make([]float64, f.n)
-	cp.b = make([]float64, f.n)
+	cp.allocNumeric()
 	return &cp, nil
 }
 
@@ -375,12 +396,13 @@ type adjacency struct {
 
 func (g adjacency) nbrs(i int) []int { return g.idx[g.ptr[i]:g.ptr[i+1]] }
 
-// symmetrizedAdjacency returns the sorted, deduplicated undirected
-// adjacency (no self loops) of a's pattern — the graph both orderings
-// work on.
-func symmetrizedAdjacency(a *CSR) adjacency {
+// adjacency returns the sorted, deduplicated undirected adjacency (no
+// self loops) of a's pattern — the graph both orderings work on — in the
+// scratch's arrays.
+func (s *scratch) adjacency(a *CSR) adjacency {
 	n := a.Rows
-	g := adjacency{ptr: make([]int, n+1)}
+	g := adjacency{ptr: resize(s.adjPtr, n+1)}
+	clear(g.ptr)
 	for i := 0; i < n; i++ {
 		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
 			if i != j {
@@ -392,8 +414,9 @@ func symmetrizedAdjacency(a *CSR) adjacency {
 	for i := 0; i < n; i++ {
 		g.ptr[i+1] += g.ptr[i]
 	}
-	g.idx = make([]int, g.ptr[n])
-	next := slices.Clone(g.ptr[:n])
+	g.idx = resize(s.adjIdx, g.ptr[n])
+	next := resize(s.adjNext, n)
+	copy(next, g.ptr[:n])
 	for i := 0; i < n; i++ {
 		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
 			if i != j {
@@ -404,6 +427,7 @@ func symmetrizedAdjacency(a *CSR) adjacency {
 			}
 		}
 	}
+	s.adjPtr, s.adjIdx, s.adjNext = g.ptr, g.idx, next
 	// Sort each list and drop its duplicates, compacting in place.
 	k := 0
 	for i := 0; i < n; i++ {
@@ -422,19 +446,21 @@ func symmetrizedAdjacency(a *CSR) adjacency {
 	return g
 }
 
-// rcmOrder computes a reverse Cuthill-McKee ordering of the symmetrized
-// pattern, returning perm with perm[new] = old. RCM clusters each node's
-// neighbours — for SOLC matrices, the gate terminals sharing a branch —
-// into a narrow band; it is the stronger choice for chain-like circuits.
-func rcmOrder(adj adjacency) []int {
+// rcmOrder appends to order[:0] a reverse Cuthill-McKee ordering of the
+// symmetrized pattern (order[new] = old) and returns it. RCM clusters each
+// node's neighbours — for SOLC matrices, the gate terminals sharing a
+// branch — into a narrow band; it is the stronger choice for chain-like
+// circuits.
+func (s *scratch) rcmOrder(adj adjacency, order []int) []int {
 	n := len(adj.ptr) - 1
-	deg := make([]int, n)
+	deg := resize(s.deg, n)
 	for i := range deg {
 		deg[i] = len(adj.nbrs(i))
 	}
 	// The BFS visits each node's neighbours by ascending (degree, index),
 	// a total order: sort every list once, up front.
-	byDeg := adjacency{ptr: adj.ptr, idx: slices.Clone(adj.idx)}
+	byDeg := adjacency{ptr: adj.ptr, idx: resize(s.idxCopy, len(adj.idx))}
+	copy(byDeg.idx, adj.idx)
 	for i := 0; i < n; i++ {
 		slices.SortFunc(byDeg.nbrs(i), func(x, y int) int {
 			if deg[x] != deg[y] {
@@ -444,9 +470,10 @@ func rcmOrder(adj adjacency) []int {
 		})
 	}
 
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
+	visited := resize(s.flags, n)
+	clear(visited)
+	order = order[:0]
+	queue := s.queue[:0]
 	bfs := func(root int, record bool) (last []int) {
 		queue = append(queue[:0], root)
 		visited[root] = true
@@ -494,39 +521,45 @@ func rcmOrder(adj adjacency) []int {
 		}
 		bfs(best, true)
 	}
+	s.deg, s.idxCopy, s.flags, s.queue = deg, byDeg.idx, visited, queue
 	// Reverse the Cuthill-McKee order.
 	slices.Reverse(order)
 	return order
 }
 
-// mdOrder computes a greedy minimum-degree ordering of the symmetrized
-// pattern via explicit elimination-graph updates: repeatedly eliminate a
-// minimum-degree node and join its neighbours into a clique. Quadratic in
-// the worst case but run once per topology at Build time; on the grid-like
-// multiplier/adder arrays it beats RCM's fill by integer factors.
-func mdOrder(adj adjacency) []int {
+// mdOrder appends to order[:0] a greedy minimum-degree ordering of the
+// symmetrized pattern (order[new] = old) and returns it, by explicit
+// elimination-graph updates: repeatedly eliminate a minimum-degree node
+// and join its neighbours into a clique. Quadratic in the worst case but
+// run once per topology at Build time; on the grid-like multiplier/adder
+// arrays it beats RCM's fill by integer factors.
+func (s *scratch) mdOrder(adj adjacency, order []int) []int {
 	n := len(adj.ptr) - 1
 	// Private, mutable copy of the adjacency. Each list is capped at its
-	// own length, so a list that grows past it moves to its own array.
-	flat := slices.Clone(adj.idx)
-	nbrs := make([][]int, n)
+	// own length, so a list that would grow past it first moves to the
+	// arena, with room to double.
+	flat := resize(s.idxCopy, len(adj.idx))
+	arena := s.arena[:0]
+	copy(flat, adj.idx)
+	nbrs := resize(s.nbrs, n)
 	for i := range nbrs {
 		nbrs[i] = flat[adj.ptr[i]:adj.ptr[i+1]:adj.ptr[i+1]]
 	}
 	// deg mirrors len(nbrs[i]) for every uneliminated node and is
 	// MaxInt for an eliminated one, so the selection scan is one tight
 	// pass over a flat array.
-	deg := make([]int, n)
+	deg := resize(s.deg, n)
 	for i := range deg {
 		deg[i] = len(nbrs[i])
 	}
-	eliminated := make([]bool, n)
-	mark := make([]int, n)
+	eliminated := resize(s.flags, n)
+	clear(eliminated)
+	mark := resize(s.mark, n)
 	for i := range mark {
 		mark[i] = -1
 	}
 	stamp := 0
-	order := make([]int, 0, n)
+	order = order[:0]
 	for len(order) < n {
 		// Pick the minimum-degree uneliminated node (ties: lowest index,
 		// keeping the ordering deterministic).
@@ -557,6 +590,16 @@ func mdOrder(adj adjacency) []int {
 				}
 			}
 			nbrs[u] = nbrs[u][:k]
+			if need := k + len(clique); cap(nbrs[u]) < need {
+				if cap(arena)-len(arena) < 2*need {
+					// Lists already moved keep the old arena alive.
+					arena = make([]int, 0, max(2*cap(arena), 2*need))
+				}
+				at := len(arena)
+				arena = append(arena, nbrs[u]...)
+				nbrs[u] = arena[at : at+k : at+2*need]
+				arena = arena[:at+2*need]
+			}
 			for _, w := range clique {
 				if !eliminated[w] && mark[w] != stamp {
 					nbrs[u] = append(nbrs[u], w)
@@ -565,5 +608,8 @@ func mdOrder(adj adjacency) []int {
 			deg[u] = len(nbrs[u])
 		}
 	}
+	// Drop the list headers, which may point into a replaced arena.
+	clear(nbrs)
+	s.idxCopy, s.nbrs, s.deg, s.flags, s.mark, s.arena = flat, nbrs, deg, eliminated, mark, arena
 	return order
 }

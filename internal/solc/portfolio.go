@@ -285,19 +285,20 @@ func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.Canc
 
 // workspace is the mutable state of one restart attempt on cs: a private
 // engine clone, its IMEX stepper (CSR values and SparseLU numerics), the
-// state vector, integration counters, the driver with its rejection
-// backup, and the RNG. Restarts are a large share of a solve's attempts,
-// so an attempt takes a workspace from the pool of cs and returns it
-// instead of building one. reset rewrites everything a trajectory reads;
-// attempt k therefore depends only on Seed + k, whichever workspace it
-// runs on.
+// state vector, integration counters, and the driver with its rejection
+// backup. Restarts are a large share of a solve's attempts, so an attempt
+// takes a workspace from the pool of cs and returns it instead of
+// building one. The RNG that draws the initial state is not part of it:
+// reset borrows one from the process-wide rngs pool, so a compile that is
+// solved once builds none. reset rewrites everything a trajectory reads;
+// attempt k therefore depends only on Seed + k, whichever workspace and
+// RNG it runs on.
 type workspace struct {
 	cs      *Compiled
 	eng     *circuit.Circuit
 	stats   ode.Stats
 	stepper *circuit.IMEXStepper
 	driver  ode.Driver
-	rng     *rand.Rand
 	x       la.Vector
 	nodeV   la.Vector             // Options.Observe's node voltages
 	probe   *circuit.PhysicsProbe // built by the first attempt with telemetry
@@ -324,7 +325,6 @@ func newWorkspace(cs *Compiled) (*workspace, error) {
 	w := &workspace{
 		cs:  cs,
 		eng: eng,
-		rng: rand.New(rand.NewSource(0)),
 		x:   la.NewVector(eng.Dim()),
 	}
 	w.stepper = circuit.NewIMEX(eng, &w.stats)
@@ -334,8 +334,8 @@ func newWorkspace(cs *Compiled) (*workspace, error) {
 }
 
 // reset binds the workspace to one attempt and draws its initial state
-// from seed. rng.Seed replays rand.New(rand.NewSource(seed)) exactly,
-// InitialStateInto overwrites all of x, and the counters and energy
+// from seed on a pooled RNG. Seed replays rand.New(rand.NewSource(seed))
+// exactly, InitialStateInto overwrites all of x, and the counters and energy
 // restart at zero; the stepper's and engine's scratch is overwritten
 // before every read within a step, so the trajectory reads nothing of
 // the previous attempt.
@@ -363,8 +363,13 @@ func (w *workspace) reset(ctx context.Context, stop func(*Compiled, circuit.Engi
 	if opts.Verify || invariant.Enabled {
 		d.Verify = w.verify
 	}
-	w.rng.Seed(seed)
-	w.eng.InitialStateInto(w.rng, w.x)
+	rng, ok := rngs.take()
+	if !ok {
+		rng = rand.New(rand.NewSource(0))
+	}
+	rng.Seed(seed)
+	w.eng.InitialStateInto(rng, w.x)
+	rngs.put(rng)
 }
 
 // release drops the attempt's references (context, callbacks,
@@ -403,34 +408,56 @@ func (w *workspace) verifyState(t float64, x la.Vector) error {
 	return w.eng.VerifyState(t, w.verifyStep, x)
 }
 
-// workspacePool holds the idle attempt workspaces of one Compiled. get
-// builds a workspace only when every existing one is in use, so the pool
-// never holds more than the most attempts that ever ran at once, and
-// repeated solves of one compile reuse them too.
-type workspacePool struct {
+// rngs is the process-wide pool of initial-state RNGs. A math/rand
+// source is 4.9 KB, and an attempt needs one only while reset draws its
+// initial state, so the pool holds at most one per concurrent reset
+// instead of one per compile. Every user reseeds the RNG it takes, so
+// which one it gets cannot matter.
+var rngs freeList[*rand.Rand]
+
+// freeList is a mutex-guarded stack of idle values. It keeps whatever it
+// is given, so it never holds more than the most values that were ever
+// in use at once. It is not a sync.Pool, which empties at garbage
+// collection and, under the race detector, drops a quarter of what it is
+// given: reuse, and so what an attempt allocates, would be random.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	idle []*workspace
+	idle []T
 }
 
-// get takes an idle workspace, or builds one over cs.
-func (p *workspacePool) get(cs *Compiled) (*workspace, error) {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		w := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
+// take pops an idle value; ok is false when there is none.
+func (l *freeList[T]) take() (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.idle); n > 0 {
+		v, l.idle = l.idle[n-1], l.idle[:n-1]
+		return v, true
+	}
+	return v, false
+}
+
+// put pushes v.
+func (l *freeList[T]) put(v T) {
+	l.mu.Lock()
+	l.idle = append(l.idle, v)
+	l.mu.Unlock()
+}
+
+// getWorkspace takes an idle workspace of cs, or builds one when every
+// existing one is in use, so the pool never holds more than the most
+// attempts that ever ran at once, and repeated solves of one compile
+// reuse them too.
+func (cs *Compiled) getWorkspace() (*workspace, error) {
+	if w, ok := cs.pool.take(); ok {
 		return w, nil
 	}
-	p.mu.Unlock()
 	return newWorkspace(cs)
 }
 
-// put returns w to the pool.
-func (p *workspacePool) put(w *workspace) {
+// putWorkspace returns w to the pool of cs.
+func (cs *Compiled) putWorkspace(w *workspace) {
 	w.release()
-	p.mu.Lock()
-	p.idle = append(p.idle, w)
-	p.mu.Unlock()
+	cs.pool.put(w)
 }
 
 // runAttempt integrates restart attempt idx on a pooled workspace and
@@ -438,11 +465,11 @@ func (p *workspacePool) put(w *workspace) {
 // returns it, so attempts are data-race free by construction.
 func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (attemptOut, error) {
 	cs := pf.cs
-	w, err := cs.pool.get(cs)
+	w, err := cs.getWorkspace()
 	if err != nil {
 		return attemptOut{}, err
 	}
-	defer cs.pool.put(w)
+	defer cs.putWorkspace(w)
 
 	stop := pf.stop
 	if stop == nil {

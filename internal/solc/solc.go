@@ -36,7 +36,7 @@ type Compiled struct {
 	pinConflict bool
 	// pool holds the restart-attempt workspaces every Solve on this
 	// compile reuses.
-	pool workspacePool
+	pool freeList[*workspace]
 }
 
 // opKind maps boolean ops onto self-organizing gate kinds.
