@@ -25,7 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/obs"
+	"repro/internal/obs/cmdobs"
 )
 
 func main() {
@@ -41,7 +41,7 @@ func realMain() int {
 	parallel := flag.Int("parallel", 0, "worker-pool width for ensembles and raced restarts (0 = GOMAXPROCS)")
 	check := flag.Bool("check", false, "verify runtime invariants on every integration step of the dynamical experiments (no build tag needed)")
 	jsonOut := flag.Bool("json", false, "also write machine-readable BENCH_<exp>.json (supported: imex-spans)")
-	co := obs.BindFlags("dmm-bench", flag.CommandLine)
+	co := cmdobs.BindFlags("dmm-bench", flag.CommandLine)
 	flag.Parse()
 
 	if err := co.Start(); err != nil {

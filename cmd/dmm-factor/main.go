@@ -20,7 +20,7 @@ import (
 	"repro/internal/classical"
 	"repro/internal/core"
 	"repro/internal/invariant"
-	"repro/internal/obs"
+	"repro/internal/obs/cmdobs"
 	"repro/internal/trace"
 )
 
@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	deadline := fs.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
 	showTrace := fs.Bool("trace", false, "render factor-bit voltage trajectories")
 	check := fs.Bool("check", false, "verify runtime invariants per step and post-hoc scan the recorded trace (no build tag needed)")
-	co := obs.BindFlags("dmm-factor", fs)
+	co := cmdobs.BindFlags("dmm-factor", fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

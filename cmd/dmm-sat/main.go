@@ -23,7 +23,7 @@ import (
 
 	"repro/internal/boolcirc"
 	"repro/internal/circuit"
-	"repro/internal/obs"
+	"repro/internal/obs/cmdobs"
 	"repro/internal/sat"
 	"repro/internal/solc"
 )
@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
 	firstWin := fs.Bool("first-win", false, "first verified winner cancels all attempts")
 	deadline := fs.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
-	co := obs.BindFlags("dmm-sat", fs)
+	co := cmdobs.BindFlags("dmm-sat", fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

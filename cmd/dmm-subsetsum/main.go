@@ -20,7 +20,7 @@ import (
 
 	"repro/internal/classical"
 	"repro/internal/core"
-	"repro/internal/obs"
+	"repro/internal/obs/cmdobs"
 )
 
 func main() {
@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 1, "concurrently raced restarts (0 = GOMAXPROCS)")
 	firstWin := fs.Bool("first-win", false, "first verified winner cancels all attempts")
 	deadline := fs.Duration("deadline", 0*time.Second, "wall-clock budget for the whole solve (0 = none)")
-	co := obs.BindFlags("dmm-subsetsum", fs)
+	co := cmdobs.BindFlags("dmm-subsetsum", fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

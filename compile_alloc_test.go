@@ -14,15 +14,16 @@ import (
 // (branch sets, stamp plan, CSR pattern, symbolic structure) and nothing
 // else: no triplet list, no sorted index copies, no numeric arrays on the
 // symbolic template, and its ordering and bucket scratch comes from a
-// pool. Each budget is the measured figure plus under 3.1% of the bytes
-// and 5 objects; the compile that built all of the above allocated 61.8 KB
-// and 140 objects (factor), 82.7 KB and 150 (sat), and 907 KB and 622
-// (11bit).
+// pool; the gates and their terminals fill two arrays sized from the
+// gate count. Each budget is the measured figure plus under 3.1% of the
+// bytes and 5 objects; the compile that built all of the above allocated
+// 61.8 KB and 140 objects (factor), 82.7 KB and 150 (sat), and 907 KB and
+// 622 (11bit).
 func TestCompileAllocations(t *testing.T) {
 	budget := map[string]struct{ bytes, objects float64 }{
-		"factor": {41_000, 85},   // measures 39,928 B and 80 objects
-		"sat":    {53_500, 98},   // 51,936 B and 93
-		"11bit":  {500_000, 318}, // 486,432 B and 313
+		"factor": {39_600, 63},  // measures 38,440 B and 58 objects
+		"sat":    {52_400, 63},  // 50,880 B and 58
+		"11bit":  {490_000, 73}, // 476,016 B and 68
 	}
 	for _, tc := range compileCases(t) {
 		// The first compile fills the scratch pool; the least of a few

@@ -21,6 +21,10 @@ func FuzzParseDIMACS(f *testing.F) {
 		"p cnf 1048576 1\n-1048576 0\n",
 		"p cnf 3 2\n1 2\n-3 0\n0\n",
 		"p cnf 1 1\np cnf 3 1\n3 0\n",
+		"p cnf 3 x\n1 0\n",
+		"p cnf 3 -5\n1 0\n",
+		"p cnf 3 2\n1 0\n",
+		"p cnf 3 1\n1 0\n2 0\n",
 	} {
 		f.Add(seed)
 	}

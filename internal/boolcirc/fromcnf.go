@@ -73,11 +73,14 @@ func FromCNF(f CNF) (c *Circuit, vars []Signal, clauseOuts []Signal, err error) 
 const MaxDIMACSVars = 1 << 20
 
 // ParseDIMACS reads a DIMACS CNF file. Malformed input is an error: a
-// problem line that is missing, repeated, or declares a variable count
-// outside [0, MaxDIMACSVars], and a literal that is not an integer or
-// names a variable above the declared count.
+// problem line that is missing, repeated, declares a variable count
+// outside [0, MaxDIMACSVars] or a clause count that is not a non-negative
+// integer; a literal that is not an integer or names a variable above the
+// declared count; and a file whose clauses do not number the declared
+// count.
 func ParseDIMACS(r io.Reader) (CNF, error) {
 	var f CNF
+	numClauses := 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	sawHeader := false
@@ -102,7 +105,15 @@ func ParseDIMACS(r io.Reader) (CNF, error) {
 			if nv < 0 || nv > MaxDIMACSVars {
 				return f, fmt.Errorf("boolcirc: variable count %d outside [0, %d]", nv, MaxDIMACSVars)
 			}
+			nc, err := strconv.Atoi(fields[3])
+			if err != nil {
+				return f, fmt.Errorf("boolcirc: bad clause count: %v", err)
+			}
+			if nc < 0 {
+				return f, fmt.Errorf("boolcirc: negative clause count %d", nc)
+			}
 			f.NumVars = nv
+			numClauses = nc
 			sawHeader = true
 			continue
 		}
@@ -130,6 +141,12 @@ func ParseDIMACS(r io.Reader) (CNF, error) {
 	}
 	if len(cur) != 0 {
 		f.Clauses = append(f.Clauses, cur)
+	}
+	if !sawHeader {
+		return f, fmt.Errorf("boolcirc: no problem line")
+	}
+	if len(f.Clauses) != numClauses {
+		return f, fmt.Errorf("boolcirc: %d clauses, but the problem line declares %d", len(f.Clauses), numClauses)
 	}
 	return f, nil
 }

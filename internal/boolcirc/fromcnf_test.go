@@ -123,6 +123,11 @@ func TestParseDIMACSErrors(t *testing.T) {
 		"p cnf -1 1\n1 0\n",           // negative variable count
 		"p cnf 99999999999 1\n1 0\n",  // count beyond MaxDIMACSVars
 		"p cnf 1 1\np cnf 3 1\n3 0\n", // a second problem line
+		"p cnf 3 x\n1 0\n",            // clause count not an integer
+		"p cnf 3 -5\n1 0\n",           // negative clause count
+		"p cnf 3 2\n1 0\n",            // fewer clauses than declared
+		"p cnf 3 1\n1 0\n2 0\n",       // more clauses than declared
+		"c comment only\n",            // no problem line
 	} {
 		if _, err := ParseDIMACS(strings.NewReader(in)); err == nil {
 			t.Errorf("%q: want an error", in)

@@ -16,6 +16,7 @@ type Builder struct {
 	params   Params
 	numNodes int
 	gates    []gateInst
+	terms    []Node // every gate's terminals back to back; each gateInst.nodes is a window of it
 	pins     map[Node]device.RampSource
 	gateSets map[solg.Kind]*solg.Gate
 }
@@ -61,6 +62,16 @@ func (b *Builder) sharedGate(k solg.Kind) *solg.Gate {
 	return g
 }
 
+// Grow reserves room for n more gates, so that adding up to n gates
+// allocates no gate or terminal storage. (slices.Grow would do, but under
+// the race detector it also allocates the zeroed slice it appends.)
+func (b *Builder) Grow(n int) {
+	gates := make([]gateInst, len(b.gates), len(b.gates)+n)
+	b.gates = gates[:copy(gates, b.gates)]
+	terms := make([]Node, len(b.terms), len(b.terms)+3*n)
+	b.terms = terms[:copy(terms, b.terms)]
+}
+
 // AddGate attaches a 3-terminal self-organizing gate between the nodes
 // (in1, in2, out).
 func (b *Builder) AddGate(k solg.Kind, in1, in2, out Node) {
@@ -68,13 +79,24 @@ func (b *Builder) AddGate(k solg.Kind, in1, in2, out Node) {
 		panic(fmt.Sprintf("circuit: AddGate with %v (use AddNot)", k))
 	}
 	b.checkNodes(in1, in2, out)
-	b.gates = append(b.gates, gateInst{gate: b.sharedGate(k), nodes: []Node{in1, in2, out}})
+	b.addInst(b.sharedGate(k), in1, in2, out)
 }
 
 // AddNot attaches a self-organizing NOT gate between in and out.
 func (b *Builder) AddNot(in, out Node) {
 	b.checkNodes(in, out)
-	b.gates = append(b.gates, gateInst{gate: b.sharedGate(solg.NOT), nodes: []Node{in, out}})
+	b.addInst(b.sharedGate(solg.NOT), in, out)
+}
+
+// addInst appends the gate's terminals to b.terms and the gate, whose
+// nodes window those terminals, to b.gates. A terms append that
+// reallocates leaves earlier windows on the old array, which stays valid:
+// a window is never written after it is made.
+func (b *Builder) addInst(g *solg.Gate, nodes ...Node) {
+	start := len(b.terms)
+	b.terms = append(b.terms, nodes...)
+	end := len(b.terms)
+	b.gates = append(b.gates, gateInst{gate: g, nodes: b.terms[start:end:end]})
 }
 
 // PinBit connects a ramped DC generator imposing the logic value bit on

@@ -1,9 +1,11 @@
 // Package obs is the unified telemetry layer of the solver stack: a
 // stdlib-only metrics registry (atomic counters, gauges and fixed-bucket
-// histograms, snapshotable as JSON), a structured JSONL event tracer for
-// the attempt lifecycle of the parallel restart portfolio, and the shared
-// command-line surface (-telemetry, -metrics-dump, -cpuprofile,
-// -memprofile) of the four cmds.
+// histograms, snapshotable as JSON or Prometheus text), a structured
+// JSONL event tracer for the attempt lifecycle of the parallel restart
+// portfolio, phase spans, flight-recorder rings and convergence-time
+// statistics. The cmds' flags and the -listen server that exposes these
+// instruments live in the subpackage cmdobs, so linking the solver links
+// no flag, runtime/pprof or net/http.
 //
 // The paper's evidence is dynamical — convergence-time distributions
 // across restarts, dissipated energy, voltage trajectories — so the

@@ -68,6 +68,7 @@ func opKind(op boolcirc.Op) solg.Kind {
 // integrator steps.
 func Compile(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.Params) *Compiled {
 	b := circuit.NewBuilder(p)
+	b.Grow(len(bc.Gates))
 	nodeOf := make([]circuit.Node, bc.NumSignals())
 	for s := range nodeOf {
 		nodeOf[s] = b.Node()
