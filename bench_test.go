@@ -572,29 +572,6 @@ func BenchmarkAblationCapacitance(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSmoothOrder sweeps the θ̃_r order used in the memristor
-// threshold gate.
-func BenchmarkAblationSmoothOrder(b *testing.B) {
-	for _, r := range []int{1, 2, 3} {
-		b.Run(fmtI(r), func(b *testing.B) {
-			p := circuit.Default()
-			p.Mem.Step = memristor.NewSmoothStep(r)
-			bc := boolcirc.New()
-			x, y := bc.NewSignal(), bc.NewSignal()
-			o := bc.And(x, y)
-			cs := solc.Compile(bc, map[boolcirc.Signal]bool{o: true}, p)
-			for i := 0; i < b.N; i++ {
-				opts := solc.DefaultOptions()
-				opts.Seed = int64(i + 1)
-				opts.TEnd = 100
-				if _, err := cs.Solve(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEnsembleReport regenerates the Sec. VI-H ensemble statistic.
 func BenchmarkEnsembleReport(b *testing.B) {
 	cfg := core.DefaultConfig()
@@ -616,8 +593,6 @@ func fmtF(v float64) string {
 		return "C=2e-3"
 	}
 }
-
-func fmtI(r int) string { return map[int]string{1: "r=1", 2: "r=2", 3: "r=3"}[r] }
 
 // TestAblationNoVCDCGSpuriousZero verifies the Sec. V-D claim motivating
 // the VCDCG: without it, the SO-AND with output pinned to 0 admits the

@@ -15,15 +15,16 @@ import (
 // else: no triplet list, no sorted index copies, no numeric arrays on the
 // symbolic template, and its ordering and bucket scratch comes from a
 // pool; the gates and their terminals fill two arrays sized from the
-// gate count. Each budget is the measured figure plus under 3.1% of the
+// gate count, and the gates share one parameter set per kind and Vc
+// across compiles. Each budget is the measured figure plus under 3.1% of the
 // bytes and 5 objects; the compile that built all of the above allocated
 // 61.8 KB and 140 objects (factor), 82.7 KB and 150 (sat), and 907 KB and
 // 622 (11bit).
 func TestCompileAllocations(t *testing.T) {
 	budget := map[string]struct{ bytes, objects float64 }{
-		"factor": {39_600, 63},  // measures 38,440 B and 58 objects
-		"sat":    {52_400, 63},  // 50,880 B and 58
-		"11bit":  {490_000, 73}, // 476,016 B and 68
+		"factor": {36_900, 44},  // measures 35,864 B and 39 objects
+		"sat":    {50_900, 50},  // 49,456 B and 45
+		"11bit":  {487_000, 54}, // 473,440 B and 49
 	}
 	for _, tc := range compileCases(t) {
 		// The first compile fills the scratch pool; the least of a few

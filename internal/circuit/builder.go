@@ -2,6 +2,8 @@ package circuit
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/device"
 	"repro/internal/solg"
@@ -18,7 +20,6 @@ type Builder struct {
 	gates    []gateInst
 	terms    []Node // every gate's terminals back to back; each gateInst.nodes is a window of it
 	pins     map[Node]device.RampSource
-	gateSets map[solg.Kind]*solg.Gate
 }
 
 type gateInst struct {
@@ -29,9 +30,8 @@ type gateInst struct {
 // NewBuilder returns an empty builder with the given parameters.
 func NewBuilder(p Params) *Builder {
 	return &Builder{
-		params:   p,
-		pins:     make(map[Node]device.RampSource),
-		gateSets: make(map[solg.Kind]*solg.Gate),
+		params: p,
+		pins:   make(map[Node]device.RampSource),
 	}
 }
 
@@ -51,14 +51,33 @@ func (b *Builder) Nodes(n int) []Node {
 	return out
 }
 
-// sharedGate returns the (immutable) parameter set for a gate kind,
-// constructing it once.
+// gateSets holds one parameter set per gate kind and Vc, shared by every
+// Builder: solg.New depends on nothing else, and a Gate is never written
+// after it is made. The key holds Vc's bits, so a NaN Vc finds its entry.
+var gateSets struct {
+	sync.Mutex
+	m map[gateKey]*solg.Gate
+}
+
+type gateKey struct {
+	kind   solg.Kind
+	vcBits uint64
+}
+
+// sharedGate returns the (immutable) parameter set for a gate kind at the
+// builder's Vc, constructing it once per process.
 func (b *Builder) sharedGate(k solg.Kind) *solg.Gate {
-	if g, ok := b.gateSets[k]; ok {
-		return g
+	key := gateKey{k, math.Float64bits(b.params.Vc)}
+	gateSets.Lock()
+	defer gateSets.Unlock()
+	g, ok := gateSets.m[key]
+	if !ok {
+		g = solg.MustNew(k, b.params.Vc)
+		if gateSets.m == nil {
+			gateSets.m = make(map[gateKey]*solg.Gate)
+		}
+		gateSets.m[key] = g
 	}
-	g := solg.MustNew(k, b.params.Vc)
-	b.gateSets[k] = g
 	return g
 }
 

@@ -3,6 +3,7 @@ package circuit
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/la"
@@ -279,5 +280,46 @@ func TestGatesSatisfiedDecoding(t *testing.T) {
 	set(no, -1)
 	if c.GatesSatisfied(0, x) {
 		t.Fatal("1∧1=0 should decode as violated")
+	}
+}
+
+// TestSharedGateSets builds circuits on several goroutines at once and
+// checks that every builder with the same Vc gets the same parameter set
+// for a gate kind, and a builder with another Vc its own.
+func TestSharedGateSets(t *testing.T) {
+	build := func(p Params) *Builder {
+		b := NewBuilder(p)
+		n := b.Nodes(3)
+		b.AddGate(solg.XOR, n[0], n[1], n[2])
+		b.AddNot(n[0], n[1])
+		return b
+	}
+	const workers = 4
+	got := make([]*Builder, workers)
+	done := make(chan struct{})
+	for w := range got {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			got[w] = build(Default())
+		}(w)
+	}
+	for range got {
+		<-done
+	}
+	for _, b := range got[1:] {
+		for i := range b.gates {
+			if b.gates[i].gate != got[0].gates[i].gate {
+				t.Fatalf("gate %d: builders with the same Vc hold different parameter sets", i)
+			}
+		}
+	}
+	p := Default()
+	p.Vc = 2
+	other := build(p)
+	if other.gates[0].gate == got[0].gates[0].gate {
+		t.Fatal("builders with different Vc share a parameter set")
+	}
+	if !reflect.DeepEqual(other.gates[0].gate, solg.MustNew(solg.XOR, 2)) {
+		t.Fatal("shared parameter set at Vc = 2 differs from solg.MustNew")
 	}
 }

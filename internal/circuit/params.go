@@ -56,15 +56,13 @@ func Paper() Params {
 // voltage relaxation scale is comparable to the memristor switching scale
 // (the paper's condition τ_C ≪ τ_M is relaxed to τ_C ≲ τ_M, which
 // preserves the equilibria exactly and keeps the integration
-// efficient).
-// Default applies three changes, all documented in DESIGN.md and measured
-// in EXPERIMENTS.md:
+// efficient). The memristor keeps Table II's hard window and threshold
+// (k = ∞, Vt = 0). Default applies three changes, all documented in
+// DESIGN.md and measured in EXPERIMENTS.md:
 //
-//  1. C^r smoothing everywhere the paper's Table II uses hard steps
-//     (k = ∞, Vt = 0, δs = δi = 0): finite memristor window steepness,
-//     a small threshold voltage with a θ̃₂ gate, and smooth ρ/current
-//     windows. Prop. VI.3 introduces θ̃_r exactly so the vector field is
-//     C^r; the hard limits defeat any error-controlled integrator.
+//  1. Smooth VCDCG windows (δs = 0.2, δi > 0 instead of δs = δi = 0):
+//     the ρ and current windows use the paper's own θ̃₁ (Prop. VI.3), so
+//     the VCDCG's slow-state update stays C¹ where Table II switches.
 //  2. Slower memristors (α = 0.5 instead of 60), restoring the paper's
 //     own timescale hierarchy γ⁻¹ ≪ τ_M ≪ τ_DCG (Sec. VI-H conditions
 //     1-3), which Table II's α = 60 violates by four orders of magnitude.
@@ -81,8 +79,6 @@ func Default() Params {
 	p := Paper()
 	p.C = 2e-2 // used only by the capacitive engine
 	p.Mem.Alpha = 0.5
-	p.Mem.K = 20
-	p.Mem.Vt = 0.05
 	p.DCG.Ks, p.DCG.Ki = 5, 5
 	p.DCG.IMin = 0.5
 	p.DCG.DeltaS = 0.2

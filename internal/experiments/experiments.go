@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -120,8 +121,10 @@ func TableII() Report {
 	add("vc", paper.Vc, def.Vc)
 	add("alpha", paper.Mem.Alpha, def.Mem.Alpha)
 	add("C", paper.C, def.C)
-	add("k", paper.Mem.K, def.Mem.K)
-	add("Vt", paper.Mem.Vt, def.Mem.Vt)
+	// The memristor model has Table II's hard window and threshold built
+	// in, so both presets share them.
+	add("k", math.Inf(1), math.Inf(1))
+	add("Vt", 0, 0)
 	add("gamma", paper.DCG.Gamma, def.DCG.Gamma)
 	add("q", paper.DCG.Q, def.DCG.Q)
 	add("m0", paper.DCG.M0, def.DCG.M0)

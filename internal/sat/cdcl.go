@@ -13,6 +13,11 @@ import (
 // maxConflicts bounds the search (0 = unbounded); exceeding it returns
 // Status Unknown.
 func CDCL(f boolcirc.CNF, maxConflicts int) Result {
+	for _, cl := range f.Clauses {
+		if len(cl) == 0 { // no literal can satisfy it
+			return Result{Status: Unsatisfiable}
+		}
+	}
 	s := newCDCLState(f)
 	res := Result{}
 	// Top-level unit clauses.
@@ -24,7 +29,7 @@ func CDCL(f boolcirc.CNF, maxConflicts int) Result {
 				res.Status = Unsatisfiable
 				return res
 			case vUnknown:
-				s.assign(l, -1)
+				s.assign(l, nil)
 			}
 		}
 	}
@@ -33,7 +38,7 @@ func CDCL(f boolcirc.CNF, maxConflicts int) Result {
 	restartBudget := 32 * luby(lubyIdx)
 	for {
 		confl := s.propagate(&res)
-		if confl >= 0 {
+		if confl != nil {
 			conflicts++
 			res.Decisions = s.decisions
 			if s.level == 0 {
@@ -68,7 +73,7 @@ func CDCL(f boolcirc.CNF, maxConflicts int) Result {
 		}
 		s.level++
 		s.decisions++
-		s.assign(boolcirc.Lit(v), -1)
+		s.assign(boolcirc.Lit(v), nil)
 	}
 }
 
@@ -103,14 +108,16 @@ type cdclState struct {
 	// watches[litIndex] lists clauses watching that literal.
 	watches [][]*cdclClause
 
-	assigns  []value // 1-based variable values
-	levels   []int   // decision level per variable
-	reasons  []int   // clause index that implied the variable (-1 = decision)
-	reasonCl []*cdclClause
+	assigns  []value       // 1-based variable values
+	levels   []int         // decision level per variable
+	reasonCl []*cdclClause // clause that implied the variable (nil = decision)
 	trail    []boolcirc.Lit
 	trailLim []int // trail length at each decision level
 	qhead    int
 	level    int
+	// seen marks variables during conflict analysis; analyze leaves it
+	// all false on return.
+	seen []bool
 
 	activity  []float64
 	varInc    float64
@@ -123,8 +130,8 @@ func newCDCLState(f boolcirc.CNF) *cdclState {
 		watches:  make([][]*cdclClause, 2*(f.NumVars+1)),
 		assigns:  make([]value, f.NumVars+1),
 		levels:   make([]int, f.NumVars+1),
-		reasons:  make([]int, f.NumVars+1),
 		reasonCl: make([]*cdclClause, f.NumVars+1),
+		seen:     make([]bool, f.NumVars+1),
 		activity: make([]float64, f.NumVars+1),
 		varInc:   1,
 	}
@@ -143,18 +150,22 @@ func newCDCLState(f boolcirc.CNF) *cdclState {
 	return s
 }
 
-// dedupe removes duplicate literals and returns nil for tautologies.
+// dedupe removes duplicate literals, keeping first occurrences in order,
+// and returns nil for tautologies. Clauses are short, so it scans the
+// literals kept so far instead of building a set.
 func dedupe(cl boolcirc.Clause) []boolcirc.Lit {
-	seen := make(map[boolcirc.Lit]bool, len(cl))
-	var out []boolcirc.Lit
+	out := make([]boolcirc.Lit, 0, len(cl))
+next:
 	for _, l := range cl {
-		if seen[-l] {
-			return nil
+		for _, k := range out {
+			if k == -l {
+				return nil
+			}
+			if k == l {
+				continue next
+			}
 		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
+		out = append(out, l)
 	}
 	return out
 }
@@ -185,8 +196,9 @@ func (s *cdclState) value(l boolcirc.Lit) value {
 	return vFalse
 }
 
-// assign sets literal l true with the given reason clause index (or -1).
-func (s *cdclState) assign(l boolcirc.Lit, reason int) {
+// assign sets literal l true with the given reason clause (nil for a
+// decision or a top-level unit).
+func (s *cdclState) assign(l boolcirc.Lit, reason *cdclClause) {
 	v := l
 	if v < 0 {
 		v = -v
@@ -197,12 +209,7 @@ func (s *cdclState) assign(l boolcirc.Lit, reason int) {
 		s.assigns[v] = vFalse
 	}
 	s.levels[v] = s.level
-	s.reasons[v] = reason
-	if reason >= 0 {
-		s.reasonCl[v] = s.clauses[reason]
-	} else {
-		s.reasonCl[v] = nil
-	}
+	s.reasonCl[v] = reason
 	if len(s.trailLim) < s.level {
 		for len(s.trailLim) < s.level {
 			s.trailLim = append(s.trailLim, len(s.trail))
@@ -211,15 +218,17 @@ func (s *cdclState) assign(l boolcirc.Lit, reason int) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate runs two-watched-literal unit propagation; returns the index
-// of a conflicting clause or -1.
-func (s *cdclState) propagate(res *Result) int {
+// propagate runs two-watched-literal unit propagation; returns the
+// conflicting clause or nil. Each watch list is compacted in place: the
+// clauses that keep watching the false literal are shifted down over the
+// ones that moved to another watch, in their original order.
+func (s *cdclState) propagate(res *Result) *cdclClause {
 	for s.qhead < len(s.trail) {
 		l := s.trail[s.qhead]
 		s.qhead++
 		falseLit := -l
 		ws := s.watches[litIdx(falseLit)]
-		var keep []*cdclClause
+		n := 0
 		for wi := 0; wi < len(ws); wi++ {
 			c := ws[wi]
 			// Ensure the false literal is in slot 1.
@@ -227,10 +236,12 @@ func (s *cdclState) propagate(res *Result) int {
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
 			}
 			if s.value(c.lits[0]) == vTrue {
-				keep = append(keep, c)
+				ws[n] = c
+				n++
 				continue
 			}
-			// Find a new literal to watch.
+			// Find a new literal to watch. It is not false, so it is not
+			// falseLit, and the append goes to another watch list.
 			moved := false
 			for k := 2; k < len(c.lits); k++ {
 				if s.value(c.lits[k]) != vFalse {
@@ -243,43 +254,31 @@ func (s *cdclState) propagate(res *Result) int {
 			if moved {
 				continue
 			}
-			keep = append(keep, c)
+			ws[n] = c
+			n++
 			// Clause is unit or conflicting on lits[0].
 			switch s.value(c.lits[0]) {
 			case vFalse:
-				// Conflict: restore remaining watches and report.
-				keep = append(keep, ws[wi+1:]...)
-				s.watches[litIdx(falseLit)] = keep
+				// Conflict: keep the remaining watches and report.
+				n += copy(ws[n:], ws[wi+1:])
+				s.watches[litIdx(falseLit)] = ws[:n]
 				s.qhead = len(s.trail)
-				return s.clauseIndex(c)
+				return c
 			case vUnknown:
 				res.Propagations++
-				s.assign(c.lits[0], s.clauseIndex(c))
+				s.assign(c.lits[0], c)
 			}
 		}
-		s.watches[litIdx(falseLit)] = keep
+		s.watches[litIdx(falseLit)] = ws[:n]
 	}
-	return -1
-}
-
-// clauseIndex finds the index of c (linear; clause slice is append-only so
-// indices are stable — we keep a reverse map lazily for speed).
-func (s *cdclState) clauseIndex(c *cdclClause) int {
-	// The hot path stores the index inline; fall back to scan.
-	for i := len(s.clauses) - 1; i >= 0; i-- {
-		if s.clauses[i] == c {
-			return i
-		}
-	}
-	return -1
+	return nil
 }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
 // clause and the backjump level.
-func (s *cdclState) analyze(conflIdx int) ([]boolcirc.Lit, int) {
-	confl := s.clauses[conflIdx]
-	seen := make([]bool, s.nVars+1)
-	var learnt []boolcirc.Lit
+func (s *cdclState) analyze(confl *cdclClause) ([]boolcirc.Lit, int) {
+	seen := s.seen
+	learnt := []boolcirc.Lit{0} // slot 0 takes the asserting literal
 	counter := 0
 	var p boolcirc.Lit
 	idx := len(s.trail) - 1
@@ -330,14 +329,18 @@ func (s *cdclState) analyze(conflIdx int) ([]boolcirc.Lit, int) {
 		}
 		reason = s.reasonLits(int(v))
 	}
-	learnt = append([]boolcirc.Lit{-p}, learnt...)
-	// Backjump level: the second-highest level in the learnt clause.
+	learnt[0] = -p
+	// Backjump level: the second-highest level in the learnt clause. The
+	// loop also clears the marks of the lower-level literals, the only
+	// ones still set: each current-level mark was cleared as it was
+	// resolved.
 	back := 0
 	for _, q := range learnt[1:] {
 		v := q
 		if v < 0 {
 			v = -v
 		}
+		seen[v] = false
 		if s.levels[v] > back {
 			back = s.levels[v]
 		}
@@ -382,9 +385,9 @@ func (s *cdclState) learn(lits []boolcirc.Lit) {
 	if len(lits) >= 2 {
 		s.watch(lits[0], c)
 		s.watch(lits[1], c)
-		s.assign(lits[0], len(s.clauses)-1)
+		s.assign(lits[0], c)
 	} else {
-		s.assign(lits[0], -1)
+		s.assign(lits[0], nil)
 	}
 	s.decayActivities()
 }

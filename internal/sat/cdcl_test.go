@@ -18,6 +18,11 @@ func TestCDCLTrivial(t *testing.T) {
 	if CDCL(f, 0).Status != Unsatisfiable {
 		t.Fatal("x ∧ ¬x should be UNSAT")
 	}
+	// An empty clause has no literal to satisfy it.
+	f = boolcirc.CNF{NumVars: 1, Clauses: []boolcirc.Clause{{}}}
+	if got := CDCL(f, 0).Status; got != Unsatisfiable {
+		t.Fatalf("formula with an empty clause: %v, want UNSAT", got)
+	}
 }
 
 func TestCDCLTautologyIgnored(t *testing.T) {

@@ -25,7 +25,7 @@ func TestSingleAttemptSolveCounts(t *testing.T) {
 	for _, tc := range []struct {
 		n    uint64
 		want int
-	}{{21, 9}, {33, 2}, {35, 10}} {
+	}{{21, 7}, {33, 2}, {35, 11}} {
 		solved := 0
 		for k := int64(1); k <= 12; k++ {
 			cfg := core.DefaultConfig()
