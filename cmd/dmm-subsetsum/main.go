@@ -1,6 +1,7 @@
 // Command dmm-subsetsum solves a subset-sum instance by running the
 // paper's subset-sum SOLC (Sec. VII-B) in solution mode and cross-checks
-// the answer against the dynamic-programming baseline.
+// the answer against a classical baseline: dynamic programming, or
+// meet-in-the-middle when the DP's tables would not fit baselineBytes.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"strconv"
 	"strings"
@@ -102,14 +104,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintf(stdout, "no equilibrium reached (%s)\n", res.Reason)
 	}
-	if _, ok := classical.SubsetSumDP(values, *target); ok != res.Solved {
-		fmt.Fprintf(stdout, "baseline check: DP says satisfiable=%v — SOLC %s\n", ok,
+	switch name, ok, ran := baseline(values, *target); {
+	case !ran:
+		fmt.Fprintf(stdout, "baseline check: skipped (neither DP nor meet-in-the-middle fits in %d MB)\n", baselineBytes>>20)
+	case ok != res.Solved:
+		fmt.Fprintf(stdout, "baseline check: %s says satisfiable=%v — SOLC %s\n", name, ok,
 			map[bool]string{true: "agrees", false: "missed it (try more attempts)"}[res.Solved == ok])
-	} else {
-		fmt.Fprintln(stdout, "baseline check: DP agrees")
+	default:
+		fmt.Fprintf(stdout, "baseline check: %s agrees\n", name)
 	}
 	if !res.Solved {
 		return 2
 	}
 	return 0
+}
+
+// baselineBytes caps the memory of the classical cross-check.
+const baselineBytes = 64 << 20
+
+// baseline decides the instance classically within baselineBytes: by
+// dynamic programming (17 bytes per sum up to the target) when its
+// tables fit, else by meet-in-the-middle (16 bytes per subset of each
+// half) when its lists fit and no subset sum overflows uint64. ran is
+// false when neither fits.
+func baseline(values []uint64, target uint64) (name string, ok, ran bool) {
+	var total, carry uint64 // carry is set once Σ values overflows
+	for _, v := range values {
+		if total, carry = bits.Add64(total, v, 0); carry != 0 {
+			break
+		}
+	}
+	n := len(values)
+	switch {
+	case target < baselineBytes/17:
+		_, ok = classical.SubsetSumDP(values, target)
+		return "DP", ok, true
+	case carry == 0 && 16*(uint64(1)<<(n/2)+uint64(1)<<(n-n/2)) <= baselineBytes:
+		_, ok = classical.SubsetSumMITM(values, target)
+		return "meet-in-the-middle", ok, true
+	}
+	return "", false, false
 }

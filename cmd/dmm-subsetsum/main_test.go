@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -39,6 +41,60 @@ func TestPositionalArgumentIsAnError(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: ran anyway: %q", args, stdout.String())
+		}
+	}
+}
+
+// FuzzSubsetSumArgs runs the command on up to six values below 2^12,
+// drawn two bytes each from raw (a zero value included), and any target,
+// at a short horizon. It must not panic and must exit 0, 1 or 2. The
+// largest target used to wrap the DP's table size to zero and panic.
+func FuzzSubsetSumArgs(f *testing.F) {
+	f.Add([]byte{3, 0, 5, 0}, uint64(math.MaxUint64))
+	f.Add([]byte{3, 0, 5, 0, 6, 0}, uint64(8))
+	f.Add([]byte{3, 0}, uint64(1))
+	f.Add([]byte{0xff, 0x0f, 0xff, 0x0f, 1, 0}, uint64(1<<32))
+	f.Add([]byte{0, 0, 7, 0}, uint64(7))
+	f.Add([]byte{}, uint64(0))
+	f.Fuzz(func(t *testing.T, raw []byte, target uint64) {
+		var vals []string
+		for i := 0; i+1 < len(raw) && len(vals) < 6; i += 2 {
+			v := (uint64(raw[i]) | uint64(raw[i+1])<<8) & 0xfff
+			vals = append(vals, strconv.FormatUint(v, 10))
+		}
+		args := []string{"-values", strings.Join(vals, ","), "-target", strconv.FormatUint(target, 10),
+			"-tend", "0.01", "-attempts", "1"}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code < 0 || code > 2 {
+			t.Fatalf("%v: exit %d, stdout %q, stderr %q", args, code, stdout.String(), stderr.String())
+		}
+	})
+}
+
+// TestBaselineWithinCap checks which classical cross-check runs: DP for
+// a target its tables fit, meet-in-the-middle above that, and none when
+// the halves would not fit in baselineBytes or a subset sum could wrap
+// uint64 (meet-in-the-middle would then compare wrapped sums).
+func TestBaselineWithinCap(t *testing.T) {
+	wide := make([]uint64, 43)
+	for i := range wide {
+		wide[i] = 1 << 22
+	}
+	for _, tc := range []struct {
+		name     string
+		values   []uint64
+		target   uint64
+		want     string
+		sat, ran bool
+	}{
+		{"small target", []uint64{3, 5, 6}, 8, "DP", true, true},
+		{"largest target", []uint64{3, 5}, math.MaxUint64, "meet-in-the-middle", false, true},
+		{"43 values", wide, 1 << 30, "", false, false},
+		{"sum overflows", []uint64{1 << 63, 1<<63 + 1, 5, 7}, 1 << 40, "", false, false},
+	} {
+		name, sat, ran := baseline(tc.values, tc.target)
+		if name != tc.want || sat != tc.sat || ran != tc.ran {
+			t.Errorf("%s: baseline = (%q, %v, %v), want (%q, %v, %v)", tc.name, name, sat, ran, tc.want, tc.sat, tc.ran)
 		}
 	}
 }

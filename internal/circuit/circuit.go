@@ -121,8 +121,9 @@ func (b *Builder) Build() *Circuit {
 	c.plan = c.buildPlan()
 	var err error
 	if c.symb, err = la.NewSymbolicLU(c.plan.csr); err != nil {
-		// The shift diagonal makes the pattern structurally nonsingular;
-		// reaching this indicates a stamp-plan bug, not a user error.
+		// The shift stores every diagonal entry, NewSymbolicLU's one
+		// precondition; reaching this indicates a stamp-plan bug, not a
+		// user error.
 		panic(fmt.Sprintf("circuit: symbolic factorization failed: %v", err))
 	}
 	c.nodeV = la.NewVector(c.numNodes)

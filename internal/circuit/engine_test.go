@@ -32,8 +32,8 @@ func TestIMEXGateSelfOrganizes(t *testing.T) {
 	if c.NodeBit(res.T, x, n1) == c.NodeBit(res.T, x, n2) {
 		t.Fatal("XOR out=1 requires unequal inputs")
 	}
-	if stats.Steps == 0 || stats.Refactors == 0 {
-		t.Fatalf("IMEX stats not recorded: %+v", stats)
+	if res.Steps == 0 || stats.FEvals == 0 || stats.Refactors == 0 {
+		t.Fatalf("IMEX stats not recorded: %d steps, %+v", res.Steps, stats)
 	}
 }
 

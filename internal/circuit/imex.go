@@ -202,7 +202,6 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) error {
 		x[c.vOff()+f] = s.vNew[f]
 	}
 	if s.stats != nil {
-		s.stats.Steps++
 		s.stats.FEvals++
 	}
 	// Per-step in-loop checks (compiled out without the dmminvariant
@@ -211,9 +210,9 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) error {
 	// clamp by the driver's Verify hook, which sees the state after
 	// ClampState absorbs the one-step explicit overshoot.
 	if invariant.Enabled {
-		step := 0
+		step := 0 // this step call's number: the stepper cannot know acceptance
 		if s.stats != nil {
-			step = s.stats.Steps
+			step = s.stats.FEvals
 		}
 		vb := VBoundFactor * p.Vc
 		if v := invariant.Range("voltage-bound", "free-node", step, t+h, s.vNew, -vb, vb); v != nil {

@@ -1,6 +1,7 @@
 package classical
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -136,5 +137,26 @@ func TestSubsetSumEmptyAndZeroTarget(t *testing.T) {
 	// non-empty one).
 	if m, ok := SubsetSumDP([]uint64{1, 2}, 0); ok && m == 0 {
 		t.Fatal("empty subset returned for target 0")
+	}
+}
+
+// TestSubsetSumDPTargetAboveTotal: a target above the sum of the values
+// has no subset, and the DP must say so without building its
+// target-sized tables. The largest target used to wrap target+1 to 0 and
+// index an empty table. Values whose total overflows uint64 still reach
+// the DP.
+func TestSubsetSumDPTargetAboveTotal(t *testing.T) {
+	for _, target := range []uint64{9, 1 << 40, math.MaxUint64} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, ok := SubsetSumDP([]uint64{3, 5}, target); ok {
+				t.Fatalf("{3, 5} reaches %d", target)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("target %d: %v allocations, want 0", target, allocs)
+		}
+	}
+	if m, ok := SubsetSumDP([]uint64{1 << 63, 1 << 63, 6}, 6); !ok || m != 0b100 {
+		t.Fatalf("{2^63, 2^63, 6} target 6: mask %b ok %v, want 100 true", m, ok)
 	}
 }

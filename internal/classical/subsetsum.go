@@ -26,10 +26,23 @@ func SubsetSumBrute(values []uint64, target uint64) (mask uint64, ok bool) {
 
 // SubsetSumDP solves subset-sum by dynamic programming over sums, the
 // pseudo-polynomial O(n·Σvalues) direct protocol (exponential in the
-// precision p since Σvalues ~ n·2^p).
+// precision p since Σvalues ~ n·2^p). Its tables take 17 bytes per sum
+// up to target; a target above Σvalues is answered without them.
 func SubsetSumDP(values []uint64, target uint64) (mask uint64, ok bool) {
 	if target == 0 {
 		return 0, false // the paper's NP-hard version wants a non-empty subset
+	}
+	// Subtract rather than sum, so a large total cannot overflow.
+	rem := target
+	for _, v := range values {
+		if v >= rem {
+			rem = 0
+			break
+		}
+		rem -= v
+	}
+	if rem > 0 {
+		return 0, false // Σvalues < target
 	}
 	// from[s] = index of the value that first reached sum s, plus one.
 	from := make([]int, target+1)

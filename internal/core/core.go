@@ -123,8 +123,9 @@ func (m *Metrics) fill(cs *solc.Compiled) {
 	m.StateDim = cs.Eng.Dim()
 }
 
-// options translates the Config into solver options.
-func (cfg Config) options() solc.Options {
+// Options translates the Config into solver options: every setting a
+// solve reads, Verify and Telemetry included.
+func (cfg Config) Options() solc.Options {
 	opts := solc.DefaultOptions()
 	opts.TEnd = cfg.TEnd
 	if cfg.MaxAttempts > 0 {
@@ -147,7 +148,7 @@ func (cfg Config) options() solc.Options {
 // solve runs the common solution-mode loop on a compiled problem with
 // optional tracing.
 func solve(cs *solc.Compiled, cfg Config) (solc.Result, *trace.Recorder, error) {
-	opts := cfg.options()
+	opts := cfg.Options()
 	var rec *trace.Recorder
 	if cfg.TraceNodes > 0 {
 		k := cfg.TraceNodes

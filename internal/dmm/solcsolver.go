@@ -15,7 +15,9 @@ type SOLCSolver struct {
 	// Params are the electrical parameters (circuit.Default() if zero).
 	Params circuit.Params
 	// Options tune the integration, including Parallelism, Deadline and
-	// the winner policy (solc.DefaultOptions() if zero).
+	// the winner policy. Each of H, HMax, TEnd, MaxAttempts and Seed left
+	// at zero takes its solc.DefaultOptions() value; every other field
+	// is used as given.
 	Options solc.Options
 }
 
@@ -25,13 +27,21 @@ func (s SOLCSolver) SolveInverse(c *boolcirc.Circuit, pins map[boolcirc.Signal]b
 	if p.Vc == 0 {
 		p = circuit.Default()
 	}
-	opts := s.Options
-	if opts.TEnd == 0 && opts.MaxAttempts == 0 {
-		opts = solc.DefaultOptions()
-		opts.Parallelism = s.Options.Parallelism
-		opts.Policy = s.Options.Policy
-		opts.Deadline = s.Options.Deadline
-		opts.Telemetry = s.Options.Telemetry
+	opts, d := s.Options, solc.DefaultOptions()
+	if opts.H == 0 {
+		opts.H = d.H
+	}
+	if opts.HMax == 0 {
+		opts.HMax = d.HMax
+	}
+	if opts.TEnd == 0 {
+		opts.TEnd = d.TEnd
+	}
+	if opts.MaxAttempts == 0 {
+		opts.MaxAttempts = d.MaxAttempts
+	}
+	if opts.Seed == 0 {
+		opts.Seed = d.Seed
 	}
 	res, err := solc.Compile(c, pins, p).Solve(opts)
 	if err != nil {

@@ -1,9 +1,13 @@
 package dmm
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/boolcirc"
+	"repro/internal/obs"
 	"repro/internal/solc"
 )
 
@@ -38,6 +42,41 @@ func TestSOLCSolverZeroValue(t *testing.T) {
 	}
 	if ones != 2 {
 		t.Fatalf("s=0 cout=1 needs exactly two ones, got %v", y)
+	}
+}
+
+// TestSOLCSolverKeepsCallerOptions sets only Seed and Telemetry: the
+// defaults fill the other fields, and both set fields reach the solve,
+// so every attempt event carries a seed derived from the caller's.
+func TestSOLCSolverKeepsCallerOptions(t *testing.T) {
+	const seed = 4242
+	var buf bytes.Buffer
+	tl := obs.NewTelemetry()
+	tl.Tracer = obs.NewTracer(&buf)
+	m := solcAdderMachine(SOLCSolver{Options: solc.Options{Seed: seed, Telemetry: tl}})
+	if _, _, err := m.Solve([]bool{false, true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var ev obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Ev == obs.EvMetrics {
+			continue
+		}
+		events++
+		if want := seed + int64(ev.Attempt); ev.Seed != want {
+			t.Fatalf("%s event of attempt %d carries seed %d, want %d", ev.Ev, ev.Attempt, ev.Seed, want)
+		}
+	}
+	if events == 0 {
+		t.Fatal("no attempt events: the caller's Telemetry was dropped")
 	}
 }
 

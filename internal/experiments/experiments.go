@@ -265,13 +265,8 @@ func Fig8Adder3(cfg core.Config, target uint64, seeds int) Report {
 			pins[s] = target&(1<<uint(i)) != 0
 		}
 		cs := solc.Compile(bc, pins, cfg.Params)
-		opts := solc.DefaultOptions()
+		opts := cfg.Options()
 		opts.Seed = seed
-		opts.TEnd = cfg.TEnd
-		opts.MaxAttempts = cfg.MaxAttempts
-		if cfg.StepH > 0 {
-			opts.H = cfg.StepH
-		}
 		res, err := cs.Solve(opts)
 		row := []string{f("%d", seed), "false", "-", "-", "-", "-", "-"}
 		if err == nil && res.Solved {

@@ -90,13 +90,8 @@ func Sat3(cfg core.Config, nv, nc, instances int) Report {
 	for inst := 0; inst < instances; inst++ {
 		formula := random3SAT(rng, nv, nc)
 		dp := sat.DPLL(formula, 0)
-		opts := solc.DefaultOptions()
-		opts.TEnd = cfg.TEnd
-		opts.MaxAttempts = cfg.MaxAttempts
+		opts := cfg.Options()
 		opts.Seed = int64(inst + 1)
-		if cfg.StepH > 0 {
-			opts.H = cfg.StepH
-		}
 		res, err := solc.SolveCNF(formula, cfg.Params, opts)
 		solcCell := "error"
 		tCell, aCell := "-", "-"
@@ -167,9 +162,8 @@ func SolutionDiversity(cfg core.Config, seeds int) Report {
 		a, b := bc.NewSignal(), bc.NewSignal()
 		o := bc.And(a, b)
 		cs := solc.Compile(bc, map[boolcirc.Signal]bool{o: false}, cfg.Params)
-		opts := solc.DefaultOptions()
+		opts := cfg.Options()
 		opts.Seed = int64(s + 1)
-		opts.TEnd = cfg.TEnd
 		res, err := cs.Solve(opts)
 		if err == nil && res.Solved {
 			solved++
@@ -191,9 +185,8 @@ func SolutionDiversity(cfg core.Config, seeds int) Report {
 			pins[sig] = 9&(1<<uint(i)) != 0
 		}
 		cs := solc.Compile(bc, pins, cfg.Params)
-		opts := solc.DefaultOptions()
+		opts := cfg.Options()
 		opts.Seed = int64(s + 1)
-		opts.TEnd = cfg.TEnd
 		res, err := cs.Solve(opts)
 		if err == nil && res.Solved {
 			solved++

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 func TestInformationOverheadReport(t *testing.T) {
@@ -105,3 +106,30 @@ func TestAblationCapacitanceReport(t *testing.T) {
 }
 
 func newTestRand() *rand.Rand { return rand.New(rand.NewSource(5)) }
+
+// TestDynamicalExperimentsUseConfigOptions checks that fig8, sat3 and
+// diversity solve with the Config's own options: its telemetry sees
+// their attempts, and diversity launches at most MaxAttempts per solve.
+func TestDynamicalExperimentsUseConfigOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		run    func(core.Config)
+		solves int64
+	}{
+		{"fig8", func(cfg core.Config) { Fig8Adder3(cfg, 9, 1) }, 1},
+		{"sat3", func(cfg core.Config) { Sat3(cfg, 4, 8, 1) }, 1},
+		{"diversity", func(cfg core.Config) { SolutionDiversity(cfg, 1) }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.TEnd = 5
+			cfg.MaxAttempts = 1
+			cfg.Verify = true
+			cfg.Telemetry = obs.NewTelemetry()
+			tc.run(cfg)
+			if n := cfg.Telemetry.AttemptsLaunched.Value(); n < 1 || n > tc.solves {
+				t.Fatalf("telemetry saw %d attempts over %d solves of 1 attempt each", n, tc.solves)
+			}
+		})
+	}
+}

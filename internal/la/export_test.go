@@ -5,6 +5,4 @@ package la
 
 func symmetrizedAdjacency(a *CSR) adjacency { return new(scratch).adjacency(a) }
 
-func rcmOrder(adj adjacency) []int { return new(scratch).rcmOrder(adj, nil) }
-
 func mdOrder(adj adjacency) []int { return new(scratch).mdOrder(adj, nil) }

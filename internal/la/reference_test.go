@@ -1,9 +1,9 @@
 package la
 
 // The reference symbolic phase: the sort-based Builder.Compile,
-// NewSparseLU, analyze, symmetrizedAdjacency, rcmOrder and mdOrder as
-// they stood before the compile path was rewritten to counting sorts and
-// presized arrays. FuzzSymbolicMatchesReference holds the production
+// NewSparseLU, analyze, symmetrizedAdjacency and mdOrder as they stood
+// before the compile path was rewritten to counting sorts and presized
+// arrays. FuzzSymbolicMatchesReference holds the production
 // path to these, array for array.
 
 import (
@@ -40,24 +40,22 @@ func refCompile(b *Builder) *CSR {
 	return m
 }
 
-// refNewSparseLU is the reference NewSparseLU.
+// refNewSparseLU is the reference NewSparseLU: a full-diagonal check,
+// then the analysis under the minimum-degree ordering.
 func refNewSparseLU(a *CSR) (*SparseLU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("la: SparseLU requires a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	// Symbolically factor under both candidate orderings and keep the one
-	// with less fill: RCM wins on banded chains, minimum degree on the
-	// grid-like multiplier arrays. The analysis is a one-time Build cost;
-	// every numeric refactorization repays the smaller structure.
-	adj := refSymmetrizedAdjacency(a)
-	best, err := refAnalyze(a, refRCMOrder(a, adj))
-	if err != nil {
-		return nil, err
+	for i := 0; i < a.Rows; i++ {
+		found := false
+		for t := a.RowPtr[i]; t < a.RowPtr[i+1]; t++ {
+			found = found || a.ColIdx[t] == i
+		}
+		if !found {
+			return nil, errNoDiagonal
+		}
 	}
-	if md, errMD := refAnalyze(a, refMDOrder(adj)); errMD == nil && md.NNZFactors() < best.NNZFactors() {
-		best = md
-	}
-	return best, nil
+	return refAnalyze(a, refMDOrder(refSymmetrizedAdjacency(a)))
 }
 
 // refAnalyze is the reference analyze: per-column sorts of the scatter
@@ -186,84 +184,6 @@ func refSymmetrizedAdjacency(a *CSR) [][]int {
 		adj[i] = adj[i][:k]
 	}
 	return adj
-}
-
-// refRCMOrder is the reference rcmOrder: it copies and sorts each
-// node's neighbours on every BFS visit.
-func refRCMOrder(a *CSR, adj [][]int) []int {
-	n := a.Rows
-	deg := make([]int, n)
-	for i := range adj {
-		deg[i] = len(adj[i])
-	}
-
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	bfs := func(root int, record bool) (last []int) {
-		queue = append(queue[:0], root)
-		visited[root] = true
-		if record {
-			order = append(order, root)
-		}
-		levelStart := 0
-		for levelStart < len(queue) {
-			levelEnd := len(queue)
-			for q := levelStart; q < levelEnd; q++ {
-				v := queue[q]
-				nbrs := append([]int(nil), adj[v]...)
-				sort.Slice(nbrs, func(x, y int) bool {
-					if deg[nbrs[x]] != deg[nbrs[y]] {
-						return deg[nbrs[x]] < deg[nbrs[y]]
-					}
-					return nbrs[x] < nbrs[y]
-				})
-				for _, w := range nbrs {
-					if !visited[w] {
-						visited[w] = true
-						queue = append(queue, w)
-						if record {
-							order = append(order, w)
-						}
-					}
-				}
-			}
-			last = queue[levelEnd:len(queue):len(queue)]
-			if len(last) == 0 {
-				last = queue[levelStart:levelEnd]
-			}
-			levelStart = levelEnd
-		}
-		return last
-	}
-	unvisit := func(nodes []int) {
-		for _, v := range nodes {
-			visited[v] = false
-		}
-	}
-
-	for start := 0; start < n; start++ {
-		if visited[start] {
-			continue
-		}
-		// Pseudo-peripheral root: one BFS hop to the farthest level's
-		// minimum-degree node.
-		last := bfs(start, false)
-		component := append([]int(nil), queue...)
-		unvisit(component)
-		best := last[0]
-		for _, v := range last {
-			if deg[v] < deg[best] {
-				best = v
-			}
-		}
-		bfs(best, true)
-	}
-	// Reverse the Cuthill-McKee order.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
 }
 
 // refMDOrder is the reference mdOrder.

@@ -5,7 +5,7 @@ import "sync"
 // scratch is the throwaway working memory of one pattern compile
 // (CompilePattern) or one symbolic analysis (NewSymbolicLU): counting
 // buckets, the symmetrized adjacency, the ordering work arrays, and the
-// candidate analyses. None of it outlives the call that takes it, so it
+// analysis. None of it outlives the call that takes it, so it
 // comes from scratchPool and goes back, and a compile allocates only the
 // arrays its result keeps. Every user overwrites what it reads first:
 // resize hands back old contents.
@@ -13,16 +13,16 @@ type scratch struct {
 	// CompilePattern's column buckets and per-row cursors.
 	colPtr, byCol, rowMark []int32
 
-	// The symmetrized adjacency both orderings read, and the fill
+	// The symmetrized adjacency minimum degree reads, and the fill
 	// cursors that build it.
 	adjPtr, adjIdx, adjNext []int
 
 	// Ordering work: degrees, a mutable copy of the adjacency lists, the
-	// arena minimum degree moves growing lists to, its list headers, the
-	// visited/eliminated flags and RCM's BFS queue.
-	deg, idxCopy, arena, queue []int
-	nbrs                       [][]int
-	flags                      []bool
+	// arena minimum degree moves growing lists to, its list headers and
+	// the eliminated flags.
+	deg, idxCopy, arena []int
+	nbrs                [][]int
+	flags               []bool
 
 	// The analysis workspace: the inverse permutation, the DFS marks
 	// (shared with minimum degree), column cursors, and DFS stack and
@@ -31,9 +31,8 @@ type scratch struct {
 	next         []int32
 	stack, reach []int32
 
-	// cand holds the minimum-degree (0) and RCM (1) analyses, built in
-	// place; NewSymbolicLU copies out only the one it keeps.
-	cand [2]SparseLU
+	// lu is the analysis, built in place; NewSymbolicLU copies it out.
+	lu SparseLU
 }
 
 // scratchPool is the process-wide free list of scratch. It keeps what it
@@ -59,12 +58,10 @@ func getScratch() *scratch {
 	return new(scratch)
 }
 
-// putScratch returns s to the pool. It drops the matrix the candidate
-// analyses were bound to, so an idle scratch keeps no caller data alive.
+// putScratch returns s to the pool. It drops the matrix the analysis
+// was bound to, so an idle scratch keeps no caller data alive.
 func putScratch(s *scratch) {
-	for i := range s.cand {
-		s.cand[i].a = nil
-	}
+	s.lu.a = nil
 	scratchPool.mu.Lock()
 	scratchPool.free = append(scratchPool.free, s)
 	scratchPool.mu.Unlock()

@@ -15,12 +15,11 @@ import (
 // pattern of C/h·I + A) never changes while the memristor conductances do.
 //
 // NewSparseLU performs the one-time symbolic phase: a fill-reducing
-// ordering (the better of reverse Cuthill-McKee and greedy minimum degree
-// on the symmetrized pattern) followed by a Gilbert-Peierls symbolic
-// elimination that fixes the nonzero structure of L and U once. Refactor
-// then recomputes only the numeric values into the frozen structure (no
-// allocation, no pattern work), and SolveInto runs the permuted triangular
-// solves. NewSymbolicLU runs the symbolic phase alone: its template owns
+// ordering (greedy minimum degree on the symmetrized pattern) followed
+// by a Gilbert-Peierls symbolic elimination that fixes the nonzero
+// structure of L and U once. Refactor then recomputes only the numeric
+// values into the frozen structure (no allocation, no pattern work), and
+// SolveInto runs the permuted triangular solves. NewSymbolicLU runs the symbolic phase alone: its template owns
 // no numeric arrays (lx, ux, x and b are nil), and each of its CloneFor
 // solvers owns its own.
 //
@@ -69,8 +68,9 @@ func (f *SparseLU) NNZFactors() int { return len(f.li) + len(f.ui) }
 
 // NewSparseLU computes the fill-reducing ordering and symbolic
 // factorization of a and binds the solver to it, with numeric arrays of
-// its own. The matrix must be square with a structurally present
-// diagonal (the circuit assembly guarantees this via the C/h·I shift).
+// its own. The matrix must be square with every diagonal entry stored
+// (the circuit assembly guarantees this via the C/h·I shift); otherwise
+// it returns an error.
 // Subsequent Refactor calls read a.Val in place, so the caller may
 // rewrite values — but not the pattern — between refactorizations.
 func NewSparseLU(a *CSR) (*SparseLU, error) {
@@ -91,39 +91,18 @@ func NewSymbolicLU(a *CSR) (*SparseLU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("la: SparseLU requires a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	// Symbolically factor under both candidate orderings and keep the one
-	// with less fill, RCM on a tie: RCM wins on banded chains, minimum
-	// degree on the grid-like multiplier arrays. The analysis is a
-	// one-time Build cost; every numeric refactorization repays the
-	// smaller structure. Both analyses run in pooled scratch, and only
-	// the winner is copied out.
-	//
-	// Minimum degree goes first so that its fill can cap the RCM analysis:
-	// once RCM's running fill exceeds it, RCM has lost. The cap applies
-	// only under a full diagonal, where no column can be structurally
-	// singular; otherwise RCM runs to the end, because its error (not
-	// minimum degree's) is the one to report.
+	if !hasFullDiagonal(a) {
+		return nil, errNoDiagonal
+	}
+	// Order by minimum degree and analyse once, in pooled scratch; only
+	// the result is copied out. The analysis is a one-time Build cost;
+	// every numeric refactorization repays the smaller structure.
 	s := getScratch()
 	defer putScratch(s)
-	adj := s.adjacency(a)
-	md, rcm := &s.cand[0], &s.cand[1]
-	md.perm = s.mdOrder(adj, md.perm)
-	errMD := s.analyze(a, md, -1)
-	budget := -1
-	if errMD == nil && hasFullDiagonal(a) {
-		budget = md.NNZFactors()
-	}
-	rcm.perm = s.rcmOrder(adj, rcm.perm)
-	best := rcm
-	switch err := s.analyze(a, rcm, budget); {
-	case errors.Is(err, errOverBudget):
-		best = md
-	case err != nil:
-		return nil, err
-	case errMD == nil && md.NNZFactors() < rcm.NNZFactors():
-		best = md
-	}
-	return best.copySymbolic(), nil
+	f := &s.lu
+	f.perm = s.mdOrder(s.adjacency(a), f.perm)
+	s.analyze(a, f)
+	return f.copySymbolic(), nil
 }
 
 // copySymbolic returns a template with its own copy of f's symbolic
@@ -152,9 +131,9 @@ func (f *SparseLU) allocNumeric() {
 	f.b = make([]float64, f.n)
 }
 
-// errOverBudget reports an analysis abandoned because its fill exceeded
-// the caller's budget.
-var errOverBudget = errors.New("la: symbolic fill over budget")
+// errNoDiagonal reports a pattern that breaks the full-diagonal
+// precondition of the pivot-free factorization.
+var errNoDiagonal = errors.New("la: SparseLU requires every diagonal entry to be stored")
 
 // hasFullDiagonal reports whether every diagonal entry of a is stored.
 func hasFullDiagonal(a *CSR) bool {
@@ -168,9 +147,10 @@ func hasFullDiagonal(a *CSR) bool {
 
 // analyze builds into f the scatter plan and symbolic factorization of a
 // under the ordering f.perm (perm[new] = old), reusing f's arrays. It
-// sets every symbolic array and no numeric one. With budget ≥ 0 it
-// returns errOverBudget as soon as the fill of L+U exceeds budget.
-func (s *scratch) analyze(a *CSR, f *SparseLU, budget int) error {
+// sets every symbolic array and no numeric one. a must have a full
+// diagonal: a symmetric permutation keeps it on the diagonal, so every
+// column reaches its own row.
+func (s *scratch) analyze(a *CSR, f *SparseLU) {
 	n := a.Rows
 	f.n, f.a = n, a
 	inv := resize(s.inv, n)
@@ -217,8 +197,6 @@ func (s *scratch) analyze(a *CSR, f *SparseLU, budget int) error {
 		mark[i] = -1
 	}
 	stack, reach := s.stack, s.reach
-	s.inv, s.next, s.mark = inv, next, mark
-	defer func() { f.li, f.ui, s.stack, s.reach = li, ui, stack, reach }()
 	for j := 0; j < n; j++ {
 		reach = reach[:0]
 		for t := f.aColPtr[j]; t < f.aColPtr[j+1]; t++ {
@@ -248,22 +226,14 @@ func (s *scratch) analyze(a *CSR, f *SparseLU, budget int) error {
 		slices.Sort(reach)
 		// reach is sorted: rows above j go to U, then the diagonal, then
 		// the rows below j to L.
-		k := 0
-		for k < len(reach) && int(reach[k]) < j {
-			k++
-		}
-		if k == len(reach) || int(reach[k]) != j {
-			return fmt.Errorf("la: SparseLU structurally singular (no diagonal reach at column %d)", f.perm[j])
-		}
+		k, _ := slices.BinarySearch(reach, int32(j))
 		ui = append(append(ui, reach[:k]...), int32(j)) // diagonal closes the column
 		f.up[j+1] = int32(len(ui))
 		li = append(li, reach[k+1:]...)
 		f.lp[j+1] = int32(len(li))
-		if budget >= 0 && len(li)+len(ui) > budget {
-			return errOverBudget
-		}
 	}
-	return nil
+	f.li, f.ui = li, ui
+	s.inv, s.next, s.mark, s.stack, s.reach = inv, next, mark, stack, reach
 }
 
 // CloneFor returns a solver bound to a, sharing the receiver's symbolic
@@ -397,8 +367,8 @@ type adjacency struct {
 func (g adjacency) nbrs(i int) []int { return g.idx[g.ptr[i]:g.ptr[i+1]] }
 
 // adjacency returns the sorted, deduplicated undirected adjacency (no
-// self loops) of a's pattern — the graph both orderings work on — in the
-// scratch's arrays.
+// self loops) of a's pattern — the graph minimum degree works on — in
+// the scratch's arrays.
 func (s *scratch) adjacency(a *CSR) adjacency {
 	n := a.Rows
 	g := adjacency{ptr: resize(s.adjPtr, n+1)}
@@ -446,93 +416,11 @@ func (s *scratch) adjacency(a *CSR) adjacency {
 	return g
 }
 
-// rcmOrder appends to order[:0] a reverse Cuthill-McKee ordering of the
-// symmetrized pattern (order[new] = old) and returns it. RCM clusters each
-// node's neighbours — for SOLC matrices, the gate terminals sharing a
-// branch — into a narrow band; it is the stronger choice for chain-like
-// circuits.
-func (s *scratch) rcmOrder(adj adjacency, order []int) []int {
-	n := len(adj.ptr) - 1
-	deg := resize(s.deg, n)
-	for i := range deg {
-		deg[i] = len(adj.nbrs(i))
-	}
-	// The BFS visits each node's neighbours by ascending (degree, index),
-	// a total order: sort every list once, up front.
-	byDeg := adjacency{ptr: adj.ptr, idx: resize(s.idxCopy, len(adj.idx))}
-	copy(byDeg.idx, adj.idx)
-	for i := 0; i < n; i++ {
-		slices.SortFunc(byDeg.nbrs(i), func(x, y int) int {
-			if deg[x] != deg[y] {
-				return deg[x] - deg[y]
-			}
-			return x - y
-		})
-	}
-
-	visited := resize(s.flags, n)
-	clear(visited)
-	order = order[:0]
-	queue := s.queue[:0]
-	bfs := func(root int, record bool) (last []int) {
-		queue = append(queue[:0], root)
-		visited[root] = true
-		if record {
-			order = append(order, root)
-		}
-		levelStart := 0
-		for levelStart < len(queue) {
-			levelEnd := len(queue)
-			for q := levelStart; q < levelEnd; q++ {
-				for _, w := range byDeg.nbrs(queue[q]) {
-					if !visited[w] {
-						visited[w] = true
-						queue = append(queue, w)
-						if record {
-							order = append(order, w)
-						}
-					}
-				}
-			}
-			last = queue[levelEnd:len(queue):len(queue)]
-			if len(last) == 0 {
-				last = queue[levelStart:levelEnd]
-			}
-			levelStart = levelEnd
-		}
-		return last
-	}
-
-	for start := 0; start < n; start++ {
-		if visited[start] {
-			continue
-		}
-		// Pseudo-peripheral root: one BFS hop to the farthest level's
-		// minimum-degree node.
-		last := bfs(start, false)
-		best := last[0]
-		for _, v := range last {
-			if deg[v] < deg[best] {
-				best = v
-			}
-		}
-		for _, v := range queue { // the component: unvisit it for the second BFS
-			visited[v] = false
-		}
-		bfs(best, true)
-	}
-	s.deg, s.idxCopy, s.flags, s.queue = deg, byDeg.idx, visited, queue
-	// Reverse the Cuthill-McKee order.
-	slices.Reverse(order)
-	return order
-}
-
 // mdOrder appends to order[:0] a greedy minimum-degree ordering of the
 // symmetrized pattern (order[new] = old) and returns it, by explicit
 // elimination-graph updates: repeatedly eliminate a minimum-degree node
 // and join its neighbours into a clique. Quadratic in the worst case but
-// run once per topology at Build time; on the grid-like multiplier/adder
-// arrays it beats RCM's fill by integer factors.
+// run once per topology at Build time.
 func (s *scratch) mdOrder(adj adjacency, order []int) []int {
 	n := len(adj.ptr) - 1
 	// Private, mutable copy of the adjacency. Each list is capped at its

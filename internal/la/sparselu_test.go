@@ -1,6 +1,7 @@
 package la
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -211,6 +212,27 @@ func TestSparseLUStructurallySingular(t *testing.T) {
 	}
 }
 
+// TestSymbolicLURequiresFullDiagonal checks the full-diagonal
+// precondition: a pattern that misses a diagonal entry is an error even
+// when elimination would reach that entry through fill, as it does in
+// [[x x] [x 0]], and so are the hole-punched seeds of
+// FuzzSymbolicMatchesReference.
+func TestSymbolicLURequiresFullDiagonal(t *testing.T) {
+	b := NewBuilder(2, 2)
+	b.Add(0, 0, 2)
+	b.Add(0, 1, 1)
+	b.Add(1, 0, 1)
+	for name, m := range map[string]*CSR{
+		"fill reaches (1,1)": b.Compile(),
+		"fuzz seed 7":        fuzzPattern(30, 7, 30.0/256, 60, true).Compile(),
+		"fuzz seed 8":        fuzzPattern(12, 8, 255.0/256, 9, true).Compile(),
+	} {
+		if _, err := NewSymbolicLU(m); !errors.Is(err, errNoDiagonal) {
+			t.Errorf("%s: NewSymbolicLU error %v, want %v", name, err, errNoDiagonal)
+		}
+	}
+}
+
 // TestSparseLUTridiagonalNoAllocRefactor spot-checks the zero-allocation
 // contract of the numeric phase.
 func TestSparseLUTridiagonalNoAllocRefactor(t *testing.T) {
@@ -242,7 +264,7 @@ func TestSparseLUTridiagonalNoAllocRefactor(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Refactor+SolveInto allocated %v objects per run, want 0", allocs)
 	}
-	// RCM on a tridiagonal pattern must produce zero fill.
+	// Minimum degree on a tridiagonal pattern must produce zero fill.
 	if f.NNZFactors() != m.NNZ() {
 		t.Fatalf("tridiagonal fill-in: factors %d nnz vs matrix %d", f.NNZFactors(), m.NNZ())
 	}

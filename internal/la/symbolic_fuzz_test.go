@@ -1,6 +1,7 @@
 package la
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,7 +10,7 @@ import (
 
 // fuzzPattern draws a random shifted sparse pattern on n nodes from seed:
 // every diagonal unless holes is set (then about one diagonal in eight is
-// missing, exercising the structural-singularity error), off-diagonal
+// missing, exercising the full-diagonal precondition), off-diagonal
 // entries at the given density, and dups extra copies of random entries
 // already drawn. Values are small integers, so duplicates sum exactly in
 // any order; a zero is negative half the time, so a lone -0 shows whether
@@ -46,9 +47,10 @@ func fuzzPattern(n int, seed int64, density float64, dups int, holes bool) *Buil
 // FuzzSymbolicMatchesReference holds the counting-sort compile and
 // symbolic phase to the sort-based reference (reference_test.go) on random
 // shifted sparse patterns with duplicates: the same CSR (and a position
-// map that points every added entry at its merged slot), adjacency, RCM
-// and minimum-degree orderings, scatter plan and L/U structure, the same
-// structural-singularity errors, and bit-identical Refactor + SolveInto
+// map that points every added entry at its merged slot), adjacency,
+// minimum-degree ordering, scatter plan and L/U structure, the
+// full-diagonal precondition error on every pattern that misses a
+// diagonal entry, and bit-identical Refactor + SolveInto
 // output on a diagonally dominant value set. The seed corpus includes the
 // empty system (n = 0, every circuit node pinned); plain go test runs it.
 func FuzzSymbolicMatchesReference(f *testing.F) {
@@ -81,9 +83,6 @@ func FuzzSymbolicMatchesReference(f *testing.F) {
 				t.Fatalf("adjacency of %d: got %v, want %v", i, adj.nbrs(i), nb)
 			}
 		}
-		if got, want := rcmOrder(adj), refRCMOrder(m, refAdj); !slices.Equal(got, want) {
-			t.Fatalf("rcmOrder: got %v, want %v", got, want)
-		}
 		if got, want := mdOrder(adj), refMDOrder(refAdj); !slices.Equal(got, want) {
 			t.Fatalf("mdOrder: got %v, want %v", got, want)
 		}
@@ -94,6 +93,9 @@ func FuzzSymbolicMatchesReference(f *testing.F) {
 			t.Fatalf("NewSparseLU error %v, want %v", err, refErr)
 		}
 		if err != nil {
+			if !errors.Is(err, errNoDiagonal) {
+				t.Fatalf("NewSparseLU error %v, want the full-diagonal precondition", err)
+			}
 			return
 		}
 		if !slices.Equal(lu.perm, ref.perm) ||
@@ -104,12 +106,11 @@ func FuzzSymbolicMatchesReference(f *testing.F) {
 			t.Fatal("symbolic factorization differs from the reference")
 		}
 
-		// Strictly row-diagonally dominant values where the diagonal is
-		// stored: the pivot-free LU is then well posed under any symmetric
-		// permutation.
+		// Strictly row-diagonally dominant values: the pivot-free LU is
+		// then well posed under any symmetric permutation.
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < m.Rows; i++ {
-			d, off := -1, 0.0
+			d, off := 0, 0.0
 			for t := m.RowPtr[i]; t < m.RowPtr[i+1]; t++ {
 				if m.ColIdx[t] == i {
 					d = t
@@ -118,9 +119,7 @@ func FuzzSymbolicMatchesReference(f *testing.F) {
 				m.Val[t] = 2*rng.Float64() - 1
 				off += math.Abs(m.Val[t])
 			}
-			if d >= 0 { // a missing diagonal can still be reached through fill
-				m.Val[d] = 1 + off + rng.Float64()
-			}
+			m.Val[d] = 1 + off + rng.Float64()
 		}
 		err, refErr = lu.Refactor(), ref.Refactor()
 		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {

@@ -83,6 +83,7 @@ type Driver struct {
 // Result summarizes an integration run.
 type Result struct {
 	T      float64
+	Steps  int // accepted steps
 	Reason StopReason
 	Err    error
 }
@@ -122,13 +123,13 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 	backup := d.backup
 	for {
 		if d.Ctx != nil && d.Ctx.Err() != nil {
-			return Result{T: t, Reason: StopCancelled, Err: d.Ctx.Err()}
+			return Result{T: t, Steps: steps, Reason: StopCancelled, Err: d.Ctx.Err()}
 		}
 		if d.MaxSteps > 0 && steps >= d.MaxSteps {
-			return Result{T: t, Reason: StopMaxSteps}
+			return Result{T: t, Steps: steps, Reason: StopMaxSteps}
 		}
 		if d.TEnd > 0 && t >= d.TEnd {
-			return Result{T: t, Reason: StopTEnd}
+			return Result{T: t, Steps: steps, Reason: StopTEnd}
 		}
 		hTry := h
 		if d.TEnd > 0 && t+hTry > d.TEnd {
@@ -141,7 +142,7 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 			x.CopyFrom(backup)
 			h *= 0.25
 			if h < hMin {
-				return Result{T: t, Reason: StopError, Err: fmt.Errorf("step size underflow: %w", err)}
+				return Result{T: t, Steps: steps, Reason: StopError, Err: fmt.Errorf("step size underflow: %w", err)}
 			}
 			continue
 		}
@@ -150,7 +151,7 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 			x.CopyFrom(backup)
 			h *= 0.25
 			if h < hMin {
-				return Result{T: t, Reason: StopError, Err: ErrNaNState}
+				return Result{T: t, Steps: steps, Reason: StopError, Err: ErrNaNState}
 			}
 			continue
 		}
@@ -175,10 +176,10 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 		stop := verr == nil && d.Stop != nil && d.Stop(t, x)
 		d.Obs.SpanEnd(obs.PhaseBookkeep, btok)
 		if verr != nil {
-			return Result{T: t, Reason: StopError, Err: verr}
+			return Result{T: t, Steps: steps, Reason: StopError, Err: verr}
 		}
 		if stop {
-			return Result{T: t, Reason: StopCondition}
+			return Result{T: t, Steps: steps, Reason: StopCondition}
 		}
 	}
 }

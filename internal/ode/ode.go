@@ -52,15 +52,16 @@ type Bounded interface {
 	MaxStableStep() float64
 }
 
-// Stats accumulates integration effort counters.
+// Stats accumulates a stepper's effort counters. They count every step
+// the stepper computes, rejected ones included; the accepted steps are
+// the driver's count (Result.Steps).
 type Stats struct {
-	Steps     int // accepted steps
 	FEvals    int // right-hand-side evaluations
 	Refactors int // linear-operator factorizations (IMEX: one per step)
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("steps=%d fevals=%d refactors=%d", s.Steps, s.FEvals, s.Refactors)
+	return fmt.Sprintf("fevals=%d refactors=%d", s.FEvals, s.Refactors)
 }
 
 // ErrStepFailure is returned when a step cannot be completed (a failed

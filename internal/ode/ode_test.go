@@ -148,9 +148,9 @@ func TestStepperNames(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	s := Stats{Steps: 3, FEvals: 12, Refactors: 2}
+	s := Stats{FEvals: 12, Refactors: 2}
 	out := s.String()
-	for _, want := range []string{"steps=3", "fevals=12", "refactors=2"} {
+	for _, want := range []string{"fevals=12", "refactors=2"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Stats.String() = %q missing %q", out, want)
 		}

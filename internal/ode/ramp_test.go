@@ -133,3 +133,18 @@ func TestDriverFixedStepWithoutRamp(t *testing.T) {
 		}
 	}
 }
+
+// TestDriverCountsAcceptedSteps checks that Result.Steps counts accepted
+// steps only: the step the driver rejects for its NaN state is a stepper
+// call but not a step.
+func TestDriverCountsAcceptedSteps(t *testing.T) {
+	s := &recordStepper{nanAt: 3}
+	d := &Driver{Stepper: s, H: 1e-3, TEnd: 0.01}
+	res := d.Run(expDecay, 0, la.Vector{1})
+	if res.Reason != StopTEnd {
+		t.Fatalf("run ended with %v (err %v), want t-end", res.Reason, res.Err)
+	}
+	if calls := len(s.steps()); res.Steps != calls-1 {
+		t.Fatalf("Result.Steps = %d after %d stepper calls with one rejected, want %d", res.Steps, calls, calls-1)
+	}
+}

@@ -492,7 +492,7 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	w.reset(ctx, stop, opts, seed, fl)
 	run := w.driver.Run(w.eng, 0, w.x)
 
-	out := attemptOut{launched: true, t: run.T, steps: w.stats.Steps, fevals: w.stats.FEvals,
+	out := attemptOut{launched: true, t: run.T, steps: run.Steps, fevals: w.stats.FEvals,
 		energy: w.stepper.Energy()}
 	switch run.Reason {
 	case ode.StopCondition:
