@@ -335,24 +335,23 @@ func multiplier6() *solc.Compiled {
 
 // benchIMEXStep measures one IMEX step on the 6-bit multiplier SOLC —
 // the steady-state cost the solve loop pays on the symbolic-once
-// la.SparseLU path. A non-nil telemetry attaches the full per-step
-// instrument set (refactor hook on the stepper, accept hook called as
-// the driver would), pinning its hot-path cost.
+// la.SparseLU path. A non-nil telemetry attaches the per-step instrument
+// set (the accept hook, called as the driver would), pinning its
+// hot-path cost.
 func benchIMEXStep(b *testing.B, tl *obs.Telemetry) {
 	cs := multiplier6()
 	c := cs.Eng.(*circuit.Circuit)
 	x := c.InitialState(rand.New(rand.NewSource(1)))
-	st := circuit.NewIMEX(c, nil)
-	so := tl.StepObs()
-	st.Obs = so
+	st := circuit.NewIMEX(c)
+	so := tl.StepObsFor(nil)
 	h := 1e-3
-	if err := st.Step(c, 0, h, x); err != nil {
+	if err := st.Step(0, h, x); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.Step(c, float64(i+1)*h, h, x); err != nil {
+		if err := st.Step(float64(i+1)*h, h, x); err != nil {
 			b.Fatal(err)
 		}
 		so.Accept(h)
@@ -376,27 +375,27 @@ func TestIMEXStepTelemetryZeroAlloc(t *testing.T) {
 	c := cs.Eng.(*circuit.Circuit)
 	x := c.InitialState(rand.New(rand.NewSource(1)))
 	tl := obs.NewTelemetry()
-	st := circuit.NewIMEX(c, nil)
-	st.Obs = tl.StepObs()
+	st := circuit.NewIMEX(c)
+	so := tl.StepObsFor(nil)
 	h := 1e-3
-	if err := st.Step(c, 0, h, x); err != nil {
+	if err := st.Step(0, h, x); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		i++
-		if err := st.Step(c, float64(i)*h, h, x); err != nil {
+		if err := st.Step(float64(i)*h, h, x); err != nil {
 			t.Fatal(err)
 		}
-		st.Obs.Accept(h)
+		so.Accept(h)
 		c.ClampState(x)
 	})
 	if allocs != 0 {
 		t.Fatalf("instrumented IMEX step allocates %.1f/op, want 0", allocs)
 	}
-	if tl.Steps.Value() == 0 || tl.Refactors.Value() == 0 {
-		t.Fatalf("instruments not recording: steps=%d refactors=%d",
-			tl.Steps.Value(), tl.Refactors.Value())
+	if tl.Steps.Value() == 0 || st.Computed() == 0 {
+		t.Fatalf("counts not recording: steps=%d computed=%d",
+			tl.Steps.Value(), st.Computed())
 	}
 }
 
@@ -412,23 +411,23 @@ func TestIMEXStepSpansFlightZeroAlloc(t *testing.T) {
 	tl.Spans = obs.NewSpans()
 	tl.Flight = obs.NewFlightSet(0, 0, nil)
 	fl := tl.FlightFor(0)
-	st := circuit.NewIMEX(c, nil)
-	st.Obs = tl.StepObsFor(fl)
+	st := circuit.NewIMEX(c)
 	st.Spans = tl.Spans
+	so := tl.StepObsFor(fl)
 	h := 1e-3
-	if err := st.Step(c, 0, h, x); err != nil {
+	if err := st.Step(0, h, x); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		i++
-		if err := st.Step(c, float64(i)*h, h, x); err != nil {
+		if err := st.Step(float64(i)*h, h, x); err != nil {
 			t.Fatal(err)
 		}
-		tok := st.Obs.SpanBegin()
-		st.Obs.Accept(h)
+		tok := so.SpanBegin()
+		so.Accept(h)
 		c.ClampState(x)
-		st.Obs.SpanEnd(obs.PhaseBookkeep, tok)
+		so.SpanEnd(obs.PhaseBookkeep, tok)
 	})
 	if allocs != 0 {
 		t.Fatalf("spans+flight IMEX step allocates %.1f/op, want 0", allocs)
@@ -618,9 +617,9 @@ func TestAblationNoVCDCGSpuriousZero(t *testing.T) {
 		for m := 0; m < nm; m++ {
 			x[nv+m] = 1
 		}
-		st := circuit.NewIMEX(c, nil)
+		st := circuit.NewIMEX(c)
 		for k := 0; k < 30000; k++ {
-			if err := st.Step(c, float64(k)*1e-3, 1e-3, x); err != nil {
+			if err := st.Step(float64(k)*1e-3, 1e-3, x); err != nil {
 				t.Fatal(err)
 			}
 			c.ClampState(x)

@@ -70,22 +70,23 @@ type spansBench struct {
 func runScalarSpans(steps int, h float64, sp *obs.Spans, fl *obs.Flight, tl *obs.Telemetry) spansPathStats {
 	c := mult6()
 	x := c.InitialState(rand.New(rand.NewSource(1)))
-	s := circuit.NewIMEX(c, nil)
+	s := circuit.NewIMEX(c)
+	var so *obs.StepObs
 	if sp != nil {
 		s.Spans = sp
-		s.Obs = tl.StepObsFor(fl)
+		so = tl.StepObsFor(fl)
 	}
 	t := 0.0
 	start := time.Now()
 	done := 0
 	for ; done < steps; done++ {
-		if err := s.Step(c, t, h, x); err != nil {
+		if err := s.Step(t, h, x); err != nil {
 			break
 		}
-		tok := s.Obs.SpanBegin()
-		s.Obs.Accept(h)
+		tok := so.SpanBegin()
+		so.Accept(h)
 		c.ClampState(x)
-		s.Obs.SpanEnd(obs.PhaseBookkeep, tok)
+		so.SpanEnd(obs.PhaseBookkeep, tok)
 		t += h
 	}
 	return spansPathStats{
@@ -103,22 +104,22 @@ func spansAllocsPerStep(h float64) float64 {
 	tl.Spans = obs.NewSpans()
 	tl.Flight = obs.NewFlightSet(0, 0, nil)
 	fl := tl.FlightFor(0)
-	s := circuit.NewIMEX(c, nil)
+	s := circuit.NewIMEX(c)
 	s.Spans = tl.Spans
-	s.Obs = tl.StepObsFor(fl)
-	if err := s.Step(c, 0, h, x); err != nil {
+	so := tl.StepObsFor(fl)
+	if err := s.Step(0, h, x); err != nil {
 		return -1
 	}
 	i := 0
 	return testing.AllocsPerRun(200, func() {
 		i++
-		if err := s.Step(c, float64(i)*h, h, x); err != nil {
+		if err := s.Step(float64(i)*h, h, x); err != nil {
 			panic(err)
 		}
-		tok := s.Obs.SpanBegin()
-		s.Obs.Accept(h)
+		tok := so.SpanBegin()
+		so.Accept(h)
 		c.ClampState(x)
-		s.Obs.SpanEnd(obs.PhaseBookkeep, tok)
+		so.SpanEnd(obs.PhaseBookkeep, tok)
 	})
 }
 

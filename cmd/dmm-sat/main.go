@@ -79,25 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	} else {
-		rng := rand.New(rand.NewSource(*seed))
-		f.NumVars = *rv
-		for c := 0; c < *rc; c++ {
-			seen := map[int]bool{}
-			var clause boolcirc.Clause
-			for len(clause) < 3 {
-				v := 1 + rng.Intn(*rv)
-				if seen[v] {
-					continue
-				}
-				seen[v] = true
-				l := boolcirc.Lit(v)
-				if rng.Intn(2) == 0 {
-					l = -l
-				}
-				clause = append(clause, l)
-			}
-			f.Clauses = append(f.Clauses, clause)
-		}
+		f = boolcirc.Random3SAT(rand.New(rand.NewSource(*seed)), *rv, *rc)
 	}
 	fmt.Fprintf(stdout, "formula: %d variables, %d clauses\n", f.NumVars, len(f.Clauses))
 

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"strconv"
 	"strings"
@@ -125,21 +124,14 @@ const baselineBytes = 64 << 20
 // baseline decides the instance classically within baselineBytes: by
 // dynamic programming (17 bytes per sum up to the target) when its
 // tables fit, else by meet-in-the-middle (16 bytes per subset of each
-// half) when its lists fit and no subset sum overflows uint64. ran is
-// false when neither fits.
+// half) when its lists fit. ran is false when neither fits.
 func baseline(values []uint64, target uint64) (name string, ok, ran bool) {
-	var total, carry uint64 // carry is set once Σ values overflows
-	for _, v := range values {
-		if total, carry = bits.Add64(total, v, 0); carry != 0 {
-			break
-		}
-	}
 	n := len(values)
 	switch {
 	case target < baselineBytes/17:
 		_, ok = classical.SubsetSumDP(values, target)
 		return "DP", ok, true
-	case carry == 0 && 16*(uint64(1)<<(n/2)+uint64(1)<<(n-n/2)) <= baselineBytes:
+	case 16*(uint64(1)<<(n/2)+uint64(1)<<(n-n/2)) <= baselineBytes:
 		_, ok = classical.SubsetSumMITM(values, target)
 		return "meet-in-the-middle", ok, true
 	}

@@ -72,9 +72,9 @@ func FuzzSubsetSumArgs(f *testing.F) {
 }
 
 // TestBaselineWithinCap checks which classical cross-check runs: DP for
-// a target its tables fit, meet-in-the-middle above that, and none when
-// the halves would not fit in baselineBytes or a subset sum could wrap
-// uint64 (meet-in-the-middle would then compare wrapped sums).
+// a target its tables fit, meet-in-the-middle above that, also when a
+// subset sum overflows uint64, and none when the halves would not fit in
+// baselineBytes.
 func TestBaselineWithinCap(t *testing.T) {
 	wide := make([]uint64, 43)
 	for i := range wide {
@@ -90,7 +90,9 @@ func TestBaselineWithinCap(t *testing.T) {
 		{"small target", []uint64{3, 5, 6}, 8, "DP", true, true},
 		{"largest target", []uint64{3, 5}, math.MaxUint64, "meet-in-the-middle", false, true},
 		{"43 values", wide, 1 << 30, "", false, false},
-		{"sum overflows", []uint64{1 << 63, 1<<63 + 1, 5, 7}, 1 << 40, "", false, false},
+		{"sum overflows", []uint64{1 << 63, 1<<63 + 1, 5, 7}, 1 << 40, "meet-in-the-middle", false, true},
+		{"sum overflows, wrapped target", []uint64{1 << 63, 1<<63 + 1<<30, 5, 7}, 1 << 30, "meet-in-the-middle", false, true},
+		{"sum overflows, reachable", []uint64{1 << 63, 1<<63 + 1, 5, 7}, 1<<63 + 12, "meet-in-the-middle", true, true},
 	} {
 		name, sat, ran := baseline(tc.values, tc.target)
 		if name != tc.want || sat != tc.sat || ran != tc.ran {

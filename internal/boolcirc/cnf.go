@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/rand"
 )
 
 // Lit is a CNF literal: positive values are variables, negative values
@@ -18,6 +19,32 @@ type Clause []Lit
 type CNF struct {
 	NumVars int
 	Clauses []Clause
+}
+
+// Random3SAT draws a formula of nc clauses over nv variables from rng.
+// Each clause takes three distinct variables (all nv when nv < 3), each
+// with a random sign; the draw is rejection sampling, so one seed gives
+// one formula.
+func Random3SAT(rng *rand.Rand, nv, nc int) CNF {
+	formula := CNF{NumVars: nv}
+	for c := 0; c < nc; c++ {
+		seen := map[int]bool{}
+		var clause Clause
+		for len(clause) < 3 && len(clause) < nv {
+			v := 1 + rng.Intn(nv)
+			if seen[v] {
+				continue
+			}
+			seen[v] = true
+			l := Lit(v)
+			if rng.Intn(2) == 0 {
+				l = -l
+			}
+			clause = append(clause, l)
+		}
+		formula.Clauses = append(formula.Clauses, clause)
+	}
+	return formula
 }
 
 // lit converts a signal to a positive literal.

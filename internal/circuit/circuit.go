@@ -199,7 +199,8 @@ func (c *Circuit) NodeVoltages(t float64, x la.Vector, dst la.Vector) la.Vector 
 	return dst
 }
 
-// Derivative implements ode.System.
+// Derivative evaluates the right-hand side ẋ = F(t, x) of Eqs. (21)-(24)
+// into dxdt; the physics probe reads it (the IMEX step does not).
 func (c *Circuit) Derivative(t float64, x, dxdt la.Vector) {
 	p := &c.Params
 	nodeV := c.NodeVoltages(t, x, c.nodeV)

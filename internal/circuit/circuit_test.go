@@ -24,12 +24,12 @@ func solveGate(t *testing.T, kind solg.Kind, outBit bool, seed int64) (in1, in2 
 	rng := rand.New(rand.NewSource(seed))
 	x := c.InitialState(rng)
 	d := &ode.Driver{
-		Stepper: NewIMEX(c, nil),
+		Stepper: NewIMEX(c),
 		H:       1e-3, TEnd: 100,
 		Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
 		Stop:    func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
 	}
-	res := d.Run(c, 0, x)
+	res := d.Run(0, x)
 	return c.NodeBit(res.T, x, n1), c.NodeBit(res.T, x, n2), res.Reason == ode.StopCondition
 }
 
@@ -99,11 +99,11 @@ func TestFullAdderForward(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		x := c.InitialState(rng)
 		d := &ode.Driver{
-			Stepper: NewIMEX(c, nil), H: 1e-3, TEnd: 100,
+			Stepper: NewIMEX(c), H: 1e-3, TEnd: 100,
 			Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
 			Stop:    func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
 		}
-		res := d.Run(c, 0, x)
+		res := d.Run(0, x)
 		if res.Reason != ode.StopCondition {
 			t.Fatalf("forward adder %+v did not converge (%v)", tc, res.Reason)
 		}
@@ -132,11 +132,11 @@ func TestFullAdderReverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := c.InitialState(rng)
 	d := &ode.Driver{
-		Stepper: NewIMEX(c, nil), H: 1e-3, TEnd: 200,
+		Stepper: NewIMEX(c), H: 1e-3, TEnd: 200,
 		Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
 		Stop:    func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
 	}
-	res := d.Run(c, 0, x)
+	res := d.Run(0, x)
 	if res.Reason != ode.StopCondition {
 		t.Fatalf("reverse adder did not converge: %v (err %v)", res.Reason, res.Err)
 	}

@@ -8,7 +8,7 @@ import (
 
 // Engine is the surface of a compiled SOLC that the solver drives. Its one
 // implementation is the capacitive form (*Circuit, node voltages as
-// states), which satisfies ode.System.
+// states).
 type Engine interface {
 	Dim() int
 	Derivative(t float64, x, dxdt la.Vector)

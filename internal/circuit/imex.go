@@ -7,7 +7,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/la"
 	"repro/internal/obs"
-	"repro/internal/ode"
 )
 
 // IMEXStepper integrates the full capacitive state [v | x | i | s] with an
@@ -31,16 +30,10 @@ import (
 // system is sparse and a numeric refactorization costs O(fill) instead of
 // the dense O(nv³).
 //
-// IMEXStepper implements ode.Stepper but is bound to one *Circuit: the sys
-// argument of Step must be that circuit.
+// IMEXStepper implements ode.Stepper on the one *Circuit it was built
+// for.
 type IMEXStepper struct {
-	c     *Circuit
-	stats *ode.Stats
-
-	// Obs, when non-nil, receives refactorization telemetry — the one
-	// event the driver cannot see. Accept/reject counting stays with the
-	// driver's own hook so steps are never double-counted.
-	Obs *obs.StepObs
+	c *Circuit
 
 	// Spans, when non-nil, receives the per-phase lap timings of Step.
 	// The stepper laps around the self-timed SparseLU calls (Refactor,
@@ -63,20 +56,29 @@ type IMEXStepper struct {
 	// every DCM branch b — memristors at g(x), resistors at 1/R (Sec.
 	// VI-I's polynomial-energy accounting).
 	energy float64
+	// computed counts the steps Step has computed, rejected ones
+	// included; each is one right-hand-side evaluation and one numeric
+	// refactorization. It numbers the in-loop invariant reports.
+	computed int
 }
 
 // Energy returns the dissipated energy accumulated since construction (or
-// the last ResetEnergy call).
+// the last Reset).
 func (s *IMEXStepper) Energy() float64 { return s.energy }
 
-// ResetEnergy zeroes the dissipation accumulator.
-func (s *IMEXStepper) ResetEnergy() { s.energy = 0 }
+// Computed returns the number of steps computed since construction (or
+// the last Reset), rejected ones included: the run's right-hand-side
+// evaluations and refactorizations, one each per step. The accepted
+// steps are the driver's count (ode.Result.Steps).
+func (s *IMEXStepper) Computed() int { return s.computed }
+
+// Reset zeroes the step count and the dissipation accumulator.
+func (s *IMEXStepper) Reset() { s.computed, s.energy = 0, 0 }
 
 // NewIMEX returns an IMEX stepper bound to c.
-func NewIMEX(c *Circuit, stats *ode.Stats) *IMEXStepper {
+func NewIMEX(c *Circuit) *IMEXStepper {
 	return &IMEXStepper{
 		c:     c,
-		stats: stats,
 		g:     la.NewVector(c.memBr.len() + c.resBr.len()),
 		rhs:   la.NewVector(c.nv),
 		nodeV: la.NewVector(c.numNodes),
@@ -113,25 +115,14 @@ func (p Params) stableStep() float64 {
 	return stableStepFraction * b
 }
 
-// MaxStableStep implements ode.Bounded: the step-size ceiling of the
-// explicit VCDCG update (Params.stableStep). A circuit without VCDCGs
-// reports none and runs at the driver's fixed h.
+// MaxStableStep returns the step-size ceiling of the explicit VCDCG
+// update (Params.stableStep). A circuit without VCDCGs reports none and
+// runs at the driver's fixed h.
 func (s *IMEXStepper) MaxStableStep() float64 {
 	if s.c.nd == 0 {
 		return 0
 	}
 	return s.c.Params.stableStep()
-}
-
-// Name identifies the method.
-func (s *IMEXStepper) Name() string { return "imex" }
-
-// countRefactor tallies one numeric refactorization.
-func (s *IMEXStepper) countRefactor() {
-	if s.stats != nil {
-		s.stats.Refactors++
-	}
-	s.Obs.Refactor()
 }
 
 // Step advances the circuit state by h. It is the innermost loop of
@@ -140,11 +131,8 @@ func (s *IMEXStepper) countRefactor() {
 // statically from this root.
 //
 //dmmvet:hotpath
-func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) error {
+func (s *IMEXStepper) Step(t, h float64, x la.Vector) error {
 	c := s.c
-	if sys != ode.System(c) {
-		return fmt.Errorf("circuit: IMEXStepper bound to a different circuit")
-	}
 	p := &c.Params
 	tok := s.Spans.Begin()
 
@@ -169,9 +157,8 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) error {
 	// refactorization through the solver's own hook.
 	shift := p.C / h
 	if err := s.f.refactor(c, s.Spans, shift, s.g); err != nil {
-		return fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
+		return fmt.Errorf("circuit: IMEX voltage system singular: %w", err)
 	}
-	s.countRefactor()
 	tok = s.Spans.Begin()
 	s.rhs.Zero()
 	c.plan.assembleRHS(s.rhs, s.g, s.nodeV)
@@ -201,19 +188,14 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) error {
 	for f := 0; f < c.nv; f++ {
 		x[c.vOff()+f] = s.vNew[f]
 	}
-	if s.stats != nil {
-		s.stats.FEvals++
-	}
+	s.computed++
 	// Per-step in-loop checks (compiled out without the dmminvariant
 	// tag): the backward-Euler voltage solve must stay finite and inside
 	// the admissible envelope. The slow-state bounds are checked post-
 	// clamp by the driver's Verify hook, which sees the state after
 	// ClampState absorbs the one-step explicit overshoot.
 	if invariant.Enabled {
-		step := 0 // this step call's number: the stepper cannot know acceptance
-		if s.stats != nil {
-			step = s.stats.FEvals
-		}
+		step := s.computed // this step call's number: the stepper cannot know acceptance
 		vb := VBoundFactor * p.Vc
 		if v := invariant.Range("voltage-bound", "free-node", step, t+h, s.vNew, -vb, vb); v != nil {
 			v.Index = c.nodeOfFree(v.Index)

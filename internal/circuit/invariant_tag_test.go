@@ -22,13 +22,13 @@ func TestIMEXInlineInvariantsCleanRun(t *testing.T) {
 	c := buildGateCap(t, solg.XOR, true)
 	x := c.InitialState(rand.New(rand.NewSource(5)))
 	d := &ode.Driver{
-		Stepper: NewIMEX(c, nil), H: 1e-3, TEnd: 100,
+		Stepper: NewIMEX(c), H: 1e-3, TEnd: 100,
 		Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
 		Stop: func(tt float64, x la.Vector) bool {
 			return tt > c.Params.TRise && c.Converged(tt, x, 0.02)
 		},
 	}
-	res := d.Run(c, 0, x)
+	res := d.Run(0, x)
 	if res.Reason == ode.StopError {
 		t.Fatalf("inline invariant check failed on a healthy run: %v", res.Err)
 	}

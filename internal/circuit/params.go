@@ -1,6 +1,6 @@
 // Package circuit assembles self-organizing logic gates, voltage-controlled
 // differential current generators and input sources into the global ODE of
-// the paper (Eqs. 21-24) and exposes it through the ode.System interface.
+// the paper (Eqs. 21-24), integrated by the IMEX stepper (imex.go).
 //
 // Substitution note (see DESIGN.md): the paper places the parasitic
 // capacitance C in parallel with each memristor and eliminates the

@@ -64,12 +64,12 @@ func TestSlowStateKernelBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.c
 			x := c.InitialState(rand.New(rand.NewSource(3)))
-			st := circuit.NewIMEX(c, nil)
+			st := circuit.NewIMEX(c)
 			h := 1e-3
 			var energy float64
 			for n := 0; n < steps; n++ {
 				pre := x.Clone()
-				if err := st.Step(c, float64(n)*h, h, x); err != nil {
+				if err := st.Step(float64(n)*h, h, x); err != nil {
 					t.Fatal(err)
 				}
 				want, dE := circuit.ReferenceSlowStep(st, h, pre)
@@ -96,13 +96,13 @@ func TestSlowStateKernelBitIdentical(t *testing.T) {
 func slowSnapshots(b *testing.B) (*circuit.Circuit, []circuit.SlowInputs) {
 	c := factorSOLC(2021, 12)
 	x := c.InitialState(rand.New(rand.NewSource(1)))
-	st := circuit.NewIMEX(c, nil)
+	st := circuit.NewIMEX(c)
 	h := 1e-3
 	var snaps []circuit.SlowInputs
 	pre := la.NewVector(len(x))
 	for n := 0; n < 2000; n++ {
 		pre.CopyFrom(x)
-		if err := st.Step(c, float64(n)*h, h, x); err != nil {
+		if err := st.Step(float64(n)*h, h, x); err != nil {
 			b.Fatal(err)
 		}
 		if n%100 == 99 {

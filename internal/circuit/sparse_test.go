@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/la"
-	"repro/internal/ode"
+	"repro/internal/obs"
 	"repro/internal/solg"
 )
 
@@ -31,23 +31,27 @@ func buildMixed(t *testing.T) *Circuit {
 
 // TestFactorCacheRungCounters pins that no factor is reused: the IMEX
 // stepper, taken through the step sizes a run produces (a ramp, then a
-// failed step's quarter), refactors on every step.
+// failed step's quarter), refactors on every step. The refactorizations
+// are counted by the span profiler's factor phase, which the sparse LU
+// charges itself.
 func TestFactorCacheRungCounters(t *testing.T) {
 	c := buildMixed(t)
 	x := c.InitialState(rand.New(rand.NewSource(3)))
-	stats := &ode.Stats{}
-	s := NewIMEX(c, stats)
+	s := NewIMEX(c)
+	s.Spans = obs.NewSpans()
 	tNow := 0.0
 	hs := []float64{1e-3, 1e-3, 1.1e-3, 2.75e-4, 2.75e-4}
 	for _, h := range hs {
-		if err := s.Step(c, tNow, h, x); err != nil {
+		if err := s.Step(tNow, h, x); err != nil {
 			t.Fatal(err)
 		}
 		tNow += h
 		c.ClampState(x)
 	}
-	if stats.Refactors != len(hs) {
-		t.Fatalf("IMEX refactors=%d over %d steps, want one per step", stats.Refactors, len(hs))
+	refactors := s.Spans.Snapshot().Phases[obs.PhaseFactor].Count
+	if refactors != int64(len(hs)) || s.Computed() != len(hs) {
+		t.Fatalf("IMEX refactors=%d, computed=%d over %d steps, want one each per step",
+			refactors, s.Computed(), len(hs))
 	}
 
 }
@@ -72,10 +76,10 @@ func solveDenseReference(t *testing.T, f *voltageFactor, rhs la.Vector) la.Vecto
 func TestIMEXSparseMatchesDenseTrajectory(t *testing.T) {
 	c := buildMixed(t)
 	x := c.InitialState(rand.New(rand.NewSource(5)))
-	s := NewIMEX(c, nil)
+	s := NewIMEX(c)
 	h := 1e-3
 	for k := 0; k < 500; k++ {
-		if err := s.Step(c, float64(k)*h, h, x); err != nil {
+		if err := s.Step(float64(k)*h, h, x); err != nil {
 			t.Fatalf("step %d: %v", k, err)
 		}
 		c.ClampState(x)
@@ -139,15 +143,15 @@ func TestStampPlanMatchesDerivative(t *testing.T) {
 func TestSparseDefaultAllocFreeStep(t *testing.T) {
 	c := buildMixed(t)
 	x := c.InitialState(rand.New(rand.NewSource(1)))
-	s := NewIMEX(c, nil)
+	s := NewIMEX(c)
 	h := 1e-3
-	if err := s.Step(c, 0, h, x); err != nil {
+	if err := s.Step(0, h, x); err != nil {
 		t.Fatal(err)
 	}
 	k := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		k++
-		if err := s.Step(c, float64(k)*h, h, x); err != nil {
+		if err := s.Step(float64(k)*h, h, x); err != nil {
 			t.Fatal(err)
 		}
 	})

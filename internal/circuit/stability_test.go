@@ -40,14 +40,14 @@ func TestStableStepBound(t *testing.T) {
 	b := NewBuilder(p)
 	n := b.Nodes(3)
 	b.AddGate(solg.AND, n[0], n[1], n[2])
-	if got := NewIMEX(b.Build(), nil).MaxStableStep(); got != want {
+	if got := NewIMEX(b.Build()).MaxStableStep(); got != want {
 		t.Fatalf("IMEX MaxStableStep = %v, want %v", got, want)
 	}
 	p.OmitVCDCG = true
 	b = NewBuilder(p)
 	n = b.Nodes(3)
 	b.AddGate(solg.AND, n[0], n[1], n[2])
-	if got := NewIMEX(b.Build(), nil).MaxStableStep(); got != 0 {
+	if got := NewIMEX(b.Build()).MaxStableStep(); got != 0 {
 		t.Fatalf("IMEX MaxStableStep without VCDCGs = %v, want 0", got)
 	}
 }
@@ -130,13 +130,13 @@ func TestEquilibriaStableAtCeiling(t *testing.T) {
 			for f := 0; f < c.nv; f++ {
 				x[c.vOff()+f] += 0.1 * vc * (2*rng.Float64() - 1)
 			}
-			st := NewIMEX(c, nil)
+			st := NewIMEX(c)
 			h := st.MaxStableStep()
 			d := &ode.Driver{
 				Stepper: st, H: h, HMax: h, TEnd: t0 + 5,
 				Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
 			}
-			if res := d.Run(c, t0, x); res.Reason != ode.StopTEnd {
+			if res := d.Run(t0, x); res.Reason != ode.StopTEnd {
 				t.Fatalf("%v %v: run ended with %v (%v)", kind, bits, res.Reason, res.Err)
 			}
 			for k, bit := range bits {

@@ -99,7 +99,7 @@ func TestDriverVerifyCatchesBlownBound(t *testing.T) {
 	const sabotageStep = 25
 	step := 0
 	d := &ode.Driver{
-		Stepper: NewIMEX(c, nil), H: 1e-3, TEnd: 100,
+		Stepper: NewIMEX(c), H: 1e-3, TEnd: 100,
 		Observe: func(tt float64, x la.Vector) {
 			c.ClampState(x)
 			step++
@@ -111,7 +111,7 @@ func TestDriverVerifyCatchesBlownBound(t *testing.T) {
 			return c.VerifyState(tt, step, x)
 		},
 	}
-	res := d.Run(c, 0, x)
+	res := d.Run(0, x)
 	if res.Reason != ode.StopError {
 		t.Fatalf("run ended with %v, want StopError", res.Reason)
 	}
@@ -134,7 +134,7 @@ func TestDriverVerifyCleanRun(t *testing.T) {
 	x := c.InitialState(rand.New(rand.NewSource(3)))
 	step := 0
 	d := &ode.Driver{
-		Stepper: NewIMEX(c, nil), H: 1e-3, TEnd: 50,
+		Stepper: NewIMEX(c), H: 1e-3, TEnd: 50,
 		Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
 		Verify: func(tt float64, x la.Vector) error {
 			step++
@@ -144,7 +144,7 @@ func TestDriverVerifyCleanRun(t *testing.T) {
 			return tt > c.Params.TRise && c.Converged(tt, x, 0.02)
 		},
 	}
-	res := d.Run(c, 0, x)
+	res := d.Run(0, x)
 	if res.Reason == ode.StopError {
 		t.Fatalf("invariant violation on a healthy run: %v", res.Err)
 	}

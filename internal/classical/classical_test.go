@@ -129,6 +129,36 @@ func TestSubsetSumKnown(t *testing.T) {
 	}
 }
 
+// TestSubsetSumMITMOverflow checks that meet-in-the-middle never reports
+// a subset whose sum wraps uint64 as a solution: 2^63 + (2^63+1) wraps
+// to 1, so target 1 has no subset, while sums that fit still match.
+func TestSubsetSumMITMOverflow(t *testing.T) {
+	big := []uint64{1 << 63, 1<<63 + 1, 5, 7}
+	for _, tc := range []struct {
+		name   string
+		values []uint64
+		target uint64
+		ok     bool
+	}{
+		{"wrapped pair", big, 1, false},
+		{"wrapped triple", big, 6, false},
+		{"wrapped with the right half", []uint64{5, 1 << 63, 7, 1<<63 + 1}, 8, false},
+		{"small pair", big, 12, true},
+		{"large and small", big, 1<<63 + 12, true},
+		{"largest target", big, math.MaxUint64, false},
+		{"largest target reached", []uint64{math.MaxUint64 - 7, 7, 1}, math.MaxUint64, true},
+	} {
+		m, ok := SubsetSumMITM(tc.values, tc.target)
+		if ok != tc.ok {
+			t.Errorf("%s: SubsetSumMITM(%v, %d) = (%#b, %v), want ok = %v", tc.name, tc.values, tc.target, m, ok, tc.ok)
+			continue
+		}
+		if ok && (m == 0 || ApplyMask(tc.values, m) != tc.target) {
+			t.Errorf("%s: mask %#b sums to %d, want %d", tc.name, m, ApplyMask(tc.values, m), tc.target)
+		}
+	}
+}
+
 func TestSubsetSumEmptyAndZeroTarget(t *testing.T) {
 	if _, ok := SubsetSumMITM(nil, 5); ok {
 		t.Fatal("empty set cannot sum to 5")

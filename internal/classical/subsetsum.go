@@ -1,6 +1,9 @@
 package classical
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // SubsetSumBrute searches all 2^n subsets for one summing to target and
 // returns the selector mask and whether one exists — the exponential-in-n
@@ -85,13 +88,19 @@ func SubsetSumMITM(values []uint64, target uint64) (mask uint64, ok bool) {
 		sum  uint64
 		mask uint64
 	}
+	// enumerate lists the subset sums of vals, sorted. A subset whose sum
+	// carries out of uint64 exceeds every target and is left out: kept,
+	// its wrapped sum could match one.
 	enumerate := func(vals []uint64) []entry {
 		out := make([]entry, 0, 1<<uint(len(vals)))
+	subsets:
 		for m := uint64(0); m < 1<<uint(len(vals)); m++ {
-			var s uint64
+			var s, carry uint64
 			for j := range vals {
 				if m&(1<<uint(j)) != 0 {
-					s += vals[j]
+					if s, carry = bits.Add64(s, vals[j], 0); carry != 0 {
+						continue subsets
+					}
 				}
 			}
 			out = append(out, entry{s, m})

@@ -88,7 +88,7 @@ func Sat3(cfg core.Config, nv, nc, instances int) Report {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for inst := 0; inst < instances; inst++ {
-		formula := random3SAT(rng, nv, nc)
+		formula := boolcirc.Random3SAT(rng, nv, nc)
 		dp := sat.DPLL(formula, 0)
 		opts := cfg.Options()
 		opts.Seed = int64(inst + 1)
@@ -120,28 +120,6 @@ func Sat3(cfg core.Config, nv, nc, instances int) Report {
 		})
 	}
 	return rep
-}
-
-func random3SAT(rng *rand.Rand, nv, nc int) boolcirc.CNF {
-	formula := boolcirc.CNF{NumVars: nv}
-	for c := 0; c < nc; c++ {
-		seen := map[int]bool{}
-		var clause boolcirc.Clause
-		for len(clause) < 3 && len(clause) < nv {
-			v := 1 + rng.Intn(nv)
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			l := boolcirc.Lit(v)
-			if rng.Intn(2) == 0 {
-				l = -l
-			}
-			clause = append(clause, l)
-		}
-		formula.Clauses = append(formula.Clauses, clause)
-	}
-	return formula
 }
 
 // SolutionDiversity counts the distinct factorizations/selections found
@@ -253,7 +231,7 @@ func StepSizeSweep(caps, hs []float64, instances int) Report {
 		p.C = cap
 		cs := solc.Compile(bc, pins, p)
 		bound := 2 * math.Sqrt(p.C/p.DCG.M1)
-		ceiling := circuit.NewIMEX(cs.Eng.(*circuit.Circuit), nil).MaxStableStep()
+		ceiling := circuit.NewIMEX(cs.Eng.(*circuit.Circuit)).MaxStableStep()
 		for _, h := range hs {
 			tl := obs.NewTelemetry()
 			verified, steps := 0, 0

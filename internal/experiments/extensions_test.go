@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/boolcirc"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -31,7 +32,7 @@ func TestInformationOverheadReport(t *testing.T) {
 }
 
 func TestRandom3SATShape(t *testing.T) {
-	f := random3SAT(newTestRand(), 6, 18)
+	f := boolcirc.Random3SAT(newTestRand(), 6, 18)
 	if f.NumVars != 6 || len(f.Clauses) != 18 {
 		t.Fatalf("got %d vars, %d clauses", f.NumVars, len(f.Clauses))
 	}
@@ -102,6 +103,25 @@ func TestAblationCapacitanceReport(t *testing.T) {
 	rep := AblationCapacitance([]float64{2e-2}, 2)
 	if rep.Rows[0][1] != "2/2" {
 		t.Fatalf("C=2e-2 should converge 2/2: %v", rep.Rows[0])
+	}
+}
+
+// TestFig8ParallelismInvariant checks that the fig8 report, steps column
+// included, renders byte-identical at Parallelism 1 and 4: under the
+// default lowest-attempt winner the result counts only the attempts up
+// to the winner, whatever the winner cancelled.
+func TestFig8ParallelismInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dynamical run")
+	}
+	render := func(parallelism int) string {
+		cfg := core.DefaultConfig()
+		cfg.Parallelism = parallelism
+		return Fig8Adder3(cfg, 9, 3).Render()
+	}
+	seq, par := render(1), render(4)
+	if seq != par {
+		t.Fatalf("fig8 differs between Parallelism 1 and 4:\n%s\n%s", seq, par)
 	}
 }
 

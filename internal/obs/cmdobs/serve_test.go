@@ -202,7 +202,6 @@ func TestConcurrentScrapeWhileStepping(t *testing.T) {
 	for i := 0; i < 20_000; i++ {
 		tok := so.SpanBegin()
 		so.Accept(1e-3)
-		so.Refactor()
 		so.SpanEnd(obs.PhaseBookkeep, tok)
 	}
 	close(done)

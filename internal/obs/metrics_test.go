@@ -206,9 +206,9 @@ func TestStepObsNilSafe(t *testing.T) {
 	var o *StepObs
 	o.Accept(1e-3)
 	o.Reject()
-	o.Refactor()
+	o.SpanEnd(PhaseBookkeep, o.SpanBegin())
 	var tl *Telemetry
-	if tl.StepObs() != nil {
+	if tl.StepObsFor(nil) != nil {
 		t.Fatal("nil telemetry must hand out a nil StepObs")
 	}
 	tl.Emit(Event{Ev: EvLaunched})
@@ -222,11 +222,10 @@ func TestStepObsNilSafe(t *testing.T) {
 // nothing — the property the IMEX benchmark depends on.
 func TestStepObsZeroAlloc(t *testing.T) {
 	tl := NewTelemetry()
-	o := tl.StepObs()
+	o := tl.StepObsFor(nil)
 	allocs := testing.AllocsPerRun(1000, func() {
 		o.Accept(1e-3)
 		o.Reject()
-		o.Refactor()
 	})
 	if allocs != 0 {
 		t.Fatalf("StepObs hot path allocates %.1f/op, want 0", allocs)

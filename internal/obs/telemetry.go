@@ -32,7 +32,9 @@ type Telemetry struct {
 	AttemptsCancelled *Counter
 	AttemptsDiverged  *Counter
 
-	// Integration hot path.
+	// Integration. Steps and Rejected count live, through the driver's
+	// StepObs; FEvals and Refactors take each attempt's stepper count
+	// once, when the attempt ends (the IMEX step is one of each).
 	Steps     *Counter
 	Rejected  *Counter
 	FEvals    *Counter
@@ -85,20 +87,17 @@ func NewTelemetry() *Telemetry {
 	}
 }
 
-// StepObs is the per-step hook set handed to steppers and the ODE
-// driver. Every method is nil-receiver safe so instrumented code paths
-// need no telemetry-enabled branch, and every method is allocation-free.
+// StepObs is the per-step hook set handed to the ODE driver, the one
+// authority on step acceptance. Every method is nil-receiver safe so
+// instrumented code paths need no telemetry-enabled branch, and every
+// method is allocation-free.
 type StepObs struct {
-	steps     *Counter
-	rejected  *Counter
-	refactors *Counter
-	stepSize  *Histogram
-	spans     *Spans
-	flight    *Flight
+	steps    *Counter
+	rejected *Counter
+	stepSize *Histogram
+	spans    *Spans
+	flight   *Flight
 }
-
-// StepObs returns the hot-path hook set (nil for a nil telemetry).
-func (tl *Telemetry) StepObs() *StepObs { return tl.StepObsFor(nil) }
 
 // StepObsFor returns a hook set feeding the given attempt flight ring
 // alongside the run-wide instruments (nil for a nil telemetry; a nil
@@ -108,12 +107,11 @@ func (tl *Telemetry) StepObsFor(fl *Flight) *StepObs {
 		return nil
 	}
 	return &StepObs{
-		steps:     tl.Steps,
-		rejected:  tl.Rejected,
-		refactors: tl.Refactors,
-		stepSize:  tl.StepSize,
-		spans:     tl.Spans,
-		flight:    fl,
+		steps:    tl.Steps,
+		rejected: tl.Rejected,
+		stepSize: tl.StepSize,
+		spans:    tl.Spans,
+		flight:   fl,
 	}
 }
 
@@ -139,29 +137,8 @@ func (o *StepObs) Reject() {
 	o.rejected.Inc()
 }
 
-// Refactor records one Jacobian refactorization.
-//
-//dmmvet:hotpath
-func (o *StepObs) Refactor() {
-	if o == nil {
-		return
-	}
-	o.refactors.Inc()
-}
-
-// Physics notes the latest decimated physics-probe sample for the
-// flight recorder.
-//
-//dmmvet:hotpath
-func (o *StepObs) Physics(satFrac, maxDvDt float64) {
-	if o == nil {
-		return
-	}
-	o.flight.Physics(satFrac, maxDvDt)
-}
-
 // SpanBegin opens a phase-span interval (0 without span profiling); it
-// lets code outside the steppers — the ODE driver's accept/reject
+// lets code outside the stepper — the ODE driver's accept/reject
 // bookkeeping — lap against the run's Spans without holding it.
 //
 //dmmvet:hotpath

@@ -18,7 +18,6 @@ const (
 	StopNone      StopReason = iota
 	StopCondition            // the caller's stop condition fired
 	StopTEnd                 // reached the time horizon
-	StopMaxSteps             // exceeded the step budget
 	StopError                // a step failed irrecoverably
 	StopCancelled            // the driver's context was cancelled
 )
@@ -29,8 +28,6 @@ func (r StopReason) String() string {
 		return "condition"
 	case StopTEnd:
 		return "t-end"
-	case StopMaxSteps:
-		return "max-steps"
 	case StopError:
 		return "error"
 	case StopCancelled:
@@ -40,19 +37,17 @@ func (r StopReason) String() string {
 	}
 }
 
-// Driver integrates a System with a Stepper until a stop condition fires or
-// the budget runs out.
+// Driver integrates a state with a Stepper until a stop condition fires
+// or the horizon is reached.
 type Driver struct {
 	Stepper Stepper
-	// H is the initial step size. A stepper that implements Bounded
-	// starts at H and grows h ×1.1 per accepted step up to
-	// min(HMax, MaxStableStep()) when that exceeds H; any other stepper
-	// runs at H. A failed or non-finite step shrinks h ×0.25, and only
-	// the ramp grows it back; the run fails once h falls below 1e-6·H.
-	// HMax ≤ 0 means 1e3·H.
-	H, HMax  float64
-	TEnd     float64 // time horizon (0 means unbounded)
-	MaxSteps int     // step budget (0 means unbounded)
+	// H is the initial step size. The run starts at H and grows h ×1.1
+	// per accepted step up to min(HMax, Stepper.MaxStableStep()) when
+	// that exceeds H; otherwise it runs at H. A failed or non-finite
+	// step shrinks h ×0.25, and only the ramp grows it back; the run
+	// fails once h falls below 1e-6·H. HMax ≤ 0 means 1e3·H.
+	H, HMax float64
+	TEnd    float64 // time horizon (0 means unbounded)
 
 	// Ctx, when non-nil, is polled every loop iteration; once it is
 	// cancelled (or its deadline passes) the run ends with StopCancelled.
@@ -60,8 +55,7 @@ type Driver struct {
 
 	// Obs, when non-nil, receives accepted/rejected step telemetry. The
 	// driver is the single authority on acceptance, so it owns the
-	// Accept/Reject hooks; steppers report only what the driver cannot
-	// see (refactorizations) through their own Obs.
+	// Accept/Reject hooks.
 	Obs *obs.StepObs
 
 	// Observe, when non-nil, is invoked after every accepted step.
@@ -94,7 +88,7 @@ var ErrNaNState = errors.New("ode: state became NaN or Inf")
 // Run integrates x in place starting at time t0 and returns the final time
 // and stop reason. Runs of one Driver must not overlap: they share its
 // rejection backup.
-func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
+func (d *Driver) Run(t0 float64, x la.Vector) Result {
 	if d.Stepper == nil {
 		panic("ode: Driver requires a Stepper")
 	}
@@ -106,14 +100,12 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 	if hMax <= 0 {
 		hMax = h * 1e3
 	}
-	// hCap is the ramp ceiling of a bounded stepper. It stays 0 (no ramp:
-	// h keeps its value, as after a failed step) when the bound or HMax
-	// does not exceed H.
+	// hCap is the ramp ceiling. It stays 0 (no ramp: h keeps its value,
+	// as after a failed step) when the stepper reports no bound or the
+	// bound or HMax does not exceed H.
 	hCap := 0.0
-	if b, ok := d.Stepper.(Bounded); ok {
-		if c := math.Min(hMax, b.MaxStableStep()); c > h {
-			hCap = c
-		}
+	if c := math.Min(hMax, d.Stepper.MaxStableStep()); c > h {
+		hCap = c
 	}
 	t := t0
 	steps := 0
@@ -125,9 +117,6 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 		if d.Ctx != nil && d.Ctx.Err() != nil {
 			return Result{T: t, Steps: steps, Reason: StopCancelled, Err: d.Ctx.Err()}
 		}
-		if d.MaxSteps > 0 && steps >= d.MaxSteps {
-			return Result{T: t, Steps: steps, Reason: StopMaxSteps}
-		}
 		if d.TEnd > 0 && t >= d.TEnd {
 			return Result{T: t, Steps: steps, Reason: StopTEnd}
 		}
@@ -136,7 +125,7 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 			hTry = d.TEnd - t
 		}
 		backup.CopyFrom(x)
-		if err := d.Stepper.Step(sys, t, hTry, x); err != nil {
+		if err := d.Stepper.Step(t, hTry, x); err != nil {
 			// Retry with a smaller step for transient failures.
 			d.Obs.Reject()
 			x.CopyFrom(backup)
@@ -181,25 +170,5 @@ func (d *Driver) Run(sys System, t0 float64, x la.Vector) Result {
 		if stop {
 			return Result{T: t, Steps: steps, Reason: StopCondition}
 		}
-	}
-}
-
-// SteadyState returns a stop predicate that fires when the derivative
-// infinity-norm stays below tol for `hold` consecutive checks. It allocates
-// its own scratch space and is not safe for concurrent use.
-func SteadyState(sys System, tol float64, hold int) func(t float64, x la.Vector) bool {
-	if hold < 1 {
-		hold = 1
-	}
-	dx := la.NewVector(sys.Dim())
-	count := 0
-	return func(t float64, x la.Vector) bool {
-		sys.Derivative(t, x, dx)
-		if dx.NormInf() < tol {
-			count++
-		} else {
-			count = 0
-		}
-		return count >= hold
 	}
 }

@@ -1,7 +1,8 @@
 package ode
 
 import (
-	"fmt"
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -9,77 +10,39 @@ import (
 	"repro/internal/la"
 )
 
-// expDecay is ẋ = -x with solution x(t) = x0 e^{-t}.
-var expDecay = Func{N: 1, F: func(t float64, x, dxdt la.Vector) { dxdt[0] = -x[0] }}
+// decay is a fake stepper for ẋ = −x: each call takes one forward-Euler
+// step x ← x − h·x, so a run's step count and trajectory are known in
+// advance. It reports no stability bound.
+type decay struct{}
 
-// harmonic is the 2-D oscillator ẋ = y, ẏ = -x (circle trajectories).
-var harmonic = Func{N: 2, F: func(t float64, x, dxdt la.Vector) {
-	dxdt[0] = x[1]
-	dxdt[1] = -x[0]
-}}
+func (decay) Step(t, h float64, x la.Vector) error { x[0] -= h * x[0]; return nil }
+func (decay) MaxStableStep() float64               { return 0 }
 
-// stiffDecay is ẋ = -1000(x - cos t) - sin t with solution x(t)=cos t for
-// x(0)=1; classic stiff test.
-var stiffDecay = Func{N: 1, F: func(t float64, x, dxdt la.Vector) {
-	dxdt[0] = -1000*(x[0]-math.Cos(t)) - math.Sin(t)
-}}
+// failing is a fake stepper whose every step either returns err or, when
+// err is nil, poisons the state with NaN. It counts its calls.
+type failing struct {
+	err   error
+	calls int
+}
 
-// euler is a test-local forward Euler stepper, the vehicle for the driver
-// tests: horizon landing, step budgets, Observe counts, NaN rejection and
-// retry, steady-state detection and cancellation all want a stepper whose
-// step count is known in advance.
-type euler struct{ k la.Vector }
-
-func (e *euler) Name() string { return "euler" }
-func (e *euler) Step(sys System, t, h float64, x la.Vector) error {
-	if !(h > 0) {
-		return fmt.Errorf("%w: nonpositive step h=%v", ErrStepFailure, h)
+func (f *failing) Step(t, h float64, x la.Vector) error {
+	f.calls++
+	if f.err != nil {
+		x[0] = 42 // a failed step may leave garbage; the driver restores x
+		return f.err
 	}
-	if len(e.k) != len(x) {
-		e.k = la.NewVector(len(x))
-	}
-	sys.Derivative(t, x, e.k)
-	x.AXPY(h, e.k)
+	x[0] = math.NaN()
 	return nil
 }
-
-func integrateTo(t *testing.T, s Stepper, sys System, x la.Vector, tEnd, h float64) {
-	t.Helper()
-	d := &Driver{Stepper: s, H: h, TEnd: tEnd}
-	res := d.Run(sys, 0, x)
-	if res.Reason != StopTEnd {
-		t.Fatalf("%s: run ended with %v (err=%v), want t-end", s.Name(), res.Reason, res.Err)
-	}
-}
-
-func TestEulerExpDecay(t *testing.T) {
-	x := la.Vector{1}
-	integrateTo(t, &euler{}, expDecay, x, 1, 1e-4)
-	if math.Abs(x[0]-math.Exp(-1)) > 1e-3 {
-		t.Fatalf("x(1) = %v, want %v", x[0], math.Exp(-1))
-	}
-}
-
-func TestEulerUnstableOnStiff(t *testing.T) {
-	// A fixed-step explicit method at h=0.05 blows up on the stiff
-	// problem (the Driver detects NaN/divergence or the value is grossly
-	// wrong).
-	x := la.Vector{1}
-	d := &Driver{Stepper: &euler{}, H: 0.05, TEnd: 2, MaxSteps: 100}
-	res := d.Run(stiffDecay, 0, x)
-	diverged := res.Reason == StopError || math.Abs(x[0]) > 10
-	if !diverged && math.Abs(x[0]-math.Cos(2)) < 1e-3 {
-		t.Fatal("explicit Euler unexpectedly stable on stiff system at h=0.05")
-	}
-}
+func (f *failing) MaxStableStep() float64 { return 0 }
 
 func TestDriverStopCondition(t *testing.T) {
 	x := la.Vector{1}
 	d := &Driver{
-		Stepper: &euler{}, H: 1e-3, TEnd: 100,
+		Stepper: decay{}, H: 1e-3, TEnd: 100,
 		Stop: func(t float64, x la.Vector) bool { return x[0] < 0.5 },
 	}
-	res := d.Run(expDecay, 0, x)
+	res := d.Run(0, x)
 	if res.Reason != StopCondition {
 		t.Fatalf("reason %v, want condition", res.Reason)
 	}
@@ -89,23 +52,14 @@ func TestDriverStopCondition(t *testing.T) {
 	}
 }
 
-func TestDriverMaxSteps(t *testing.T) {
-	x := la.Vector{1}
-	d := &Driver{Stepper: &euler{}, H: 1e-3, MaxSteps: 10}
-	res := d.Run(expDecay, 0, x)
-	if res.Reason != StopMaxSteps {
-		t.Fatalf("reason %v, want max-steps", res.Reason)
-	}
-}
-
 func TestDriverObserve(t *testing.T) {
 	x := la.Vector{1}
 	var calls int
 	d := &Driver{
-		Stepper: &euler{}, H: 0.1, TEnd: 1,
+		Stepper: decay{}, H: 0.1, TEnd: 1,
 		Observe: func(t float64, x la.Vector) { calls++ },
 	}
-	if res := d.Run(expDecay, 0, x); res.Reason != StopTEnd {
+	if res := d.Run(0, x); res.Reason != StopTEnd {
 		t.Fatalf("reason %v", res.Reason)
 	}
 	// 10 full steps plus possibly one rounding-sliver step at the horizon.
@@ -114,53 +68,47 @@ func TestDriverObserve(t *testing.T) {
 	}
 }
 
-func TestSteadyStateDetector(t *testing.T) {
-	x := la.Vector{1}
-	sys := expDecay
-	d := &Driver{
-		Stepper: &euler{}, H: 0.01, TEnd: 1000,
-		Stop: SteadyState(sys, 1e-6, 3),
-	}
-	res := d.Run(sys, 0, x)
-	if res.Reason != StopCondition {
-		t.Fatalf("reason %v, want condition", res.Reason)
-	}
-	if math.Abs(x[0]) > 1e-5 {
-		t.Fatalf("steady state fired at x=%v, expected near 0", x[0])
-	}
-}
-
+// TestNaNRecoveryThenFailure checks that a stepper that always produces
+// NaN ends the run with StopError and ErrNaNState, not a hang, after
+// the ten quartered retries that take h below 1e-6·H, with the state
+// restored to its pre-step value.
 func TestNaNRecoveryThenFailure(t *testing.T) {
-	// A system that always produces NaN must end with StopError, not hang.
-	bad := Func{N: 1, F: func(t float64, x, dxdt la.Vector) { dxdt[0] = math.NaN() }}
+	s := &failing{}
 	x := la.Vector{1}
-	d := &Driver{Stepper: &euler{}, H: 1, TEnd: 10}
-	res := d.Run(bad, 0, x)
-	if res.Reason != StopError {
-		t.Fatalf("reason %v, want error", res.Reason)
+	d := &Driver{Stepper: s, H: 1, TEnd: 10}
+	res := d.Run(0, x)
+	if res.Reason != StopError || !errors.Is(res.Err, ErrNaNState) {
+		t.Fatalf("reason %v (err %v), want error with ErrNaNState", res.Reason, res.Err)
+	}
+	if s.calls != 10 || res.Steps != 0 || x[0] != 1 {
+		t.Fatalf("%d calls, %d steps, x = %v; want 10 rejected calls and x restored to 1", s.calls, res.Steps, x[0])
 	}
 }
 
-func TestStepperNames(t *testing.T) {
-	if (&euler{}).Name() == "" {
-		t.Fatal("empty stepper name")
+// TestDriverStepErrorUnderflow checks that a failing step is retried at
+// a quarter of its h until h falls below 1e-6·H, and that the run then
+// ends with StopError wrapping the stepper's error.
+func TestDriverStepErrorUnderflow(t *testing.T) {
+	errStep := errors.New("singular")
+	s := &failing{err: errStep}
+	x := la.Vector{1}
+	d := &Driver{Stepper: s, H: 1e-3, TEnd: 10}
+	res := d.Run(0, x)
+	if res.Reason != StopError || !errors.Is(res.Err, errStep) {
+		t.Fatalf("reason %v (err %v), want error wrapping %v", res.Reason, res.Err, errStep)
 	}
-}
-
-func TestStatsString(t *testing.T) {
-	s := Stats{FEvals: 12, Refactors: 2}
-	out := s.String()
-	for _, want := range []string{"fevals=12", "refactors=2"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Stats.String() = %q missing %q", out, want)
-		}
+	if !strings.Contains(res.Err.Error(), "step size underflow") {
+		t.Fatalf("err %q does not name the underflow", res.Err)
+	}
+	if s.calls != 10 || res.T != 0 || x[0] != 1 {
+		t.Fatalf("%d calls, t = %v, x = %v; want 10 rejected calls at t = 0 and x restored to 1", s.calls, res.T, x[0])
 	}
 }
 
 func TestStopReasonStrings(t *testing.T) {
 	cases := map[StopReason]string{
 		StopCondition: "condition", StopTEnd: "t-end",
-		StopMaxSteps: "max-steps", StopError: "error", StopNone: "none",
+		StopError: "error", StopNone: "none",
 		StopCancelled: "cancelled",
 	}
 	for r, want := range cases {
@@ -170,13 +118,63 @@ func TestStopReasonStrings(t *testing.T) {
 	}
 }
 
-func TestDriverRejectsZeroStep(t *testing.T) {
-	s := &euler{}
+// TestDriverCancelledBeforeStart checks an already-cancelled context stops
+// the run before the first step.
+func TestDriverCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	x := la.Vector{1}
-	if err := s.Step(expDecay, 0, 0, x); err == nil {
-		t.Fatal("accepted h=0")
+	d := &Driver{Stepper: decay{}, H: 1e-3, TEnd: 10, Ctx: ctx}
+	res := d.Run(0, x)
+	if res.Reason != StopCancelled {
+		t.Fatalf("reason %v, want cancelled", res.Reason)
 	}
-	if err := s.Step(expDecay, 0, -1, x); err == nil {
-		t.Fatal("accepted h<0")
+	if res.Err != context.Canceled {
+		t.Fatalf("err %v, want context.Canceled", res.Err)
+	}
+	if res.T != 0 {
+		t.Fatalf("integrated to t=%v under a cancelled context", res.T)
+	}
+	if x[0] != 1 {
+		t.Fatalf("state mutated to %v under a cancelled context", x[0])
+	}
+}
+
+// TestDriverCancelledMidRun cancels from inside the Observe callback and
+// expects the driver to notice promptly — within one loop iteration.
+func TestDriverCancelledMidRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	x := la.Vector{1}
+	d := &Driver{
+		Stepper: decay{}, H: 1e-3, TEnd: 1e9,
+		Ctx: ctx,
+		Observe: func(float64, la.Vector) {
+			calls++
+			if calls == 5 {
+				cancel()
+			}
+		},
+	}
+	res := d.Run(0, x)
+	if res.Reason != StopCancelled {
+		t.Fatalf("reason %v, want cancelled", res.Reason)
+	}
+	if calls != 5 {
+		t.Fatalf("driver took %d further steps after cancellation", calls-5)
+	}
+	if math.Abs(res.T-5e-3) > 1e-9 {
+		t.Fatalf("stopped at t=%v, want 5e-3", res.T)
+	}
+}
+
+// TestDriverNilContext confirms the zero-value Driver (no Ctx) still runs
+// to the horizon: cancellation is strictly opt-in.
+func TestDriverNilContext(t *testing.T) {
+	x := la.Vector{1}
+	d := &Driver{Stepper: decay{}, H: 0.1, TEnd: 1}
+	if res := d.Run(0, x); res.Reason != StopTEnd {
+		t.Fatalf("reason %v, want t-end", res.Reason)
 	}
 }

@@ -7,16 +7,17 @@ import (
 	"repro/internal/la"
 )
 
-// recordStepper is a fixed-step stepper that leaves the state alone and
-// records every h the driver hands it; the call numbered nanAt (1-based)
-// poisons the state so the driver must reject it.
+// recordStepper is a fake stepper that leaves the state alone, reports
+// bound as its stability ceiling (0 for none) and records every h the
+// driver hands it; the call numbered nanAt (1-based) poisons the state so
+// the driver must reject it.
 type recordStepper struct {
 	hs    []float64
 	nanAt int
+	bound float64
 }
 
-func (r *recordStepper) Name() string { return "record" }
-func (r *recordStepper) Step(sys System, t, h float64, x la.Vector) error {
+func (r *recordStepper) Step(t, h float64, x la.Vector) error {
 	r.hs = append(r.hs, h)
 	if len(r.hs) == r.nanAt {
 		x[0] = math.NaN()
@@ -24,31 +25,20 @@ func (r *recordStepper) Step(sys System, t, h float64, x la.Vector) error {
 	return nil
 }
 
-func (r *recordStepper) steps() []float64 { return r.hs }
-
-// boundedStepper is a recordStepper that reports a stability bound.
-type boundedStepper struct {
-	recordStepper
-	bound float64
-}
-
-func (b *boundedStepper) MaxStableStep() float64 { return b.bound }
-
-// stepRecorder is a Stepper that reports the step sizes it was handed.
-type stepRecorder interface {
-	Stepper
-	steps() []float64
-}
+func (r *recordStepper) MaxStableStep() float64 { return r.bound }
 
 // runSteps drives s for n accepted steps from H = h0 with the given HMax
 // and returns every step size it was handed, rejected ones included.
-func runSteps(t *testing.T, s stepRecorder, h0, hMax float64, n int) []float64 {
+func runSteps(t *testing.T, s *recordStepper, h0, hMax float64, n int) []float64 {
 	t.Helper()
-	d := &Driver{Stepper: s, H: h0, HMax: hMax, MaxSteps: n}
-	if res := d.Run(expDecay, 0, la.Vector{1}); res.Reason != StopMaxSteps {
-		t.Fatalf("run ended with %v (err %v), want max-steps", res.Reason, res.Err)
+	accepted := 0
+	d := &Driver{Stepper: s, H: h0, HMax: hMax,
+		Stop: func(float64, la.Vector) bool { accepted++; return accepted == n }}
+	if res := d.Run(0, la.Vector{1}); res.Reason != StopCondition || res.Steps != n {
+		t.Fatalf("run ended with %v after %d steps (err %v), want the stop condition after %d",
+			res.Reason, res.Steps, res.Err, n)
 	}
-	return s.steps()
+	return s.hs
 }
 
 // TestDriverRampToBound checks the step policy for a fixed-step stepper
@@ -65,7 +55,7 @@ func TestDriverRampToBound(t *testing.T) {
 		{"HMax below bound", 0.1, 2e-3, 2e-3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			hs := runSteps(t, &boundedStepper{bound: tc.bound}, h0, tc.hMax, 40)
+			hs := runSteps(t, &recordStepper{bound: tc.bound}, h0, tc.hMax, 40)
 			want := h0
 			for k, h := range hs {
 				if h != want {
@@ -84,7 +74,7 @@ func TestDriverRampToBound(t *testing.T) {
 // at a quarter of its h and the ramp then grows h again from there.
 func TestDriverRampRecoversFromNaN(t *testing.T) {
 	const h0 = 1e-3
-	s := &boundedStepper{recordStepper: recordStepper{nanAt: 5}, bound: 1}
+	s := &recordStepper{nanAt: 5, bound: 1}
 	hs := runSteps(t, s, h0, 0.1, 12)
 	if len(hs) != 13 {
 		t.Fatalf("%d step calls, want 12 accepted plus 1 rejected", len(hs))
@@ -100,18 +90,18 @@ func TestDriverRampRecoversFromNaN(t *testing.T) {
 }
 
 // TestDriverFixedStepWithoutRamp checks the cases that keep a fixed h: a
-// bounded stepper with HMax == H, a bounded stepper whose bound is below
-// H (the ceiling never lowers h under H), and a stepper that reports no
+// stepper with a bound and HMax == H, a stepper whose bound is below H
+// (the ceiling never lowers h under H), and a stepper that reports no
 // bound, which after a NaN step stays at the quarter step.
 func TestDriverFixedStepWithoutRamp(t *testing.T) {
 	const h0 = 1e-3
 	for _, tc := range []struct {
 		name string
-		s    stepRecorder
+		s    *recordStepper
 		hMax float64
 	}{
-		{"HMax equals H", &boundedStepper{bound: 1}, h0},
-		{"bound below H", &boundedStepper{bound: h0 / 2}, 0.1},
+		{"HMax equals H", &recordStepper{bound: 1}, h0},
+		{"bound below H", &recordStepper{bound: h0 / 2}, 0.1},
 		{"no bound", &recordStepper{}, 0.1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,11 +130,11 @@ func TestDriverFixedStepWithoutRamp(t *testing.T) {
 func TestDriverCountsAcceptedSteps(t *testing.T) {
 	s := &recordStepper{nanAt: 3}
 	d := &Driver{Stepper: s, H: 1e-3, TEnd: 0.01}
-	res := d.Run(expDecay, 0, la.Vector{1})
+	res := d.Run(0, la.Vector{1})
 	if res.Reason != StopTEnd {
 		t.Fatalf("run ended with %v (err %v), want t-end", res.Reason, res.Err)
 	}
-	if calls := len(s.steps()); res.Steps != calls-1 {
+	if calls := len(s.hs); res.Steps != calls-1 {
 		t.Fatalf("Result.Steps = %d after %d stepper calls with one rejected, want %d", res.Steps, calls, calls-1)
 	}
 }

@@ -1,9 +1,9 @@
 // Package sat provides the direct-protocol boolean-satisfiability
 // baselines: a DPLL solver with unit propagation and pure-literal
-// elimination, and a WalkSAT local-search solver. The paper maps both of
-// its benchmark problems onto SAT instances (Sec. VIII); these solvers
-// both serve as classical comparators and independently verify SOLC
-// solutions.
+// elimination, and a conflict-driven clause-learning solver (cdcl.go).
+// The paper maps both of its benchmark problems onto SAT instances
+// (Sec. VIII); these solvers both serve as classical comparators and
+// independently verify SOLC solutions.
 package sat
 
 import (

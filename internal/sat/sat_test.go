@@ -121,29 +121,6 @@ func TestDPLLFactorizationCNF(t *testing.T) {
 	}
 }
 
-func TestWalkSATSolvesSatisfiable(t *testing.T) {
-	bc := boolcirc.New()
-	a, b, cin := bc.NewSignal(), bc.NewSignal(), bc.NewSignal()
-	s, cout := bc.FullAdder(a, b, cin)
-	f := bc.ToCNF(map[boolcirc.Signal]bool{s: true, cout: false})
-	rng := rand.New(rand.NewSource(7))
-	res := WalkSAT(f, 200000, 0.5, rng)
-	if res.Status != Satisfiable {
-		t.Fatalf("WalkSAT failed: %v", res.Status)
-	}
-	if !f.Satisfied(res.Assignment) {
-		t.Fatal("WalkSAT assignment invalid")
-	}
-}
-
-func TestWalkSATUnknownOnUNSAT(t *testing.T) {
-	f := boolcirc.CNF{NumVars: 1, Clauses: []boolcirc.Clause{cl(1), cl(-1)}}
-	res := WalkSAT(f, 1000, 0.5, rand.New(rand.NewSource(1)))
-	if res.Status != Unknown {
-		t.Fatalf("WalkSAT on UNSAT: %v, want Unknown", res.Status)
-	}
-}
-
 // Property: DPLL agrees with brute-force satisfiability on random small
 // formulas.
 func TestDPLLMatchesBruteForce(t *testing.T) {

@@ -191,9 +191,15 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 	}
 	outs, best, firstWin := st.outs, st.best, st.firstWin
 
+	winner := -1
+	if opts.Policy == WinnerFirstDone {
+		winner = firstWin
+	} else if best < n {
+		winner = best
+	}
 	res := Result{WinnerAttempt: -1}
 	lastReason := ""
-	for _, o := range outs {
+	for i, o := range outs {
 		if !o.launched {
 			continue
 		}
@@ -203,18 +209,17 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 		} else {
 			lastReason = o.reason
 		}
-		res.Steps += o.steps
-		res.FEvals += o.fevals
-		res.Energy += o.energy
+		// The effort totals sum only the attempts the result consumed:
+		// an attempt above the winner stops wherever the winner's
+		// cancellation finds it, which depends on scheduling.
+		if winner < 0 || i <= winner {
+			res.Steps += o.steps
+			res.FEvals += o.fevals
+			res.Energy += o.energy
+		}
 		if o.t > res.T {
 			res.T = o.t
 		}
-	}
-	winner := -1
-	if opts.Policy == WinnerFirstDone {
-		winner = firstWin
-	} else if best < n {
-		winner = best
 	}
 	if winner >= 0 {
 		o := outs[winner]
@@ -284,8 +289,8 @@ func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.Canc
 }
 
 // workspace is the mutable state of one restart attempt on cs: a private
-// engine clone, its IMEX stepper (CSR values and SparseLU numerics), the
-// state vector, integration counters, and the driver with its rejection
+// engine clone, its IMEX stepper (CSR values, SparseLU numerics and the
+// step count), the state vector, and the driver with its rejection
 // backup. Restarts are a large share of a solve's attempts, so an attempt
 // takes a workspace from the pool of cs and returns it instead of
 // building one. The RNG that draws the initial state is not part of it:
@@ -296,7 +301,6 @@ func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.Canc
 type workspace struct {
 	cs      *Compiled
 	eng     *circuit.Circuit
-	stats   ode.Stats
 	stepper *circuit.IMEXStepper
 	driver  ode.Driver
 	x       la.Vector
@@ -327,7 +331,7 @@ func newWorkspace(cs *Compiled) (*workspace, error) {
 		eng: eng,
 		x:   la.NewVector(eng.Dim()),
 	}
-	w.stepper = circuit.NewIMEX(eng, &w.stats)
+	w.stepper = circuit.NewIMEX(eng)
 	w.driver = ode.Driver{Stepper: w.stepper, Observe: w.observeStep, Stop: w.stopAt}
 	w.verify = w.verifyState
 	return w, nil
@@ -335,8 +339,8 @@ func newWorkspace(cs *Compiled) (*workspace, error) {
 
 // reset binds the workspace to one attempt and draws its initial state
 // from seed on a pooled RNG. Seed replays rand.New(rand.NewSource(seed))
-// exactly, InitialStateInto overwrites all of x, and the counters and energy
-// restart at zero; the stepper's and engine's scratch is overwritten
+// exactly, InitialStateInto overwrites all of x, and the step count and
+// energy restart at zero; the stepper's and engine's scratch is overwritten
 // before every read within a step, so the trajectory reads nothing of
 // the previous attempt.
 func (w *workspace) reset(ctx context.Context, stop func(*Compiled, circuit.Engine, float64, la.Vector) bool,
@@ -344,9 +348,8 @@ func (w *workspace) reset(ctx context.Context, stop func(*Compiled, circuit.Engi
 	tl := opts.Telemetry
 	w.stop, w.observe, w.tl, w.fl = stop, opts.Observe, tl, fl
 	w.obsStep, w.verifyStep = 0, 0
-	w.stats = ode.Stats{}
-	w.stepper.ResetEnergy()
-	w.stepper.Obs, w.stepper.Spans = tl.StepObsFor(fl), nil
+	w.stepper.Reset()
+	w.stepper.Spans = nil
 	if tl != nil {
 		w.stepper.Spans = tl.Spans
 		if w.probe == nil {
@@ -376,7 +379,7 @@ func (w *workspace) reset(ctx context.Context, stop func(*Compiled, circuit.Engi
 // telemetry) so an idle workspace keeps no finished solve alive.
 func (w *workspace) release() {
 	w.stop, w.observe, w.tl, w.fl = nil, nil, nil, nil
-	w.stepper.Obs, w.stepper.Spans = nil, nil
+	w.stepper.Spans = nil
 	w.driver.Ctx, w.driver.Obs = nil, nil
 }
 
@@ -490,9 +493,9 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	wallStart := time.Now()
 
 	w.reset(ctx, stop, opts, seed, fl)
-	run := w.driver.Run(w.eng, 0, w.x)
+	run := w.driver.Run(0, w.x)
 
-	out := attemptOut{launched: true, t: run.T, steps: run.Steps, fevals: w.stats.FEvals,
+	out := attemptOut{launched: true, t: run.T, steps: run.Steps, fevals: w.stepper.Computed(),
 		energy: w.stepper.Energy()}
 	switch run.Reason {
 	case ode.StopCondition:
@@ -515,9 +518,11 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 		out.reason = run.Reason.String()
 	}
 	if tl != nil {
-		// The function-evaluation totals the per-step hooks cannot see
-		// accumulate in ode.Stats.
-		tl.FEvals.Add(int64(w.stats.FEvals))
+		// The stepper's count is both the attempt's function evaluations
+		// and its refactorizations (one each per computed step), which
+		// the driver's per-step hooks cannot see.
+		tl.FEvals.Add(int64(out.fevals))
+		tl.Refactors.Add(int64(out.fevals))
 		tl.Energy.Add(out.energy)
 		tl.AttemptWall.Observe(time.Since(wallStart).Seconds())
 		ev := obs.Event{Attempt: idx, Member: memberLabel, Seed: seed,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/boolcirc"
 	"repro/internal/circuit"
 	"repro/internal/la"
+	"repro/internal/obs"
 )
 
 // unsatProblem is AND(a, const-0) pinned to 1: no assignment satisfies it,
@@ -104,8 +105,10 @@ func solveFixture(t *testing.T, parallelism int) Result {
 
 // TestParallelDeterminism is the seed-derivation contract: with the default
 // WinnerLowestAttempt policy, the winning attempt, its seed, the bits of
-// t* and the decoded assignment are identical whether restarts run
-// sequentially or race on four workers.
+// t*, the decoded assignment and the effort totals (steps, function
+// evaluations, the bits of the energy) are identical whether restarts
+// run sequentially or race on four workers, where the winner cancels
+// attempts 2 and 3 wherever they are.
 func TestParallelDeterminism(t *testing.T) {
 	seq := solveFixture(t, 1)
 	par := solveFixture(t, 4)
@@ -127,6 +130,11 @@ func TestParallelDeterminism(t *testing.T) {
 	if math.Float64bits(seq.T) != math.Float64bits(par.T) {
 		t.Fatalf("t*: sequential=%v parallel=%v", seq.T, par.T)
 	}
+	if seq.Steps != par.Steps || seq.FEvals != par.FEvals ||
+		math.Float64bits(seq.Energy) != math.Float64bits(par.Energy) {
+		t.Fatalf("effort totals: sequential steps=%d fevals=%d energy=%v, parallel steps=%d fevals=%d energy=%v",
+			seq.Steps, seq.FEvals, seq.Energy, par.Steps, par.FEvals, par.Energy)
+	}
 	if len(seq.Assignment) != len(par.Assignment) {
 		t.Fatalf("assignment lengths differ: %d vs %d", len(seq.Assignment), len(par.Assignment))
 	}
@@ -140,6 +148,42 @@ func TestParallelDeterminism(t *testing.T) {
 	if seq.WinnerAttempt != 1 || seq.WinnerMember != "imex-capacitive" {
 		t.Fatalf("expected imex-capacitive to win attempt 1, got attempt %d member %q",
 			seq.WinnerAttempt, seq.WinnerMember)
+	}
+}
+
+// TestEffortTotalsSkipCancelledAttempts pins the effort totals when the
+// winner does cancel running attempts: a verified read-out waits until
+// all four attempts have launched, so attempts 2 and 3 are running when
+// attempt 1 wins and stop wherever its cancellation finds them. The
+// waiting does not touch a trajectory. Steps, FEvals and the bits of
+// Energy must still equal the sequential solve's.
+func TestEffortTotalsSkipCancelledAttempts(t *testing.T) {
+	seq := solveFixture(t, 1)
+	pf := fixturePortfolio()
+	opts := fixtureOptions(4)
+	opts.Telemetry = obs.NewTelemetry()
+	pf.stop = func(cs *Compiled, eng circuit.Engine, tt float64, x la.Vector) bool {
+		ok := cs.readOut(eng, tt, x)
+		for deadline := time.Now().Add(10 * time.Second); ok && opts.Telemetry.AttemptsLaunched.Value() < 4; {
+			if time.Now().After(deadline) {
+				t.Error("attempts 2 and 3 never launched")
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return ok
+	}
+	par, err := pf.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Launched != 4 || par.WinnerAttempt != 1 {
+		t.Fatalf("launched %d, winner %d; want 4 launched and attempt 1 winning", par.Launched, par.WinnerAttempt)
+	}
+	if seq.Steps != par.Steps || seq.FEvals != par.FEvals ||
+		math.Float64bits(seq.Energy) != math.Float64bits(par.Energy) {
+		t.Fatalf("effort totals: sequential steps=%d fevals=%d energy=%v, parallel steps=%d fevals=%d energy=%v",
+			seq.Steps, seq.FEvals, seq.Energy, par.Steps, par.FEvals, par.Energy)
 	}
 }
 

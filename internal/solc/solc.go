@@ -221,16 +221,19 @@ type Result struct {
 	// parallel runs under WinnerLowestAttempt), attempts launched
 	// otherwise.
 	Attempts int
-	// Steps is the total number of accepted integration steps across all
-	// launched attempts.
+	// Steps is the total number of accepted integration steps across the
+	// attempts the result consumed: those up to the winner when solved,
+	// every launched one otherwise. Attempts the winner cancels are left
+	// out, so under WinnerLowestAttempt the total does not depend on
+	// Parallelism; the telemetry counters count every launched attempt.
 	Steps int
-	// FEvals is the total number of right-hand-side evaluations across all
-	// launched attempts.
+	// FEvals is the total number of right-hand-side evaluations across
+	// the same attempts as Steps.
 	FEvals int
 	// Wall is the elapsed wall-clock time.
 	Wall time.Duration
-	// Energy is the dissipated energy ∫Σ g·d² dt accumulated across all
-	// attempts (populated by the IMEX stepper; 0 otherwise).
+	// Energy is the dissipated energy ∫Σ g·d² dt accumulated across the
+	// same attempts as Steps.
 	Energy float64
 	// Reason describes why the run ended.
 	Reason string
