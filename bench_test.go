@@ -24,6 +24,7 @@ import (
 	"repro/internal/la"
 	"repro/internal/memristor"
 	"repro/internal/obs"
+	"repro/internal/ode"
 	"repro/internal/sat"
 	"repro/internal/solc"
 	"repro/internal/solg"
@@ -333,30 +334,68 @@ func multiplier6() *solc.Compiled {
 	return solc.Compile(bc, pins, circuit.Default())
 }
 
-// benchIMEXStep measures one IMEX step on the 6-bit multiplier SOLC —
-// the steady-state cost the solve loop pays on the symbolic-once
-// la.SparseLU path. A non-nil telemetry attaches the per-step instrument
+// benchIMEXStep measures one IMEX step — the steady-state cost the solve
+// loop pays on the symbolic-once la.SparseLU path — in sub-benchmarks:
+// "6bit" on the 6-bit multiplier SOLC from its t = 0 state at h = 1e-3,
+// and "<case>-mid" on each circuit of compileCases mid-trajectory, from
+// the state 300 driver steps leave and at the ramp's ceiling h (see
+// midTrajectory). A non-nil telemetry attaches the per-step instrument
 // set (the accept hook, called as the driver would), pinning its
 // hot-path cost.
 func benchIMEXStep(b *testing.B, tl *obs.Telemetry) {
-	cs := multiplier6()
-	c := cs.Eng.(*circuit.Circuit)
-	x := c.InitialState(rand.New(rand.NewSource(1)))
-	st := circuit.NewIMEX(c)
-	so := tl.StepObsFor(nil)
-	h := 1e-3
-	if err := st.Step(0, h, x); err != nil {
-		b.Fatal(err)
+	run := func(b *testing.B, c *circuit.Circuit, st *circuit.IMEXStepper, x la.Vector, t, h float64) {
+		so := tl.StepObsFor(nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := st.Step(t, h, x); err != nil {
+				b.Fatal(err)
+			}
+			so.Accept(h)
+			c.ClampState(x)
+			t += h
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Step(float64(i+1)*h, h, x); err != nil {
+	b.Run("6bit", func(b *testing.B) {
+		c := multiplier6().Eng.(*circuit.Circuit)
+		x := c.InitialState(rand.New(rand.NewSource(1)))
+		st := circuit.NewIMEX(c)
+		h := 1e-3
+		if err := st.Step(0, h, x); err != nil {
 			b.Fatal(err)
 		}
-		so.Accept(h)
-		c.ClampState(x)
+		run(b, c, st, x, h, h)
+	})
+	for _, tc := range compileCases(b) {
+		b.Run(tc.name+"-mid", func(b *testing.B) {
+			c := solc.Compile(tc.bc, tc.pins, circuit.Default()).Eng.(*circuit.Circuit)
+			st, x, t, h := midTrajectory(b, c)
+			run(b, c, st, x, t, h)
+		})
 	}
+}
+
+// midTrajectory runs c through 300 steps of the ode.Driver from seed 1's
+// initial state, as a solve attempt does: h ramps ×1.1 per step from
+// solc.DefaultOptions' H to the stepper's stability ceiling, and the
+// state is clamped after every step. It returns the stepper, the state,
+// the time reached and the ceiling h.
+func midTrajectory(tb testing.TB, c *circuit.Circuit) (*circuit.IMEXStepper, la.Vector, float64, float64) {
+	const steps = 300
+	opts := solc.DefaultOptions()
+	x := c.InitialState(rand.New(rand.NewSource(1)))
+	st := circuit.NewIMEX(c)
+	n := 0
+	d := ode.Driver{
+		Stepper: st, H: opts.H, HMax: opts.HMax,
+		Observe: func(float64, la.Vector) { c.ClampState(x) },
+		Stop:    func(float64, la.Vector) bool { n++; return n == steps },
+	}
+	res := d.Run(0, x)
+	if res.Err != nil || res.Steps != steps {
+		tb.Fatalf("%d driver steps, want %d (%v)", res.Steps, steps, res.Err)
+	}
+	return st, x, res.T, min(opts.HMax, st.MaxStableStep())
 }
 
 func BenchmarkIMEXStepSparse(b *testing.B) { benchIMEXStep(b, nil) }

@@ -27,7 +27,11 @@ type Circuit struct {
 	memBr branchSet
 	resBr branchSet
 
-	dcgNodes []int // VCDCG k -> node
+	// freeNode maps a free index to its node. The VCDCGs sit on the free
+	// nodes in that order, so dcgNodes (VCDCG k -> node) is freeNode, or
+	// nil under OmitVCDCG, and VCDCG k drives free row k.
+	freeNode []int
+	dcgNodes []int
 
 	nv, nm, nd int // free nodes, memristors, VCDCGs
 
@@ -72,9 +76,7 @@ func (b *Builder) Build() *Circuit {
 			c.pins[j-1], c.pins[j] = c.pins[j], c.pins[j-1]
 		}
 	}
-	if !b.params.OmitVCDCG {
-		c.dcgNodes = make([]int, 0, b.numNodes-len(c.pins))
-	}
+	c.freeNode = make([]int, 0, b.numNodes-len(c.pins))
 	for n := 0; n < b.numNodes; n++ {
 		if c.pinned[n] {
 			c.freeIdx[n] = -1
@@ -82,9 +84,10 @@ func (b *Builder) Build() *Circuit {
 		}
 		c.freeIdx[n] = c.nv
 		c.nv++
-		if !b.params.OmitVCDCG {
-			c.dcgNodes = append(c.dcgNodes, n)
-		}
+		c.freeNode = append(c.freeNode, n)
+	}
+	if !b.params.OmitVCDCG {
+		c.dcgNodes = c.freeNode
 	}
 	c.nd = len(c.dcgNodes)
 	var nMem, nRes int
@@ -131,20 +134,15 @@ func (b *Builder) Build() *Circuit {
 	return c
 }
 
-// fillConductances writes the per-branch conductance buffer in plan order:
-// g[0:nm] the memristor branches evaluated at the clamped states of x,
-// g[nm:] the resistor branches at 1/R.
+// fillConductances writes the memristor conductances g[j] = G(x_j) at
+// the clamped states of x; the resistor branches' 1/R is folded into the
+// stamp plan.
 //
 //dmmvet:hotpath
 func (c *Circuit) fillConductances(g la.Vector, x la.Vector) {
-	p := &c.Params
-	xOff := c.xOff()
-	for m := 0; m < c.nm; m++ {
-		g[m] = p.Mem.G(memristor.Clamp(x[xOff+m]))
-	}
-	invR := 1 / p.R
-	for j := c.nm; j < len(g); j++ {
-		g[j] = invR
+	m := c.Params.Mem
+	for j, xj := range x[c.xOff() : c.xOff()+len(g)] {
+		g[j] = m.G(memristor.Clamp(xj))
 	}
 }
 

@@ -29,12 +29,13 @@ func (f *voltageFactor) bind(c *Circuit) error {
 }
 
 // refactor assembles shift·I + A(g) through the stamp plan and factors
-// it. The assembly self-times into PhaseStamp, the numeric
+// it; g is the stepper's conductance buffer, the shift in its shift slot.
+// The assembly self-times into PhaseStamp, the numeric
 // refactorization into PhaseFactor through the solver's own hook. spans
 // is rebound on every call (the shared template c.symb keeps a nil
 // hook), so a stepper reused for another attempt self-times into the
 // profiler that attempt carries.
-func (f *voltageFactor) refactor(c *Circuit, spans *obs.Spans, shift float64, g la.Vector) error {
+func (f *voltageFactor) refactor(c *Circuit, spans *obs.Spans, g la.Vector) error {
 	if f.slu == nil {
 		if err := f.bind(c); err != nil {
 			return err
@@ -42,7 +43,7 @@ func (f *voltageFactor) refactor(c *Circuit, spans *obs.Spans, shift float64, g 
 	}
 	f.slu.Spans = spans
 	tok := spans.Begin()
-	c.plan.assemble(f.csr.Val, shift, g)
+	c.plan.assemble(f.csr.Val, g)
 	spans.End(obs.PhaseStamp, tok)
 	return f.slu.Refactor()
 }

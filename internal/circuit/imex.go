@@ -45,12 +45,14 @@ type IMEXStepper struct {
 	// and the conductances move on every step of a ramped run.
 	f voltageFactor
 
-	g     la.Vector // per-branch conductances in plan order [mem | resistor]
-	rhs   la.Vector
+	// g and nodeV are laid out as the stamp plan reads them: g holds the
+	// step's memristor conductances G(x) in state order, then 1 and the
+	// shift C/h; nodeV the node voltages (pinned at t+h before the solve,
+	// free after it), then 1.
+	g     la.Vector
 	nodeV la.Vector
+	rhs   la.Vector
 	vNew  la.Vector
-	drop  la.Vector // per-memristor branch drop d of the current step
-	dcgV  la.Vector // per-VCDCG terminal voltage of the current step
 
 	// energy accumulates the dissipated energy ∫ Σ_b g_b·d_b² dt over
 	// every DCM branch b — memristors at g(x), resistors at 1/R (Sec.
@@ -77,15 +79,15 @@ func (s *IMEXStepper) Reset() { s.computed, s.energy = 0, 0 }
 
 // NewIMEX returns an IMEX stepper bound to c.
 func NewIMEX(c *Circuit) *IMEXStepper {
-	return &IMEXStepper{
+	s := &IMEXStepper{
 		c:     c,
-		g:     la.NewVector(c.memBr.len() + c.resBr.len()),
+		g:     la.NewVector(c.nm + 2),
+		nodeV: la.NewVector(c.numNodes + 1),
 		rhs:   la.NewVector(c.nv),
-		nodeV: la.NewVector(c.numNodes),
 		vNew:  la.NewVector(c.nv),
-		drop:  la.NewVector(c.memBr.len()),
-		dcgV:  la.NewVector(c.nd),
 	}
+	s.g[c.gUnit()], s.nodeV[c.vUnit()] = 1, 1
+	return s
 }
 
 // stableStepFraction is the share of the explicit stability bound the
@@ -136,17 +138,9 @@ func (s *IMEXStepper) Step(t, h float64, x la.Vector) error {
 	p := &c.Params
 	tok := s.Spans.Begin()
 
-	// Conductances for the current memristor states.
-	c.fillConductances(s.g, x)
-
-	// Node voltages at time t+h for pinned nodes; free from state.
-	for n := 0; n < c.numNodes; n++ {
-		if fi := c.freeIdx[n]; fi >= 0 {
-			s.nodeV[n] = x[c.vOff()+fi]
-		} else {
-			s.nodeV[n] = 0
-		}
-	}
+	// Conductances for the current memristor states, and the pinned
+	// nodes' voltages at t+h (the right-hand side reads no free node).
+	c.fillConductances(s.g[:c.nm], x)
 	for _, pn := range c.pins {
 		s.nodeV[pn.node] = pn.src.V(t + h)
 	}
@@ -156,38 +150,23 @@ func (s *IMEXStepper) Step(t, h float64, x la.Vector) error {
 	// self-times: stamp around the assembly, and the numeric
 	// refactorization through the solver's own hook.
 	shift := p.C / h
-	if err := s.f.refactor(c, s.Spans, shift, s.g); err != nil {
+	s.g[c.gShift()] = shift
+	if err := s.f.refactor(c, s.Spans, s.g); err != nil {
 		return fmt.Errorf("circuit: IMEX voltage system singular: %w", err)
 	}
 	tok = s.Spans.Begin()
-	s.rhs.Zero()
-	c.plan.assembleRHS(s.rhs, s.g, s.nodeV)
-	for k, node := range c.dcgNodes {
-		if fi := c.freeIdx[node]; fi >= 0 {
-			s.rhs[fi] -= x[c.iOff()+k]
-		}
-	}
-	for f := 0; f < c.nv; f++ {
-		s.rhs[f] += float64(shift * x[c.vOff()+f])
-	}
+	c.plan.assembleRHS(s.rhs, s.g, s.nodeV, x[c.vOff():c.vOff()+c.nv], x[c.iOff():c.iOff()+c.nd], shift)
 	tok = s.Spans.Lap(obs.PhaseStamp, tok)
 	s.f.slu.SolveInto(s.vNew, s.rhs) // self-times into PhaseSolve
 	tok = s.Spans.Begin()
 
-	// Updated full node-voltage view.
-	for n := 0; n < c.numNodes; n++ {
-		if fi := c.freeIdx[n]; fi >= 0 {
-			s.nodeV[n] = s.vNew[fi]
-		}
+	// Updated full node-voltage view, the explicit updates of the slow
+	// states from it, and the commit of the voltages.
+	for f, n := range c.freeNode {
+		s.nodeV[n] = s.vNew[f]
 	}
-
-	// Explicit updates of the slow states using the new voltages, plus
-	// the dissipation tally g·d² per branch.
 	s.advanceSlowStates(h, x)
-	// Commit voltages.
-	for f := 0; f < c.nv; f++ {
-		x[c.vOff()+f] = s.vNew[f]
-	}
+	copy(x[c.vOff():c.vOff()+c.nv], s.vNew)
 	s.computed++
 	// Per-step in-loop checks (compiled out without the dmminvariant
 	// tag): the backward-Euler voltage solve must stay finite and inside
@@ -209,34 +188,35 @@ func (s *IMEXStepper) Step(t, h float64, x la.Vector) error {
 	return nil
 }
 
-// advanceSlowStates performs the explicit update of the slow states —
-// memristor x through memristor.Model.Advance, VCDCG currents i and
-// controls s through device.VCDCG.Advance — from the freshly solved node
-// voltages, accumulating the per-step dissipation tally over every DCM
-// branch (memristors g·d², then resistors d²/R) into the energy integral.
-// The memristor kernel reuses the conductances s.g that fillConductances
-// computed from the same states.
+// advanceSlowStates performs the explicit update of the slow states from
+// the freshly solved node voltages, accumulating the per-step dissipation
+// tally over every DCM branch into the energy integral. One pass over the
+// memristors computes each branch drop d, adds g·d² to the power and
+// steps x through memristor.Model.Update, reusing the conductances s.g
+// that fillConductances computed from the same states. The resistor
+// drops follow, for the tally alone (d²/R each), and the VCDCG currents
+// i and controls s step through device.VCDCG.Advance: VCDCG k sits on
+// free node k, so its terminal voltages are vNew.
 func (s *IMEXStepper) advanceSlowStates(h float64, x la.Vector) {
 	c := s.c
 	p := &c.Params
-	var power float64
+	m := p.Mem
+	nodeV := s.nodeV
 	mb := &c.memBr
-	g := s.g[:mb.len()]
-	for j := range s.drop {
-		d := s.nodeV[mb.node[j]] - mb.level(j, s.nodeV)
+	xs := x[c.xOff() : c.xOff()+c.nm]
+	g, sigma := s.g[:len(xs)], mb.sigma[:len(xs)]
+	var power float64
+	for j, xj := range xs {
+		d := nodeV[mb.node[j]] - mb.level(j, nodeV)
 		power += float64(g[j] * d * d)
-		s.drop[j] = d
+		xs[j] = m.Update(h, xj, sigma[j]*d, g[j])
 	}
 	rb := &c.resBr
 	invR := 1 / p.R
 	for j := 0; j < rb.len(); j++ {
-		d := s.nodeV[rb.node[j]] - rb.level(j, s.nodeV)
+		d := nodeV[rb.node[j]] - rb.level(j, nodeV)
 		power += float64(d * d * invR)
 	}
 	s.energy += float64(h * power)
-	p.Mem.Advance(h, x[c.xOff():c.xOff()+c.nm], mb.sigma, s.drop, g)
-	for k, node := range c.dcgNodes {
-		s.dcgV[k] = s.nodeV[node]
-	}
-	p.DCG.Advance(h, s.dcgV, x[c.iOff():c.iOff()+c.nd], x[c.sOff():c.sOff()+c.nd])
+	p.DCG.Advance(h, s.vNew[:c.nd], x[c.iOff():c.iOff()+c.nd], x[c.sOff():c.sOff()+c.nd])
 }

@@ -104,25 +104,16 @@ func TestStampPlanMatchesDerivative(t *testing.T) {
 	tNow := 0.7
 
 	// Left side: A(g)·v - b via the stamp plan at shift 0.
-	g := la.NewVector(c.memBr.len() + c.resBr.len())
-	c.fillConductances(g, x)
+	g := la.NewVector(c.nm + 2) // shift slot 0
+	c.fillConductances(g[:c.nm], x)
+	g[c.gUnit()] = 1
 	vals := make([]float64, c.plan.csr.NNZ())
-	c.plan.assemble(vals, 0, g)
+	c.plan.assemble(vals, g)
 	a := &la.CSR{Rows: c.nv, Cols: c.nv, RowPtr: c.plan.csr.RowPtr, ColIdx: c.plan.csr.ColIdx, Val: vals}
-	nodeV := c.NodeVoltages(tNow, x, nil)
+	nodeV := append(c.NodeVoltages(tNow, x, nil), 1) // unit slot
+	v := x[c.vOff() : c.vOff()+c.nv]
 	rhs := la.NewVector(c.nv)
-	c.plan.assembleRHS(rhs, g, nodeV)
-	for k, node := range c.dcgNodes {
-		if fi := c.freeIdx[node]; fi >= 0 {
-			rhs[fi] -= x[c.iOff()+k]
-		}
-	}
-	v := la.NewVector(c.nv)
-	for n := 0; n < c.numNodes; n++ {
-		if fi := c.freeIdx[n]; fi >= 0 {
-			v[fi] = nodeV[n]
-		}
-	}
+	c.plan.assembleRHS(rhs, g, nodeV, v, x[c.iOff():c.iOff()+c.nd], 0)
 	av := la.NewVector(c.nv)
 	a.MulVec(av, v)
 

@@ -26,14 +26,7 @@ const (
 )
 
 // nodeOfFree maps a free-voltage state index back to its circuit node.
-func (c *Circuit) nodeOfFree(fi int) int {
-	for n, f := range c.freeIdx {
-		if f == fi {
-			return n
-		}
-	}
-	return -1
-}
+func (c *Circuit) nodeOfFree(fi int) int { return c.freeNode[fi] }
 
 // VerifyState checks the runtime invariants on a post-clamp state of the
 // capacitive form: every free-node voltage inside ±VBoundFactor·Vc,

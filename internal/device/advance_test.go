@@ -76,3 +76,58 @@ func TestAdvanceBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestFsOffsetBitIdentical pins FsOffset, which picks each window's form
+// and width once per call, to the product of per-current windows
+// θ̃((iRef² - i²)/δ) evaluated one by one, bitwise, over the same window
+// configurations and edge currents as TestAdvanceBitIdentical.
+func TestFsOffsetBitIdentical(t *testing.T) {
+	window := func(d VCDCG, iRef, i, delta float64) float64 {
+		arg := float64(iRef*iRef) - float64(i*i)
+		if delta <= 0 || d.Step == nil {
+			if arg > 0 {
+				return 1
+			}
+			return 0
+		}
+		return d.Step.Eval(arg / delta)
+	}
+	or := func(delta, fallback float64) float64 {
+		if delta > 0 {
+			return delta
+		}
+		return fallback
+	}
+	soft := DefaultVCDCG()
+	soft.IMin, soft.DeltaIMin, soft.DeltaIMax = 0.5, 0.25, 40
+	mixed := soft
+	mixed.DeltaIMax, mixed.DeltaI = 0, 0
+	fallback := soft
+	fallback.DeltaIMin, fallback.DeltaIMax, fallback.DeltaI = 0, 0, 3
+	noStep := soft
+	noStep.Step = nil
+	rng := rand.New(rand.NewSource(5))
+	for mi, d := range []VCDCG{DefaultVCDCG(), soft, mixed, fallback, noStep} {
+		edges := []float64{0, math.Copysign(0, -1), d.IMin, -d.IMin, d.IMax, -d.IMax,
+			math.Nextafter(d.IMin, 0), math.Nextafter(d.IMax, 100), math.NaN(), math.Inf(1)}
+		for trial := 0; trial < 2000; trial++ {
+			currents := make([]float64, rng.Intn(8))
+			for k := range currents {
+				currents[k] = (2*rng.Float64() - 1) * 1.5 * d.IMax * math.Pow(10, -8*rng.Float64())
+				if rng.Intn(4) == 0 {
+					currents[k] = edges[rng.Intn(len(edges))]
+				}
+			}
+			a, b := 1.0, 1.0
+			for _, i := range currents {
+				a *= window(d, d.IMin, i, or(d.DeltaIMin, d.DeltaI))
+				b *= window(d, d.IMax, i, or(d.DeltaIMax, d.DeltaI))
+			}
+			want := d.Ki * (a + b - 1)
+			if got := d.FsOffset(currents); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("model %d, currents %v: FsOffset %v (%#x), per-current windows %v (%#x)",
+					mi, currents, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

@@ -91,26 +91,6 @@ func (d VCDCG) Rho(s float64) float64 {
 	return d.Step.Eval((s-0.5)/d.DeltaS + 0.5)
 }
 
-// currentWindow evaluates θ̃((iRef² - i²)/δ): 1 when |i| < iRef, 0 when
-// |i| > iRef (hard form for δ ≤ 0).
-func (d *VCDCG) currentWindow(iRef, i, delta float64) float64 {
-	arg := float64(iRef*iRef) - float64(i*i)
-	if delta <= 0 || d.Step == nil {
-		if arg > 0 {
-			return 1
-		}
-		return 0
-	}
-	return d.Step.Eval(arg / delta)
-}
-
-func (d VCDCG) deltaFor(fallbackPriority float64) float64 {
-	if fallbackPriority > 0 {
-		return fallbackPriority
-	}
-	return d.DeltaI
-}
-
 // FsOffset computes the current-dependent constant of f_s (Eq. 47):
 //
 //	c = Ki·(A + B - 1),  A = Π_j θ̃((imin²-i_j²)/δi),  B = Π_j θ̃((imax²-i_j²)/δi),
@@ -121,13 +101,39 @@ func (d VCDCG) deltaFor(fallbackPriority float64) float64 {
 // ρ(1-s) on so currents decay), and c = 0 in between (bistable hold). This
 // reproduces the three red lines of Fig. 10 — the figure plots the cubic
 // -ks·s(s-1)(2s-1) and marks its intersections with the level -c.
+//
+// Each window is θ̃((iRef² - i²)/δ): 1 when |i| < iRef and 0 when
+// |i| > iRef, the hard step when δ ≤ 0 or Step is nil. The window form
+// and each δ (DeltaIMin or DeltaIMax, falling back to DeltaI when ≤ 0)
+// are chosen once per call, not per current.
 func (d VCDCG) FsOffset(currents []float64) float64 {
-	dMin := d.deltaFor(d.DeltaIMin)
-	dMax := d.deltaFor(d.DeltaIMax)
-	a, b := 1.0, 1.0
+	dMin, dMax := d.DeltaIMin, d.DeltaIMax
+	if dMin <= 0 {
+		dMin = d.DeltaI
+	}
+	if dMax <= 0 {
+		dMax = d.DeltaI
+	}
+	step := d.Step
+	hardMin, hardMax := dMin <= 0 || step == nil, dMax <= 0 || step == nil
+	min2, max2 := float64(d.IMin*d.IMin), float64(d.IMax*d.IMax)
+	a, b := 1.0, 1.0 // a hard window is 1 or 0, so its product is too
 	for _, i := range currents {
-		a *= d.currentWindow(d.IMin, i, dMin)
-		b *= d.currentWindow(d.IMax, i, dMax)
+		i2 := float64(i * i)
+		if argMin := min2 - i2; hardMin {
+			if !(argMin > 0) {
+				a = 0
+			}
+		} else {
+			a *= step.Eval(argMin / dMin)
+		}
+		if argMax := max2 - i2; hardMax {
+			if !(argMax > 0) {
+				b = 0
+			}
+		} else {
+			b *= step.Eval(argMax / dMax)
+		}
 	}
 	return d.Ki * (a + b - 1)
 }

@@ -69,50 +69,56 @@ func (m Model) DxDt(x, vM float64) float64 {
 	return -m.Alpha * m.H(x, vM) * m.G(x) * vM
 }
 
-// Advance is the explicit memristor update of one IMEX step: for every
-// device j it replaces x[j] by
+// Advance is the explicit memristor update of one IMEX step over a
+// device family: for every device j it replaces x[j] by
+// Update(h, x[j], σ_j·d_j, g[j]), where g[j] must be the conductance
+// G(Clamp(x[j])). The IMEX stepper calls Update itself, inside the pass
+// over its memristor branches that computes each drop d, and passes the
+// conductances of its fill, so the kernel does not divide again.
 //
-//	Clamp(x' + h·DxDt(x', σ_j·d_j)),  x' = Clamp(x[j]),
+//dmmvet:hotpath
+func (m Model) Advance(h float64, x, sigma, d, g []float64) {
+	sigma, d, g = sigma[:len(x)], d[:len(x)], g[:len(x)]
+	for j, xj := range x {
+		x[j] = m.Update(h, xj, sigma[j]*d[j], g[j])
+	}
+}
+
+// Update is one device's explicit step under the polarized drop vM:
 //
-// where g[j] must be the conductance G(x') — the value the stepper
-// already holds from its conductance fill, so the kernel does not divide
-// again. The call tree of Clamp/DxDt/H/window is flattened, so the
+//	Clamp(x' + h·DxDt(x', vM)),  x' = Clamp(x),
+//
+// with g = G(x') supplied by the caller. The call tree of
+// Clamp/DxDt/H/window is flattened into one inlinable body, so a
 // per-device loop pays no call frames; TestAdvanceBitIdentical pins it
 // bitwise to the Clamp/DxDt composition. The float64(...) barrier pins
 // the FMA-fusable product to two roundings on every architecture
 // (bit-neutral where the compiler was not fusing anyway).
-//
-//dmmvet:hotpath
-func (m Model) Advance(h float64, x, sigma, d, g []float64) {
-	na := -m.Alpha
-	sigma, d, g = sigma[:len(x)], d[:len(x)], g[:len(x)]
-	for j, xi := range x {
-		if xi < 0 {
-			xi = 0
-		} else if xi > 1 {
-			xi = 1
-		}
-		vM := sigma[j] * d[j]
-		// h(x, vM) of Eq. (31)/(40), flattened: the hard window on the
-		// side that vM's sign blocks.
-		var hv float64
-		if vM != 0 {
-			dist := xi // distance from the blocking boundary
-			if vM < 0 {
-				dist = 1 - xi
-			}
-			if dist > 0 {
-				hv = 1
-			}
-		}
-		xn := xi + float64(h*(na*hv*g[j]*vM))
-		if xn < 0 {
-			xn = 0
-		} else if xn > 1 {
-			xn = 1
-		}
-		x[j] = xn
+func (m Model) Update(h, x, vM, g float64) float64 {
+	if x < 0 {
+		x = 0
+	} else if x > 1 {
+		x = 1
 	}
+	// h(x, vM) of Eq. (31)/(40), flattened: the hard window on the side
+	// that vM's sign blocks, at distance dist from its boundary.
+	var hv float64
+	if vM != 0 {
+		dist := x
+		if vM < 0 {
+			dist = 1 - x
+		}
+		if dist > 0 {
+			hv = 1
+		}
+	}
+	xn := x + float64(h*(-m.Alpha*hv*g*vM))
+	if xn < 0 {
+		return 0
+	} else if xn > 1 {
+		return 1
+	}
+	return xn
 }
 
 // Clamp returns x restricted to the invariant interval [0,1].

@@ -16,8 +16,8 @@ type Phase uint8
 
 // Step phases, in hot-loop order.
 const (
-	// PhaseCondFill: per-branch conductance fill plus the node-voltage
-	// view (pinned and free nodes) at t+h.
+	// PhaseCondFill: the memristor conductance fill plus the pinned
+	// nodes' voltages at t+h.
 	PhaseCondFill Phase = iota
 	// PhaseStamp: matrix-value and right-hand-side assembly through the
 	// stamp plan.
@@ -30,8 +30,9 @@ const (
 	// PhaseRefine has no producer and always reads 0; it stays so span
 	// snapshots keep the shape their readers expect.
 	PhaseRefine
-	// PhaseMemAdvance: explicit slow-state updates (memristors, VCDCG
-	// currents), the dissipation tally, and the voltage commit.
+	// PhaseMemAdvance: the solved free voltages into the node view,
+	// explicit slow-state updates (memristors, VCDCG currents and
+	// controls), the dissipation tally, and the voltage commit.
 	PhaseMemAdvance
 	// PhaseBookkeep: accept/reject bookkeeping outside the stepper —
 	// stats, state clamping, physics probes, and the convergence check.

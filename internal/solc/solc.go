@@ -34,6 +34,9 @@ type Compiled struct {
 	// pinConflict records a caller pin that contradicts a circuit
 	// constant: the problem is unsatisfiable, so no read-out is taken.
 	pinConflict bool
+	// tRise is the compiled parameters' input ramp time, before which
+	// no read-out is taken.
+	tRise float64
 	// pool holds the restart-attempt workspaces every Solve on this
 	// compile reuses.
 	pool freeList[*workspace]
@@ -93,7 +96,7 @@ func Compile(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.Para
 		//dmmvet:allow detflow — PinBit is a keyed insert per signal; Builder.Build sorts pins by node before use
 		b.PinBit(nodeOf[s], v)
 	}
-	return &Compiled{BC: bc, Eng: b.Build(), NodeOf: nodeOf, Pins: all, pinConflict: conflict}
+	return &Compiled{BC: bc, Eng: b.Build(), NodeOf: nodeOf, Pins: all, pinConflict: conflict, tRise: p.TRise}
 }
 
 // WinnerPolicy selects how the parallel restart pool picks among attempts
@@ -283,7 +286,7 @@ func (cs *Compiled) decodeWith(eng circuit.Engine, t float64, x la.Vector) boolc
 // read-out. A pin that contradicts a circuit constant makes the problem
 // unsatisfiable, and no read-out is ever taken.
 func (cs *Compiled) readOut(eng circuit.Engine, t float64, x la.Vector) bool {
-	return !cs.pinConflict && t > eng.Parameters().TRise && eng.GatesSatisfied(t, x)
+	return !cs.pinConflict && t > cs.tRise && eng.GatesSatisfied(t, x)
 }
 
 func (cs *Compiled) pinsRespected(a boolcirc.Assignment) bool {
