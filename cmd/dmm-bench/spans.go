@@ -85,7 +85,6 @@ func runScalarSpans(steps int, h float64, sp *obs.Spans, fl *obs.Flight, tl *obs
 		}
 		tok := so.SpanBegin()
 		so.Accept(h)
-		c.ClampState(x)
 		so.SpanEnd(obs.PhaseBookkeep, tok)
 		t += h
 	}
@@ -118,7 +117,6 @@ func spansAllocsPerStep(h float64) float64 {
 		}
 		tok := so.SpanBegin()
 		so.Accept(h)
-		c.ClampState(x)
 		so.SpanEnd(obs.PhaseBookkeep, tok)
 	})
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -58,4 +59,24 @@ func TestPositionalArgumentIsAnError(t *testing.T) {
 			t.Errorf("%v: ran anyway: %q", args, stdout.String())
 		}
 	}
+}
+
+// FuzzFactorArgs runs the command on n below 2^10 at a short horizon. It
+// must not panic, must exit 1 exactly when n < 4 (too small to factor),
+// and must otherwise exit 0 (solved) or 2 (unsolved). For n = 4…7 the
+// multiplier's 1-bit word used to yield a product one bit short, so the
+// solver pinned only the low bits and decoded a wrong factorization.
+func FuzzFactorArgs(f *testing.F) {
+	for _, n := range []uint16{0, 3, 4, 5, 6, 7, 15, 35, 1023} {
+		f.Add(n)
+	}
+	f.Fuzz(func(t *testing.T, n uint16) {
+		n %= 1 << 10
+		args := []string{"-n", strconv.FormatUint(uint64(n), 10), "-tend", "4", "-attempts", "1"}
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if want1 := n < 4; (code == 1) != want1 || code < 0 || code > 2 {
+			t.Fatalf("%v: exit %d, stdout %q, stderr %q", args, code, stdout.String(), stderr.String())
+		}
+	})
 }

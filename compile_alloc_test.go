@@ -22,9 +22,9 @@ import (
 // 622 (11bit).
 func TestCompileAllocations(t *testing.T) {
 	budget := map[string]struct{ bytes, objects float64 }{
-		"factor": {36_900, 44},  // measures 35,864 B and 39 objects
-		"sat":    {50_900, 50},  // 49,456 B and 45
-		"11bit":  {487_000, 54}, // 473,440 B and 49
+		"factor": {35_000, 36},  // measures 34,040 B and 31 objects
+		"sat":    {49_000, 42},  // 47,632 B and 37
+		"11bit":  {446_000, 46}, // 433,248 B and 41
 	}
 	for _, tc := range compileCases(t) {
 		// The first compile fills the scratch pool; the least of a few

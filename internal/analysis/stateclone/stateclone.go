@@ -1,10 +1,10 @@
-// Package stateclone enforces the aliasing half of the Engine/Stepper
+// Package stateclone enforces the aliasing half of the Circuit/Stepper
 // contract: a method may read and even update a caller-provided state
 // slice in place (that is how steppers advance x), but it must never
 // *retain* one — storing the slice (or a reslice of it) into a receiver
 // field or a package variable aliases caller memory into long-lived
 // state, which is exactly the bug class that broke per-attempt isolation
-// before Engine.Clone gave every portfolio attempt private scratch.
+// before Circuit.Clone gave every restart attempt private scratch.
 // Retained copies must go through Clone() or copy().
 package stateclone
 

@@ -162,6 +162,10 @@ func TestMultiplierProperty(t *testing.T) {
 		c.MarkInput(wa...)
 		c.MarkInput(wb...)
 		prod := c.Multiplier(wa, wb)
+		if len(prod) != na+nb {
+			t.Logf("%d×%d-bit product has %d bits, want %d", na, nb, len(prod), na+nb)
+			return false
+		}
 		in := append(UintToBits(a, na), UintToBits(b, nb)...)
 		assign, err := c.Eval(in)
 		if err != nil {

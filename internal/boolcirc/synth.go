@@ -88,8 +88,9 @@ func (c *Circuit) Multiplier(a, b []Signal) []Signal {
 		sum := c.AddWords(high, row) // len = na+1
 		acc = append(append([]Signal{}, low...), sum...)
 	}
-	// Total width = nb-1 (lows) + na+1 = na+nb.
-	return acc
+	// Total width = nb-1 (lows) + na+1 = na+nb. A 1-bit b runs no adder
+	// row, so its product's high bit is a constant 0.
+	return c.extend(acc, na+nb)
 }
 
 // MaskWord gates every bit of the constant value through the selector s:

@@ -134,15 +134,15 @@ func (b *Builder) Build() *Circuit {
 	return c
 }
 
-// fillConductances writes the memristor conductances g[j] = G(x_j) at
-// the clamped states of x; the resistor branches' 1/R is folded into the
-// stamp plan.
+// fillConductances writes the memristor conductances g[j] = G(x_j) of
+// the states of x, which the step keeps in [0,1]; the resistor
+// branches' 1/R is folded into the stamp plan.
 //
 //dmmvet:hotpath
 func (c *Circuit) fillConductances(g la.Vector, x la.Vector) {
 	m := c.Params.Mem
 	for j, xj := range x[c.xOff() : c.xOff()+len(g)] {
-		g[j] = m.G(memristor.Clamp(xj))
+		g[j] = m.G(xj)
 	}
 }
 
@@ -239,25 +239,6 @@ func (c *Circuit) Derivative(t float64, x, dxdt la.Vector) {
 	for n := 0; n < c.numNodes; n++ {
 		if fi := c.freeIdx[n]; fi >= 0 {
 			dxdt[c.vOff()+fi] = -curr[n] / p.C
-		}
-	}
-}
-
-// ClampState enforces the invariant regions of Props. VI.2 and VI.5 after
-// an integration step: memristor states to [0,1] and VCDCG currents to
-// [-imax·(1+ε), imax·(1+ε)] (the dynamics keep them there up to one step of
-// overshoot).
-func (c *Circuit) ClampState(x la.Vector) {
-	xOff, iOff := c.xOff(), c.iOff()
-	for m := 0; m < c.nm; m++ {
-		x[xOff+m] = memristor.Clamp(x[xOff+m])
-	}
-	iBound := c.Params.DCG.IMax * 1.5
-	for k := 0; k < c.nd; k++ {
-		if v := x[iOff+k]; v > iBound {
-			x[iOff+k] = iBound
-		} else if v < -iBound {
-			x[iOff+k] = -iBound
 		}
 	}
 }

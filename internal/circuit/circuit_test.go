@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/la"
 	"repro/internal/ode"
 	"repro/internal/solg"
@@ -26,8 +27,7 @@ func solveGate(t *testing.T, kind solg.Kind, outBit bool, seed int64) (in1, in2 
 	d := &ode.Driver{
 		Stepper: NewIMEX(c),
 		H:       1e-3, TEnd: 100,
-		Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
-		Stop:    func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
+		Stop: func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
 	}
 	res := d.Run(0, x)
 	return c.NodeBit(res.T, x, n1), c.NodeBit(res.T, x, n2), res.Reason == ode.StopCondition
@@ -100,8 +100,7 @@ func TestFullAdderForward(t *testing.T) {
 		x := c.InitialState(rng)
 		d := &ode.Driver{
 			Stepper: NewIMEX(c), H: 1e-3, TEnd: 100,
-			Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
-			Stop:    func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
+			Stop: func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
 		}
 		res := d.Run(0, x)
 		if res.Reason != ode.StopCondition {
@@ -133,8 +132,7 @@ func TestFullAdderReverse(t *testing.T) {
 	x := c.InitialState(rng)
 	d := &ode.Driver{
 		Stepper: NewIMEX(c), H: 1e-3, TEnd: 200,
-		Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
-		Stop:    func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
+		Stop: func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
 	}
 	res := d.Run(0, x)
 	if res.Reason != ode.StopCondition {
@@ -199,23 +197,30 @@ func TestPinnedNodeFollowsRamp(t *testing.T) {
 	}
 }
 
-func TestClampState(t *testing.T) {
+// TestStepBoundsState checks that the IMEX step itself keeps the slow
+// states in their invariant regions: from a state whose currents sit far
+// beyond the bound, one step leaves every memristor state in [0,1] and
+// every current clamped to ±IBoundFactor·IMax, sign kept.
+func TestStepBoundsState(t *testing.T) {
 	p := Default()
 	b := NewBuilder(p)
 	n1, n2, no := b.Node(), b.Node(), b.Node()
 	b.AddGate(solg.AND, n1, n2, no)
 	c := b.Build()
-	x := la.NewVector(c.Dim())
-	// Poison the memristor block and current block.
-	x[c.xOff()] = 1.7
-	x[c.xOff()+1] = -0.3
-	x[c.iOff()] = 1e6
-	c.ClampState(x)
-	if x[c.xOff()] != 1 || x[c.xOff()+1] != 0 {
-		t.Fatalf("memristor clamp failed: %v %v", x[c.xOff()], x[c.xOff()+1])
+	x := c.InitialState(rand.New(rand.NewSource(4)))
+	x[c.xOff()], x[c.xOff()+1] = 0, 1
+	x[c.iOff()], x[c.iOff()+1] = 1e6, -1e6
+	if err := NewIMEX(c).Step(0, 1e-3, x); err != nil {
+		t.Fatal(err)
 	}
-	if x[c.iOff()] > p.DCG.IMax*1.5+1e-9 {
-		t.Fatalf("current clamp failed: %v", x[c.iOff()])
+	for m := 0; m < c.nm; m++ {
+		if v := x[c.xOff()+m]; !(v >= 0 && v <= 1) {
+			t.Fatalf("memristor %d state %v outside [0,1]", m, v)
+		}
+	}
+	bound := device.IBoundFactor * p.DCG.IMax
+	if x[c.iOff()] != bound || x[c.iOff()+1] != -bound {
+		t.Fatalf("currents %v, %v after the step, want ±%v", x[c.iOff()], x[c.iOff()+1], bound)
 	}
 }
 

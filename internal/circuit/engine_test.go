@@ -21,8 +21,7 @@ func TestIMEXGateSelfOrganizes(t *testing.T) {
 	x := c.InitialState(rand.New(rand.NewSource(5)))
 	d := &ode.Driver{
 		Stepper: st, H: 1e-3, TEnd: 100,
-		Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
-		Stop:    func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
+		Stop: func(tt float64, x la.Vector) bool { return tt > p.TRise && c.Converged(tt, x, 0.02) },
 	}
 	res := d.Run(0, x)
 	if res.Reason != ode.StopCondition {
@@ -52,7 +51,6 @@ func TestIMEXVoltageStability(t *testing.T) {
 		if err := st.Step(float64(k)*0.01, 0.01, x); err != nil {
 			t.Fatalf("IMEX step failed: %v", err)
 		}
-		c.ClampState(x)
 		if x.HasNaN() {
 			t.Fatalf("state NaN at step %d", k)
 		}
@@ -66,27 +64,24 @@ func TestIMEXVoltageStability(t *testing.T) {
 }
 
 func TestEngineInterfaceParity(t *testing.T) {
-	// A Clone must report the same electrical parameters and counts as
-	// the engine it was cloned from, over private scratch.
+	// A Clone must report the same sizes as the circuit it was cloned
+	// from, through the Engine interface, over private scratch.
 	b := NewBuilder(Default())
 	n1, n2, no := b.Node(), b.Node(), b.Node()
 	b.AddGate(solg.OR, n1, n2, no)
 	b.PinBit(no, false)
 	c := b.Build()
-	var e1 Engine = c
-	e2 := e1.Clone()
+	cp := c.Clone()
+	var e1, e2 Engine = c, cp
 	if e1.NumGates() != e2.NumGates() || e1.Dim() != e2.Dim() {
 		t.Fatal("gate count or dimension mismatch")
-	}
-	if e1.Parameters().Vc != e2.Parameters().Vc {
-		t.Fatal("parameter mismatch")
 	}
 	n1c, m1, d1 := e1.Counts()
 	n2c, m2, d2 := e2.Counts()
 	if n1c != n2c || m1 != m2 || d1 != d2 {
 		t.Fatal("counts mismatch")
 	}
-	if &e2.(*Circuit).nodeV[0] == &c.nodeV[0] {
+	if &cp.nodeV[0] == &c.nodeV[0] {
 		t.Fatal("clone shares the node-voltage scratch")
 	}
 }
@@ -107,7 +102,6 @@ func TestIMEXEnergyAccumulates(t *testing.T) {
 		if err := st.Step(float64(k)*1e-3, 1e-3, x); err != nil {
 			t.Fatal(err)
 		}
-		c.ClampState(x)
 	}
 	e1 := st.Energy()
 	if e1 <= 0 {
@@ -117,7 +111,6 @@ func TestIMEXEnergyAccumulates(t *testing.T) {
 		if err := st.Step(float64(k)*1e-3, 1e-3, x); err != nil {
 			t.Fatal(err)
 		}
-		c.ClampState(x)
 	}
 	if st.Energy() < e1 {
 		t.Fatal("dissipated energy must be monotone")

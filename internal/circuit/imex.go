@@ -170,9 +170,9 @@ func (s *IMEXStepper) Step(t, h float64, x la.Vector) error {
 	s.computed++
 	// Per-step in-loop checks (compiled out without the dmminvariant
 	// tag): the backward-Euler voltage solve must stay finite and inside
-	// the admissible envelope. The slow-state bounds are checked post-
-	// clamp by the driver's Verify hook, which sees the state after
-	// ClampState absorbs the one-step explicit overshoot.
+	// the admissible envelope. The slow-state bounds, which
+	// advanceSlowStates enforces, are checked on accepted steps by the
+	// driver's Verify hook.
 	if invariant.Enabled {
 		step := s.computed // this step call's number: the stepper cannot know acceptance
 		vb := VBoundFactor * p.Vc
@@ -196,7 +196,10 @@ func (s *IMEXStepper) Step(t, h float64, x la.Vector) error {
 // that fillConductances computed from the same states. The resistor
 // drops follow, for the tally alone (d²/R each), and the VCDCG currents
 // i and controls s step through device.VCDCG.Advance: VCDCG k sits on
-// free node k, so its terminal voltages are vNew.
+// free node k, so its terminal voltages are vNew. Update keeps every
+// memristor state in [0,1] and Advance every finite current inside
+// ±IBoundFactor·IMax (Props. VI.2 and VI.5), so no pass after the step
+// re-imposes them.
 func (s *IMEXStepper) advanceSlowStates(h float64, x la.Vector) {
 	c := s.c
 	p := &c.Params

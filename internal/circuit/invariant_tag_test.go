@@ -23,7 +23,6 @@ func TestIMEXInlineInvariantsCleanRun(t *testing.T) {
 	x := c.InitialState(rand.New(rand.NewSource(5)))
 	d := &ode.Driver{
 		Stepper: NewIMEX(c), H: 1e-3, TEnd: 100,
-		Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
 		Stop: func(tt float64, x la.Vector) bool {
 			return tt > c.Params.TRise && c.Converged(tt, x, 0.02)
 		},

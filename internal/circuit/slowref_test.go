@@ -1,14 +1,18 @@
 package circuit
 
 import (
+	"math"
+
+	"repro/internal/device"
 	"repro/internal/la"
 	"repro/internal/memristor"
 )
 
 // ReferenceSlowStep recomputes, from the public device methods, the
 // slow-state phase of the IMEX step st just took from the state pre: each
-// memristor as Clamp(x' + h·DxDt(x', σ·d)) with x' = Clamp(x), the VCDCGs
-// through FsOffset/DiDt/Fs, and the dissipation tally over every DCM
+// memristor as Clamp(x + h·DxDt(x, σ·d)), the VCDCGs through
+// FsOffset/DiDt/Fs with a finite current beyond ±IBoundFactor·IMax
+// clamped to that bound, and the dissipation tally over every DCM
 // branch (memristors g·d², then resistors d²/R). It reads the step's
 // solved voltages from st and returns the full next state (voltages
 // committed) with the energy increment h·Σ power the step must have
@@ -21,7 +25,7 @@ func ReferenceSlowStep(st *IMEXStepper, h float64, pre la.Vector) (la.Vector, fl
 	mb := &c.memBr
 	for j := 0; j < mb.len(); j++ {
 		d := st.nodeV[mb.node[j]] - mb.level(j, st.nodeV)
-		xi := memristor.Clamp(pre[c.xOff()+j])
+		xi := pre[c.xOff()+j]
 		power += float64(p.Mem.G(xi) * d * d)
 		next[c.xOff()+j] = memristor.Clamp(xi + float64(h*p.Mem.DxDt(xi, mb.sigma[j]*d)))
 	}
@@ -32,9 +36,16 @@ func ReferenceSlowStep(st *IMEXStepper, h float64, pre la.Vector) (la.Vector, fl
 		power += float64(d * d * invR)
 	}
 	offset := p.DCG.FsOffset(pre[c.iOff() : c.iOff()+c.nd])
+	iBound := device.IBoundFactor * p.DCG.IMax
 	for k, node := range c.dcgNodes {
 		i, s := pre[c.iOff()+k], pre[c.sOff()+k]
-		next[c.iOff()+k] = i + float64(h*p.DCG.DiDt(st.nodeV[node], i, s))
+		in := i + float64(h*p.DCG.DiDt(st.nodeV[node], i, s))
+		if in > iBound && !math.IsInf(in, 1) {
+			in = iBound
+		} else if in < -iBound && !math.IsInf(in, -1) {
+			in = -iBound
+		}
+		next[c.iOff()+k] = in
 		next[c.sOff()+k] = s + float64(h*p.DCG.Fs(s, offset))
 	}
 	copy(next[c.vOff():c.vOff()+c.nv], st.vNew)

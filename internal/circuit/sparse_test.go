@@ -46,7 +46,6 @@ func TestFactorCacheRungCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		tNow += h
-		c.ClampState(x)
 	}
 	refactors := s.Spans.Snapshot().Phases[obs.PhaseFactor].Count
 	if refactors != int64(len(hs)) || s.Computed() != len(hs) {
@@ -82,7 +81,6 @@ func TestIMEXSparseMatchesDenseTrajectory(t *testing.T) {
 		if err := s.Step(float64(k)*h, h, x); err != nil {
 			t.Fatalf("step %d: %v", k, err)
 		}
-		c.ClampState(x)
 		want := solveDenseReference(t, &s.f, s.rhs)
 		for i := range want {
 			if math.Abs(s.vNew[i]-want[i]) > 1e-10 {

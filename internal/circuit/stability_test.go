@@ -132,10 +132,7 @@ func TestEquilibriaStableAtCeiling(t *testing.T) {
 			}
 			st := NewIMEX(c)
 			h := st.MaxStableStep()
-			d := &ode.Driver{
-				Stepper: st, H: h, HMax: h, TEnd: t0 + 5,
-				Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
-			}
+			d := &ode.Driver{Stepper: st, H: h, HMax: h, TEnd: t0 + 5}
 			if res := d.Run(t0, x); res.Reason != ode.StopTEnd {
 				t.Fatalf("%v %v: run ended with %v (%v)", kind, bits, res.Reason, res.Err)
 			}

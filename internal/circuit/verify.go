@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"repro/internal/device"
 	"repro/internal/invariant"
 	"repro/internal/la"
 )
@@ -16,22 +17,21 @@ import (
 //     seeds each, on the production IMEX settings). The factor leaves
 //     ~20× headroom above the worst measured excursion, so a trip means
 //     the integration diverged, never an ordinary transient.
-//   - IBoundFactor·IMax bounds each VCDCG current — the exact window
-//     ClampState enforces after every accepted step (Prop. VI.5 plus one
-//     step of overshoot, already absorbed into the factor).
-//   - Memristor states are exactly [0,1] post-clamp (Prop. VI.2).
-const (
-	VBoundFactor = 1e6
-	IBoundFactor = 1.5
-)
+//   - device.IBoundFactor·IMax bounds each finite VCDCG current — the
+//     exact window device.VCDCG.Advance clamps every new current to
+//     (Prop. VI.5 plus one step of overshoot, already absorbed into the
+//     factor).
+//   - Memristor states are exactly [0,1]: memristor.Model.Update returns
+//     no other finite value (Prop. VI.2).
+const VBoundFactor = 1e6
 
 // nodeOfFree maps a free-voltage state index back to its circuit node.
 func (c *Circuit) nodeOfFree(fi int) int { return c.freeNode[fi] }
 
-// VerifyState checks the runtime invariants on a post-clamp state of the
+// VerifyState checks the runtime invariants on a stepped state of the
 // capacitive form: every free-node voltage inside ±VBoundFactor·Vc,
 // every memristor state in [0,1], every VCDCG current inside
-// ±IBoundFactor·IMax, and the bistable block finite. It returns the
+// ±device.IBoundFactor·IMax, and the bistable block finite. It returns the
 // first *invariant.Violation found (with Index remapped to the circuit
 // node number for voltage bounds), or nil.
 func (c *Circuit) VerifyState(t float64, step int, x la.Vector) error {
@@ -52,7 +52,7 @@ func (c *Circuit) verifySlow(t float64, step int, x la.Vector) error {
 		x[xOff:xOff+c.nm], 0, 1); v != nil {
 		return v
 	}
-	ib := IBoundFactor * c.Params.DCG.IMax
+	ib := device.IBoundFactor * c.Params.DCG.IMax
 	if v := invariant.Range("current-bound", "vcdcg-current", step, t,
 		x[iOff:iOff+c.nd], -ib, ib); v != nil {
 		return v

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/invariant"
 	"repro/internal/la"
 	"repro/internal/ode"
@@ -61,7 +62,7 @@ func TestVerifyStateAttribution(t *testing.T) {
 	})
 	t.Run("capacitive/current-bound", func(t *testing.T) {
 		x := c.InitialState(rng)
-		bad := 2 * IBoundFactor * c.Params.DCG.IMax
+		bad := 2 * device.IBoundFactor * c.Params.DCG.IMax
 		err := c.VerifyState(3, 11, poison(x, c.iOff()+1, bad))
 		var v *invariant.Violation
 		if !errors.As(err, &v) {
@@ -101,7 +102,6 @@ func TestDriverVerifyCatchesBlownBound(t *testing.T) {
 	d := &ode.Driver{
 		Stepper: NewIMEX(c), H: 1e-3, TEnd: 100,
 		Observe: func(tt float64, x la.Vector) {
-			c.ClampState(x)
 			step++
 			if step == sabotageStep {
 				x[c.xOff()+1] = 1.75 // blow the memristor bound after clamping
@@ -135,7 +135,6 @@ func TestDriverVerifyCleanRun(t *testing.T) {
 	step := 0
 	d := &ode.Driver{
 		Stepper: NewIMEX(c), H: 1e-3, TEnd: 50,
-		Observe: func(tt float64, x la.Vector) { c.ClampState(x) },
 		Verify: func(tt float64, x la.Vector) error {
 			step++
 			return c.VerifyState(tt, step, x)

@@ -63,6 +63,26 @@ func TestFactorizerRejectsTiny(t *testing.T) {
 	}
 }
 
+// TestFactorThreeBitProducts checks n = 4…7, whose 2×1-bit multiplier
+// has a constant-0 high product bit: pinning it to n's top bit
+// contradicts the constant, so the run ends unsolved without an error
+// (no 2-bit p and 1-bit q multiply to n).
+func TestFactorThreeBitProducts(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TEnd = 4
+	cfg.MaxAttempts = 1
+	f := NewFactorizer(cfg)
+	for n := uint64(4); n <= 7; n++ {
+		res, err := f.Factor(n)
+		if err != nil {
+			t.Fatalf("Factor(%d): %v", n, err)
+		}
+		if res.Solved {
+			t.Fatalf("Factor(%d) solved as %d×%d", n, res.P, res.Q)
+		}
+	}
+}
+
 func TestFactor35(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dynamical run")

@@ -6,10 +6,25 @@ import (
 	"testing"
 )
 
+// boundCurrent is the clamp Advance applies to a new current: a finite
+// value beyond ±IBoundFactor·IMax goes to that bound, anything else
+// stays.
+func boundCurrent(d VCDCG, i float64) float64 {
+	b := IBoundFactor * d.IMax
+	switch {
+	case i > b && !math.IsInf(i, 1):
+		return b
+	case i < -b && !math.IsInf(i, -1):
+		return -b
+	}
+	return i
+}
+
 // TestAdvanceBitIdentical pins VCDCG.Advance to the per-generator update
-// through FsOffset, DiDt and Fs bitwise, over hard and smooth ρ and
-// current windows, a missing smooth step, and inputs on every branch point
-// of f_DCG, ρ and the windows, including ±0, ±Inf and NaN.
+// through FsOffset, DiDt and Fs, with the new current bounded by
+// boundCurrent, bitwise, over hard and smooth ρ and current windows, a
+// missing smooth step, and inputs on every branch point of f_DCG, ρ and
+// the windows, including ±0, ±Inf and NaN.
 func TestAdvanceBitIdentical(t *testing.T) {
 	soft := DefaultVCDCG() // the circuit package's robust preset
 	soft.Ks, soft.Ki, soft.IMin = 5, 5, 0.5
@@ -66,13 +81,41 @@ func TestAdvanceBitIdentical(t *testing.T) {
 			d.Advance(h, v, i, s)
 			offset := d.FsOffset(i0)
 			for k := range v {
-				wantI := i0[k] + float64(h*d.DiDt(v[k], i0[k], s0[k]))
+				wantI := boundCurrent(d, i0[k]+float64(h*d.DiDt(v[k], i0[k], s0[k])))
 				wantS := s0[k] + float64(h*d.Fs(s0[k], offset))
 				if math.Float64bits(i[k]) != math.Float64bits(wantI) || math.Float64bits(s[k]) != math.Float64bits(wantS) {
 					t.Fatalf("model %d, generator %d of v=%v i=%v s=%v: Advance gives (i, s) = (%v, %v), methods (%v, %v)",
 						mi, k, v, i0, s0, i[k], s[k], wantI, wantS)
 				}
 			}
+		}
+	}
+}
+
+// TestAdvanceBoundsCurrent checks the current bound of Advance: a finite
+// overshoot of either sign is clamped to ±IBoundFactor·IMax = ±1.5·IMax,
+// and a NaN or ±Inf current, here from an input NaN and from an
+// overflowing step, is left for the caller's non-finite check.
+func TestAdvanceBoundsCurrent(t *testing.T) {
+	d := DefaultVCDCG()
+	bound := 1.5 * d.IMax
+	max := math.MaxFloat64
+	for _, tc := range []struct {
+		name    string
+		h, v, i float64
+		want    float64
+	}{
+		{"overshoot above", 1, 2 * d.Vc, 1.4 * d.IMax, bound},
+		{"overshoot below", 1, -2 * d.Vc, -1.4 * d.IMax, -bound},
+		{"inside", 1e-3, 2 * d.Vc, 1.4 * d.IMax, 1.4*d.IMax + float64(1e-3*d.Q)},
+		{"NaN", 1e-3, d.Vc, math.NaN(), math.NaN()},
+		{"+Inf", max, 2 * d.Vc, 0, math.Inf(1)},
+		{"-Inf", max, -2 * d.Vc, 0, math.Inf(-1)},
+	} {
+		i, s := []float64{tc.i}, []float64{1} // s = 1: ρ(s) = 1, ρ(1-s) = 0
+		d.Advance(tc.h, []float64{tc.v}, i, s)
+		if math.Float64bits(i[0]) != math.Float64bits(tc.want) {
+			t.Errorf("%s: Advance current %v, want %v", tc.name, i[0], tc.want)
 		}
 	}
 }

@@ -153,21 +153,29 @@ func (d VCDCG) DiDt(v, i, s float64) float64 {
 	return float64(d.Rho(s)*d.FDCG(v)) - float64(d.Gamma*d.Rho(1-s)*i)
 }
 
+// IBoundFactor scales IMax to the bound Advance holds every current
+// inside: the dynamics keep |i| near IMax (Prop. VI.5), and the factor
+// leaves room for one explicit step of overshoot.
+const IBoundFactor = 1.5
+
 // Advance is the explicit VCDCG update of one IMEX step: for every
 // generator k, with terminal voltage v[k], it replaces
 //
 //	i[k] by i[k] + h·DiDt(v[k], i[k], s[k]),
 //	s[k] by s[k] + h·Fs(s[k], FsOffset(i)),
 //
-// with the offset taken from the currents before the update. The
-// parameters are hoisted once per call instead of copying the whole
-// VCDCG into every DiDt call, and ρ(s), ρ(1-s) and f_DCG are
+// with the offset taken from the currents before the update. A finite
+// new current beyond ±IBoundFactor·IMax is clamped to that bound; NaN
+// and ±Inf are left as they are, so the caller's non-finite check still
+// sees them. The parameters are hoisted once per call instead of copying
+// the whole VCDCG into every DiDt call, and ρ(s), ρ(1-s) and f_DCG are
 // straight-line code performing the methods' operations in the same
 // order, so the result is bit-identical to them (TestAdvanceBitIdentical).
 //
 //dmmvet:hotpath
 func (d VCDCG) Advance(h float64, v, i, s []float64) {
 	offset := d.FsOffset(i)
+	iBound := IBoundFactor * d.IMax
 	nm0, m1, vc, q, nq := -d.M0, d.M1, d.Vc, d.Q, -d.Q
 	gamma, nks := d.Gamma, -d.Ks
 	hardRho := d.DeltaS <= 0 || d.Step == nil
@@ -209,7 +217,11 @@ func (d VCDCG) Advance(h float64, v, i, s []float64) {
 		if vk < 0 {
 			f = -f
 		}
-		i[k] = ik + float64(h*(float64(rho*f)-float64(gamma*rhoBar*ik)))
+		in := ik + float64(h*(float64(rho*f)-float64(gamma*rhoBar*ik)))
+		if a := math.Abs(in); a > iBound && a <= math.MaxFloat64 {
+			in = math.Copysign(iBound, in)
+		}
+		i[k] = in
 		s[k] = sk + float64(h*(float64(nks*sk*(sk-1)*(float64(2*sk)-1))+offset))
 	}
 }

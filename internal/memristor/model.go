@@ -28,7 +28,7 @@ func (m Model) M(x float64) float64 { return float64(m.Ron*(1-x)) + float64(m.Ro
 // G returns the conductance g(x) = 1/(R1·x + Ron) (Eq. 26). The
 // float64(...) around the product is an explicit rounding barrier: it
 // keeps R1·x from fusing into the add as an FMA on arm64, so g(x) is
-// bit-identical across architectures. Advance takes this value as its
+// bit-identical across architectures. Update takes this value as its
 // g argument.
 func (m Model) G(x float64) float64 { return 1 / (float64(m.R1()*x) + m.Ron) }
 
@@ -69,37 +69,19 @@ func (m Model) DxDt(x, vM float64) float64 {
 	return -m.Alpha * m.H(x, vM) * m.G(x) * vM
 }
 
-// Advance is the explicit memristor update of one IMEX step over a
-// device family: for every device j it replaces x[j] by
-// Update(h, x[j], σ_j·d_j, g[j]), where g[j] must be the conductance
-// G(Clamp(x[j])). The IMEX stepper calls Update itself, inside the pass
-// over its memristor branches that computes each drop d, and passes the
-// conductances of its fill, so the kernel does not divide again.
-//
-//dmmvet:hotpath
-func (m Model) Advance(h float64, x, sigma, d, g []float64) {
-	sigma, d, g = sigma[:len(x)], d[:len(x)], g[:len(x)]
-	for j, xj := range x {
-		x[j] = m.Update(h, xj, sigma[j]*d[j], g[j])
-	}
-}
-
 // Update is one device's explicit step under the polarized drop vM:
 //
-//	Clamp(x' + h·DxDt(x', vM)),  x' = Clamp(x),
+//	Clamp(x + h·DxDt(x, vM)),
 //
-// with g = G(x') supplied by the caller. The call tree of
+// with g = G(x) supplied by the caller. x must be in [0,1] (or NaN, which
+// the result keeps): the result is, so a state that only ever passes
+// through Update stays there (Prop. VI.2). The call tree of
 // Clamp/DxDt/H/window is flattened into one inlinable body, so a
 // per-device loop pays no call frames; TestAdvanceBitIdentical pins it
 // bitwise to the Clamp/DxDt composition. The float64(...) barrier pins
 // the FMA-fusable product to two roundings on every architecture
 // (bit-neutral where the compiler was not fusing anyway).
 func (m Model) Update(h, x, vM, g float64) float64 {
-	if x < 0 {
-		x = 0
-	} else if x > 1 {
-		x = 1
-	}
 	// h(x, vM) of Eq. (31)/(40), flattened: the hard window on the side
 	// that vM's sign blocks, at distance dist from its boundary.
 	var hv float64

@@ -60,9 +60,9 @@ type Driver struct {
 
 	// Observe, when non-nil, is invoked after every accepted step.
 	Observe func(t float64, x la.Vector)
-	// Verify, when non-nil, validates the state after every accepted step
-	// (after Observe, so post-clamp state is checked); a non-nil error —
-	// typically an *invariant.Violation — ends the run with StopError.
+	// Verify, when non-nil, validates the state after every accepted step,
+	// after Observe; a non-nil error — typically an *invariant.Violation —
+	// ends the run with StopError.
 	Verify func(t float64, x la.Vector) error
 	// Stop, when non-nil, is checked after every accepted step; returning
 	// true ends the run with StopCondition.

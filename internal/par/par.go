@@ -43,8 +43,9 @@ func Join() { bg.Wait() }
 
 // ForEach runs fn(ctx, i) for every i in [0, n) on at most Limit(parallelism)
 // goroutines and blocks until every started call returns. Indices are
-// claimed in increasing order. Once ctx is cancelled, unclaimed indices are
-// skipped; fn is responsible for observing ctx during long calls.
+// claimed in increasing order; at parallelism 1 the loop runs on the
+// calling goroutine. Once ctx is cancelled, unclaimed indices are skipped;
+// fn is responsible for observing ctx during long calls.
 func ForEach(ctx context.Context, n, parallelism int, fn func(ctx context.Context, i int)) {
 	if n <= 0 {
 		return
@@ -52,10 +53,16 @@ func ForEach(ctx context.Context, n, parallelism int, fn func(ctx context.Contex
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	p := Limit(parallelism)
+	if p == 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(ctx, i)
+		}
+		return
+	}
 	if ctx.Err() != nil {
 		return // already cancelled: don't spawn workers that would only observe it
 	}
-	p := Limit(parallelism)
 	if p > n {
 		p = n
 	}

@@ -33,6 +33,27 @@ func TestForEachSequentialOrder(t *testing.T) {
 	}
 }
 
+// TestForEachInlineAtOne checks that a pool of one runs fn on the calling
+// goroutine, starting none, and that a cancellation between indices
+// still skips the rest.
+func TestForEachInlineAtOne(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran int
+	ForEach(ctx, 10, 1, func(_ context.Context, i int) {
+		if got := runtime.NumGoroutine(); got != before {
+			t.Errorf("index %d: %d goroutines inside fn, want the %d before the call", i, got, before)
+		}
+		if ran++; ran == 4 {
+			cancel()
+		}
+	})
+	if ran != 4 {
+		t.Fatalf("ran %d items after cancellation at the fourth, want 4", ran)
+	}
+}
+
 func TestForEachCancelledSkipsRest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran int32

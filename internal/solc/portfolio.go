@@ -58,7 +58,7 @@ type Portfolio struct {
 	// stop, when non-nil, replaces (*Compiled).readOut as the attempts'
 	// stop predicate; tests use it to replay the same trajectories under
 	// another stop criterion.
-	stop func(cs *Compiled, eng circuit.Engine, t float64, x la.Vector) bool
+	stop func(cs *Compiled, eng *circuit.Circuit, t float64, x la.Vector) bool
 }
 
 // CompilePortfolio compiles the boolean circuit to the configuration of
@@ -101,16 +101,6 @@ type poolState struct {
 	cancels  map[int]context.CancelFunc
 	best     int // lowest solving attempt index seen (WinnerLowestAttempt)
 	firstWin int // first solving attempt observed (WinnerFirstDone)
-	firstErr error
-}
-
-// fail records the first hard error and aborts the whole solve.
-// Callers must hold st.mu.
-func (st *poolState) fail(err error, icancel context.CancelFunc) {
-	if st.firstErr == nil {
-		st.firstErr = err
-		icancel()
-	}
 }
 
 // reportSolved applies the winner policy to a newly solved attempt
@@ -167,7 +157,7 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 		defer cancel()
 	}
 	// ictx aborts dispatch and every running attempt at once (first-done
-	// winner, or a configuration error in any attempt).
+	// winner).
 	ictx, icancel := context.WithCancel(ctx)
 	defer icancel()
 
@@ -186,9 +176,6 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 
 	pf.dispatchAttempts(ictx, icancel, opts, parallelism, st)
 
-	if st.firstErr != nil {
-		return Result{}, st.firstErr
-	}
 	outs, best, firstWin := st.outs, st.best, st.firstWin
 
 	winner := -1
@@ -255,8 +242,7 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.CancelFunc, opts Options, parallelism int, st *poolState) {
 	par.ForEach(ictx, opts.MaxAttempts, parallelism, func(_ context.Context, i int) {
 		st.mu.Lock()
-		skip := st.firstErr != nil ||
-			(opts.Policy == WinnerLowestAttempt && i > st.best) ||
+		skip := (opts.Policy == WinnerLowestAttempt && i > st.best) ||
 			(opts.Policy == WinnerFirstDone && st.firstWin >= 0)
 		var actx context.Context
 		if !skip {
@@ -269,17 +255,13 @@ func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.Canc
 			return
 		}
 
-		out, err := pf.runAttempt(actx, i, opts)
+		out := pf.runAttempt(actx, i, opts)
 
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		if c, ok := st.cancels[i]; ok {
 			c()
 			delete(st.cancels, i)
-		}
-		if err != nil {
-			st.fail(err, icancel)
-			return
 		}
 		st.outs[i] = out
 		if out.solved {
@@ -289,7 +271,7 @@ func (pf *Portfolio) dispatchAttempts(ictx context.Context, icancel context.Canc
 }
 
 // workspace is the mutable state of one restart attempt on cs: a private
-// engine clone, its IMEX stepper (CSR values, SparseLU numerics and the
+// circuit clone, its IMEX stepper (CSR values, SparseLU numerics and the
 // step count), the state vector, and the driver with its rejection
 // backup. Restarts are a large share of a solve's attempts, so an attempt
 // takes a workspace from the pool of cs and returns it instead of
@@ -306,12 +288,14 @@ type workspace struct {
 	x       la.Vector
 	nodeV   la.Vector             // Options.Observe's node voltages
 	probe   *circuit.PhysicsProbe // built by the first attempt with telemetry
-	// verify is the verifyState method value, bound once like the
-	// driver's Observe and Stop hooks so an attempt allocates no closure.
-	verify func(t float64, x la.Vector) error
+	// observeHook and verify are the observeStep and verifyState method
+	// values, bound once like the driver's Stop hook so an attempt
+	// allocates no closure.
+	observeHook func(t float64, x la.Vector)
+	verify      func(t float64, x la.Vector) error
 
 	// The running attempt's bindings, read by the hooks.
-	stop       func(cs *Compiled, eng circuit.Engine, t float64, x la.Vector) bool
+	stop       func(cs *Compiled, eng *circuit.Circuit, t float64, x la.Vector) bool
 	observe    func(t float64, nodeV la.Vector)
 	tl         *obs.Telemetry
 	fl         *obs.Flight
@@ -320,30 +304,27 @@ type workspace struct {
 	verifyStep int
 }
 
-// newWorkspace builds a workspace over a fresh engine clone of cs.
-func newWorkspace(cs *Compiled) (*workspace, error) {
-	eng, ok := cs.Eng.Clone().(*circuit.Circuit)
-	if !ok {
-		return nil, fmt.Errorf("solc: the IMEX stepper needs the capacitive engine, got %T", cs.Eng)
-	}
+// newWorkspace builds a workspace over a fresh clone of the circuit of cs.
+func newWorkspace(cs *Compiled) *workspace {
+	eng := cs.circ.Clone()
 	w := &workspace{
 		cs:  cs,
 		eng: eng,
 		x:   la.NewVector(eng.Dim()),
 	}
 	w.stepper = circuit.NewIMEX(eng)
-	w.driver = ode.Driver{Stepper: w.stepper, Observe: w.observeStep, Stop: w.stopAt}
-	w.verify = w.verifyState
-	return w, nil
+	w.driver = ode.Driver{Stepper: w.stepper, Stop: w.stopAt}
+	w.observeHook, w.verify = w.observeStep, w.verifyState
+	return w
 }
 
 // reset binds the workspace to one attempt and draws its initial state
 // from seed on a pooled RNG. Seed replays rand.New(rand.NewSource(seed))
 // exactly, InitialStateInto overwrites all of x, and the step count and
-// energy restart at zero; the stepper's and engine's scratch is overwritten
-// before every read within a step, so the trajectory reads nothing of
-// the previous attempt.
-func (w *workspace) reset(ctx context.Context, stop func(*Compiled, circuit.Engine, float64, la.Vector) bool,
+// energy restart at zero; the stepper's and circuit's scratch is
+// overwritten before every read within a step, so the trajectory reads
+// nothing of the previous attempt.
+func (w *workspace) reset(ctx context.Context, stop func(*Compiled, *circuit.Circuit, float64, la.Vector) bool,
 	opts Options, seed int64, fl *obs.Flight) {
 	tl := opts.Telemetry
 	w.stop, w.observe, w.tl, w.fl = stop, opts.Observe, tl, fl
@@ -362,7 +343,10 @@ func (w *workspace) reset(ctx context.Context, stop func(*Compiled, circuit.Engi
 	}
 	d := &w.driver
 	d.H, d.HMax, d.TEnd, d.Ctx, d.Obs = opts.H, opts.HMax, opts.TEnd, ctx, tl.StepObsFor(fl)
-	d.Verify = nil
+	d.Observe, d.Verify = nil, nil
+	if opts.Observe != nil || tl != nil {
+		d.Observe = w.observeHook
+	}
 	if opts.Verify || invariant.Enabled {
 		d.Verify = w.verify
 	}
@@ -383,10 +367,10 @@ func (w *workspace) release() {
 	w.driver.Ctx, w.driver.Obs = nil, nil
 }
 
-// observeStep is the driver's Observe hook: clamp the state, then feed
-// Options.Observe and the decimated physics probe.
+// observeStep is the driver's Observe hook when the attempt has
+// Options.Observe or telemetry: it feeds the one and the decimated
+// physics probe of the other.
 func (w *workspace) observeStep(t float64, x la.Vector) {
-	w.eng.ClampState(x)
 	if w.observe != nil {
 		w.nodeV = w.eng.NodeVoltages(t, x, w.nodeV)
 		w.observe(t, w.nodeV)
@@ -450,9 +434,9 @@ func (l *freeList[T]) put(v T) {
 // existing one is in use, so the pool never holds more than the most
 // attempts that ever ran at once, and repeated solves of one compile
 // reuse them too.
-func (cs *Compiled) getWorkspace() (*workspace, error) {
+func (cs *Compiled) getWorkspace() *workspace {
 	if w, ok := cs.pool.take(); ok {
-		return w, nil
+		return w
 	}
 	return newWorkspace(cs)
 }
@@ -466,12 +450,9 @@ func (cs *Compiled) putWorkspace(w *workspace) {
 // runAttempt integrates restart attempt idx on a pooled workspace and
 // classifies the outcome. The workspace is the attempt's alone until it
 // returns it, so attempts are data-race free by construction.
-func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (attemptOut, error) {
+func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) attemptOut {
 	cs := pf.cs
-	w, err := cs.getWorkspace()
-	if err != nil {
-		return attemptOut{}, err
-	}
+	w := cs.getWorkspace()
 	defer cs.putWorkspace(w)
 
 	stop := pf.stop
@@ -545,5 +526,5 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 		tl.Flight.Retire(fl, !out.solved)
 		tl.Emit(ev)
 	}
-	return out, nil
+	return out
 }

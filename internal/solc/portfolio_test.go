@@ -162,7 +162,7 @@ func TestEffortTotalsSkipCancelledAttempts(t *testing.T) {
 	pf := fixturePortfolio()
 	opts := fixtureOptions(4)
 	opts.Telemetry = obs.NewTelemetry()
-	pf.stop = func(cs *Compiled, eng circuit.Engine, tt float64, x la.Vector) bool {
+	pf.stop = func(cs *Compiled, eng *circuit.Circuit, tt float64, x la.Vector) bool {
 		ok := cs.readOut(eng, tt, x)
 		for deadline := time.Now().Add(10 * time.Second); ok && opts.Telemetry.AttemptsLaunched.Value() < 4; {
 			if time.Now().After(deadline) {
@@ -221,9 +221,9 @@ func TestWinnerSeedReproduces(t *testing.T) {
 	}
 }
 
-// TestParallelRaceStress integrates eight cloned engines concurrently on an
+// TestParallelRaceStress integrates eight cloned circuits concurrently on an
 // unsatisfiable problem, so every attempt runs its full horizon. Run under
-// `go test -race` this is the data-race check for Engine.Clone, the shared
+// `go test -race` this is the data-race check for Circuit.Clone, the shared
 // pool, and the aggregation path.
 func TestParallelRaceStress(t *testing.T) {
 	bc, pins := unsatProblem()
@@ -422,8 +422,8 @@ func TestObserveForcesSequential(t *testing.T) {
 // settleStop is the stop predicate attempts used before the read-out
 // criterion: past the input ramp, every node within 2% of ±vc and every
 // gate satisfied (circuit.Converged).
-func settleStop(_ *Compiled, eng circuit.Engine, t float64, x la.Vector) bool {
-	return t > eng.Parameters().TRise && eng.Converged(t, x, 0.02)
+func settleStop(_ *Compiled, eng *circuit.Circuit, t float64, x la.Vector) bool {
+	return t > eng.Params.TRise && eng.Converged(t, x, 0.02)
 }
 
 // TestReadOutStopNeverLater replays the same seeded solves under the old

@@ -73,8 +73,8 @@ func fuzzPinnedCircuit(data []byte) (*boolcirc.Circuit, map[boolcirc.Signal]bool
 // pinsRespected. Before the ramp ends it never holds.
 func checkReadOut(t *testing.T, cs *Compiled, x la.Vector) {
 	t.Helper()
-	eng := cs.Eng
-	tRise := eng.Parameters().TRise
+	eng := cs.circ
+	tRise := eng.Params.TRise
 	if cs.readOut(eng, tRise, x) {
 		t.Fatal("read-out taken at t = TRise")
 	}
@@ -116,8 +116,8 @@ func FuzzReadOutAgreesWithVerification(f *testing.F) {
 		}
 
 		cs := Compile(bc, pins, p)
-		nv, _, _ := cs.Eng.Counts()
-		x := cs.Eng.InitialState(rand.New(rand.NewSource(1)))
+		nv, _, _ := cs.circ.Counts()
+		x := cs.circ.InitialState(rand.New(rand.NewSource(1)))
 		for k := 0; k < nv; k++ { // [ v | x | i | s ]: free-node voltages lead
 			x[k] = p.Vc * float64(int(byteAt(k))-128) / 64
 		}

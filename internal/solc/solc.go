@@ -23,9 +23,9 @@ import (
 // Compiled couples a boolean circuit with its SOLC realization.
 type Compiled struct {
 	BC *boolcirc.Circuit
-	// Eng is the compiled *circuit.Circuit. It is typed as the
+	// Eng is the compiled circuit, for its sizes. It is typed as the
 	// circuit.Engine interface because the end-to-end benchmark in
-	// e2ebench type-asserts it.
+	// e2ebench type-asserts it to *circuit.Circuit.
 	Eng circuit.Engine
 	// NodeOf maps each boolean signal to its circuit node.
 	NodeOf []circuit.Node
@@ -34,9 +34,9 @@ type Compiled struct {
 	// pinConflict records a caller pin that contradicts a circuit
 	// constant: the problem is unsatisfiable, so no read-out is taken.
 	pinConflict bool
-	// tRise is the compiled parameters' input ramp time, before which
-	// no read-out is taken.
-	tRise float64
+	// circ is the compiled circuit Eng holds, which the solver drives;
+	// every attempt integrates a Clone of it.
+	circ *circuit.Circuit
 	// pool holds the restart-attempt workspaces every Solve on this
 	// compile reuses.
 	pool freeList[*workspace]
@@ -96,7 +96,8 @@ func Compile(bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool, p circuit.Para
 		//dmmvet:allow detflow — PinBit is a keyed insert per signal; Builder.Build sorts pins by node before use
 		b.PinBit(nodeOf[s], v)
 	}
-	return &Compiled{BC: bc, Eng: b.Build(), NodeOf: nodeOf, Pins: all, pinConflict: conflict, tRise: p.TRise}
+	c := b.Build()
+	return &Compiled{BC: bc, Eng: c, NodeOf: nodeOf, Pins: all, pinConflict: conflict, circ: c}
 }
 
 // WinnerPolicy selects how the parallel restart pool picks among attempts
@@ -264,12 +265,12 @@ func (cs *Compiled) Solve(opts Options) (Result, error) {
 
 // Decode reads the logic value of every boolean signal from the state.
 func (cs *Compiled) Decode(t float64, x la.Vector) boolcirc.Assignment {
-	return cs.decodeWith(cs.Eng, t, x)
+	return cs.decodeWith(cs.circ, t, x)
 }
 
-// decodeWith decodes through an explicit engine (a per-attempt clone
+// decodeWith decodes through an explicit circuit (a per-attempt clone
 // during parallel solves, so concurrent decodes never share scratch).
-func (cs *Compiled) decodeWith(eng circuit.Engine, t float64, x la.Vector) boolcirc.Assignment {
+func (cs *Compiled) decodeWith(eng *circuit.Circuit, t float64, x la.Vector) boolcirc.Assignment {
 	nodeV := eng.NodeVoltages(t, x, nil)
 	assign := make(boolcirc.Assignment, len(cs.NodeOf))
 	for s, n := range cs.NodeOf {
@@ -285,8 +286,8 @@ func (cs *Compiled) decodeWith(eng circuit.Engine, t float64, x la.Vector) boolc
 // BC.Satisfied and pinsRespected: an attempt stops at its first verified
 // read-out. A pin that contradicts a circuit constant makes the problem
 // unsatisfiable, and no read-out is ever taken.
-func (cs *Compiled) readOut(eng circuit.Engine, t float64, x la.Vector) bool {
-	return !cs.pinConflict && t > cs.tRise && eng.GatesSatisfied(t, x)
+func (cs *Compiled) readOut(eng *circuit.Circuit, t float64, x la.Vector) bool {
+	return !cs.pinConflict && t > eng.Params.TRise && eng.GatesSatisfied(t, x)
 }
 
 func (cs *Compiled) pinsRespected(a boolcirc.Assignment) bool {
