@@ -122,12 +122,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // unsolvedNote explains an unsolved run. A prime n has no factoring
-// equilibrium, so non-convergence is the expected outcome (Fig. 13); for
-// any other n it only means the restart budget ran out.
+// equilibrium, so non-convergence is the expected outcome (Fig. 13); nor
+// has a composite none of whose factor pairs fits the multiplier's
+// words. For any other n it only means the restart budget ran out.
 func unsolvedNote(n uint64, reason string, attempts int, tEnd float64) string {
 	if classical.IsPrime(n) {
 		return fmt.Sprintf("no equilibrium reached (%s) — expected when n is prime (Fig. 13)", reason)
 	}
+	if np, nq := core.WordSizes(core.BitLen(n)); !pairFits(n, nq) {
+		return fmt.Sprintf("no equilibrium reached (%s) — %d is not prime, but no factor pair of it fits the %d-bit × %d-bit words, so no budget can solve it",
+			reason, n, np, nq)
+	}
 	return fmt.Sprintf("no equilibrium reached (%s) — %d is not prime, but no verified equilibrium was reached within -attempts %d × -tend %g",
 		reason, n, attempts, tEnd)
+}
+
+// pairFits reports whether the composite n has a factor pair p·q that
+// the words of its multiplier hold, q in nq bits. For any divisor q ≥ 2,
+// p = n/q ≤ n/2 fits the wider word, which has one bit less than n, so
+// a pair fits exactly when the least prime factor of n is below 2^nq.
+func pairFits(n uint64, nq int) bool {
+	return leastPrimeFactor(n) < 1<<nq
+}
+
+// leastPrimeFactor returns the least prime factor of n ≥ 2, splitting
+// composites with Pollard's rho (trial division where rho fails).
+func leastPrimeFactor(n uint64) uint64 {
+	if classical.IsPrime(n) {
+		return n
+	}
+	d := classical.PollardRho(n)
+	if d == n {
+		return classical.TrialDivision(n)
+	}
+	return min(leastPrimeFactor(d), leastPrimeFactor(n/d))
 }

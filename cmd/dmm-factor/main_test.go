@@ -14,7 +14,18 @@ func TestUnsolvedNote(t *testing.T) {
 		want, not string
 	}{
 		{n: 47, want: "expected when n is prime (Fig. 13)", not: "not prime"},
-		{n: 2021, want: "2021 is not prime, but no verified equilibrium was reached within -attempts 4 × -tend 150", not: "Fig. 13"},
+		{n: 1007, want: "1007 is not prime, but no verified equilibrium was reached within -attempts 4 × -tend 150", not: "Fig. 13"},
+		// The 2-bit × 1-bit words of a 3-bit n hold products up to 3;
+		// an odd width's narrow word misses balanced pairs: 25 = 5 × 5
+		// on 4 × 2 bits, 2021 = 43 × 47 on 10 × 5 bits, and a 63-bit
+		// product of two primes above 2^31 on 62 × 31 bits.
+		{n: 4, want: "4 is not prime, but no factor pair of it fits the 2-bit × 1-bit words, so no budget can solve it", not: "-attempts"},
+		{n: 6, want: "6 is not prime, but no factor pair of it fits the 2-bit × 1-bit words, so no budget can solve it", not: "-attempts"},
+		{n: 25, want: "no factor pair of it fits the 4-bit × 2-bit words", not: "-attempts"},
+		{n: 2021, want: "no factor pair of it fits the 10-bit × 5-bit words", not: "-attempts"},
+		{n: 2147483659 * 2147483693, want: "no factor pair of it fits the 62-bit × 31-bit words", not: "-attempts"},
+		{n: 35, want: "35 is not prime, but no verified equilibrium was reached", not: "fits"},
+		{n: 4294967291 * 4294967279, want: "within -attempts", not: "fits"}, // (2^32 − 5)·(2^32 − 17)
 	} {
 		got := unsolvedNote(tc.n, "horizon reached", 4, 150)
 		if !strings.Contains(got, tc.want) || strings.Contains(got, tc.not) {
@@ -22,6 +33,19 @@ func TestUnsolvedNote(t *testing.T) {
 		}
 		if !strings.Contains(got, "(horizon reached)") {
 			t.Errorf("n=%d: %q omits the solver's reason", tc.n, got)
+		}
+	}
+}
+
+// TestConflictingPinsExitTwo: n = 4…7 pin the 2×1-bit multiplier's
+// constant-0 high product bit to 1, so the solve launches no attempt,
+// says why, and the command still exits 2.
+func TestConflictingPinsExitTwo(t *testing.T) {
+	for _, n := range []string{"5", "6"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-n", n, "-tend", "4", "-attempts", "1"}, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stdout.String(), "(a pin contradicts a circuit constant") {
+			t.Errorf("-n %s: exit %d, stdout %q, stderr %q; want exit 2 naming the pin conflict", n, code, stdout.String(), stderr.String())
 		}
 	}
 }

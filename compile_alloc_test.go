@@ -11,20 +11,20 @@ import (
 
 // TestCompileAllocations bounds what one solc.Compile allocates on each
 // circuit of compileCases. A compile allocates the arrays its solves keep
-// (branch sets, stamp plan, CSR pattern, symbolic structure) and nothing
-// else: no triplet list, no sorted index copies, no numeric arrays on the
-// symbolic template, and its ordering and bucket scratch comes from a
-// pool; the gates and their terminals fill two arrays sized from the
-// gate count, and the gates share one parameter set per kind and Vc
-// across compiles. Each budget is the measured figure plus under 3.1% of the
+// (gates, stamp plan, CSR pattern, symbolic structure) and nothing else:
+// no per-branch arrays, no triplet list, no sorted index copies, no
+// numeric arrays on the symbolic template, and its ordering and bucket
+// scratch comes from a pool; the gates, each with its three slot nodes,
+// fill one array sized from the gate count, and share one parameter set
+// and one set of DCM rows per kind and Vc across compiles. Each budget is the measured figure plus under 3.1% of the
 // bytes and 5 objects; the compile that built all of the above allocated
 // 61.8 KB and 140 objects (factor), 82.7 KB and 150 (sat), and 907 KB and
 // 622 (11bit).
 func TestCompileAllocations(t *testing.T) {
 	budget := map[string]struct{ bytes, objects float64 }{
-		"factor": {35_000, 36},  // measures 34,040 B and 31 objects
-		"sat":    {49_000, 42},  // 47,632 B and 37
-		"11bit":  {446_000, 46}, // 433,248 B and 41
+		"factor": {18_200, 29},  // measures 17,704 B and 24 objects
+		"sat":    {26_500, 35},  // 25,728 B and 30
+		"11bit":  {247_000, 39}, // 240,080 B and 34
 	}
 	for _, tc := range compileCases(t) {
 		// The first compile fills the scratch pool; the least of a few

@@ -22,18 +22,15 @@ type Circuit struct {
 	pinned   []bool // per node
 	freeIdx  []int  // node -> free-voltage state index, -1 when pinned
 
-	// DCM branches in structure-of-arrays form, split by kind; the j-th
-	// memristor branch owns state x[xOff+j].
-	memBr branchSet
-	resBr branchSet
-
 	// freeNode maps a free index to its node. The VCDCGs sit on the free
 	// nodes in that order, so dcgNodes (VCDCG k -> node) is freeNode, or
 	// nil under OmitVCDCG, and VCDCG k drives free row k.
 	freeNode []int
 	dcgNodes []int
 
-	nv, nm, nd int // free nodes, memristors, VCDCGs
+	// nm counts the memristor rows of every gate in gate order; the j-th
+	// owns state x[xOff+j]. nr counts the resistor rows.
+	nv, nm, nr, nd int // free nodes, memristors, resistors, VCDCGs
 
 	// plan is the Build-time stamp plan of the voltage system and symb its
 	// one-time symbolic factorization; both are immutable and shared by
@@ -90,36 +87,9 @@ func (b *Builder) Build() *Circuit {
 		c.dcgNodes = c.freeNode
 	}
 	c.nd = len(c.dcgNodes)
-	var nMem, nRes int
-	for _, inst := range b.gates {
-		for t := range inst.nodes {
-			for _, br := range inst.gate.DCMs[t].Branches {
-				if br.Mem {
-					nMem++
-				} else {
-					nRes++
-				}
-			}
-		}
-	}
-	c.memBr, c.resBr = newBranchSet(nMem, true), newBranchSet(nRes, false)
-	for _, inst := range b.gates {
-		var slots [3]int32
-		if len(inst.nodes) == 2 {
-			slots = [3]int32{int32(inst.nodes[0]), -1, int32(inst.nodes[1])}
-		} else {
-			slots = [3]int32{int32(inst.nodes[0]), int32(inst.nodes[1]), int32(inst.nodes[2])}
-		}
-		for t, node := range inst.nodes {
-			for _, br := range inst.gate.DCMs[t].Branches {
-				set := &c.resBr
-				if br.Mem {
-					set = &c.memBr
-					c.nm++
-				}
-				set.add(int(node), c.freeIdx[node], slots, br.L, br.Sigma, br.Mem)
-			}
-		}
+	for _, inst := range c.gates {
+		c.nm += len(inst.rows.mem)
+		c.nr += len(inst.rows.res)
 	}
 	c.plan = c.buildPlan()
 	var err error
@@ -170,14 +140,9 @@ func (c *Circuit) xOff() int { return c.nv }
 func (c *Circuit) iOff() int { return c.nv + c.nm }
 func (c *Circuit) sOff() int { return c.nv + c.nm + c.nd }
 
-// terminalVoltages fills the (v1, v2, vo) slots of gate instance gi from
-// the node voltage vector; the unused v2 slot of a NOT gate reads 0.
-func (c *Circuit) terminalVoltages(gi int, nodeV la.Vector) (v1, v2, vo float64) {
-	inst := c.gates[gi]
-	if len(inst.nodes) == 2 {
-		return nodeV[inst.nodes[0]], 0, nodeV[inst.nodes[1]]
-	}
-	return nodeV[inst.nodes[0]], nodeV[inst.nodes[1]], nodeV[inst.nodes[2]]
+// voltages returns the gate's (v1, v2, vo) slot voltages.
+func (inst *gateInst) voltages(nodeV la.Vector) [3]float64 {
+	return [3]float64{nodeV[inst.nodes[0]], nodeV[inst.nodes[1]], nodeV[inst.nodes[2]]}
 }
 
 // NodeVoltages evaluates all node voltages at time t for state x, writing
@@ -207,21 +172,31 @@ func (c *Circuit) Derivative(t float64, x, dxdt la.Vector) {
 
 	xOff, iOff, sOff := c.xOff(), c.iOff(), c.sOff()
 
-	// DCM branches: currents into nodes plus memristor state equations.
-	// The sets are walked separately so each loop body is branch-free.
-	mb := &c.memBr
-	for j := 0; j < mb.len(); j++ {
-		d := nodeV[mb.node[j]] - mb.level(j, nodeV)
-		xi := memristor.Clamp(x[xOff+j])
-		g := p.Mem.G(xi)
-		curr[mb.node[j]] += float64(g * d)
-		dxdt[xOff+j] = p.Mem.DxDt(xi, mb.sigma[j]*d)
+	// DCM branches: currents into nodes plus memristor state equations,
+	// the memristor rows of every gate before the resistor rows.
+	j := xOff
+	for gi := range c.gates {
+		inst := &c.gates[gi]
+		v := inst.voltages(nodeV)
+		for q := range inst.rows.mem {
+			r := &inst.rows.mem[q]
+			d := v[r.slot] - r.level(&v)
+			xi := memristor.Clamp(x[j])
+			g := p.Mem.G(xi)
+			curr[inst.nodes[r.slot]] += float64(g * d)
+			dxdt[j] = p.Mem.DxDt(xi, r.sigma*d)
+			j++
+		}
 	}
-	rb := &c.resBr
 	invR := 1 / p.R
-	for j := 0; j < rb.len(); j++ {
-		d := nodeV[rb.node[j]] - rb.level(j, nodeV)
-		curr[rb.node[j]] += float64(d * invR)
+	for gi := range c.gates {
+		inst := &c.gates[gi]
+		v := inst.voltages(nodeV)
+		for q := range inst.rows.res {
+			r := &inst.rows.res[q]
+			d := v[r.slot] - r.level(&v)
+			curr[inst.nodes[r.slot]] += float64(d * invR)
+		}
 	}
 
 	// VCDCGs: current balance plus (i, s) dynamics. The f_s offset couples
@@ -277,13 +252,10 @@ func (c *Circuit) NodeBit(t float64, x la.Vector, n Node) bool {
 // satisfy its boolean relation.
 func (c *Circuit) GatesSatisfied(t float64, x la.Vector) bool {
 	nodeV := c.NodeVoltages(t, x, c.nodeV)
-	var in [2]bool
 	for _, inst := range c.gates {
-		nt := len(inst.nodes)
-		for j := 0; j < nt-1; j++ {
-			in[j] = nodeV[inst.nodes[j]] > 0
-		}
-		if inst.gate.Kind.Eval(in[:nt-1]...) != (nodeV[inst.nodes[nt-1]] > 0) {
+		in := [2]bool{nodeV[inst.nodes[0]] > 0, nodeV[inst.nodes[1]] > 0}
+		k := inst.gate.Kind
+		if k.Eval(in[:k.Terminals()-1]...) != (nodeV[inst.nodes[2]] > 0) {
 			return false
 		}
 	}

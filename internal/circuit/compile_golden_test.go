@@ -9,7 +9,7 @@ import (
 // TestCompileGolden pins what Build compiles for three real circuits —
 // the 4-bit multiplier of n = 15, one seeded random 3-SAT OR-tree (5
 // variables, 13 clauses) and the 11-bit multiplier — through
-// CompileDigest: the branch-set and stamp-plan arrays, the operator and
+// CompileDigest: the DCM branches and stamp-plan arrays, the operator and
 // factor nonzeros, and the bits of one refactor + solve. The compile path
 // may be rewritten for speed, but every artifact it produces must stay
 // bit for bit the same.

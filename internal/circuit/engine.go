@@ -12,9 +12,9 @@ type Engine interface {
 	Counts() (freeNodes, memristors, vcdcgs int)
 }
 
-// Clone returns a circuit over the same compiled topology (gates, branch
-// sets, pins, stamp plan, symbolic factorization — all read-only during
-// integration) with private scratch buffers, so concurrent attempts never
+// Clone returns a circuit over the same compiled topology (gates and
+// their DCM rows, pins, stamp plan, symbolic factorization — all
+// read-only during integration) with private scratch buffers, so concurrent attempts never
 // write a common la.Vector.
 func (c *Circuit) Clone() *Circuit {
 	cp := *c

@@ -8,7 +8,7 @@ import (
 )
 
 // CompileDigest summarizes everything Build compiles into one circuit: a
-// hash of the branch sets and the stamp-plan arrays (in order), the
+// hash of the DCM branches and the stamp-plan arrays (in order), the
 // stored nonzeros of the operator and of its L+U factors, and a hash of
 // the bits of one assemble + refactor + solve at fixed, position-dependent
 // memristor conductances (resistors at 1/R), diagonal shift, node voltages
@@ -42,17 +42,34 @@ func (c *Circuit) CompileDigest() (planHash uint64, nnz, factorNNZ int, solveHas
 			word(math.Float64bits(x))
 		}
 	}
-	for _, s := range []*branchSet{&c.memBr, &c.resBr} {
-		int32s(s.node)
-		int32s(s.fi)
-		int32s(s.i1)
-		int32s(s.i2)
-		int32s(s.io)
-		floats(s.a1)
-		floats(s.a2)
-		floats(s.ao)
-		floats(s.dc)
-		floats(s.sigma)
+	// The DCM rows, expanded per branch: the memristors in state order,
+	// then the resistors, each as the columns node, freeIdx[node], the
+	// (v1, v2, vo) slot nodes, a1, a2, ao, dc and, for the memristors,
+	// σ.
+	for res := 0; res < 2; res++ {
+		var cols [5][]int32
+		var coefs [5][]float64
+		for gi := range c.gates {
+			inst := &c.gates[gi]
+			for _, r := range inst.kindRows(res == 1) {
+				node := inst.nodes[r.slot]
+				for k, x := range [5]int32{node, int32(c.freeIdx[node]), inst.nodes[0], inst.nodes[1], inst.nodes[2]} {
+					cols[k] = append(cols[k], x)
+				}
+				for k, x := range [5]float64{r.a1, r.a2, r.ao, r.dc, r.sigma} {
+					coefs[k] = append(coefs[k], x)
+				}
+			}
+		}
+		if res == 1 {
+			coefs[4] = nil // a resistor has no polarity
+		}
+		for _, col := range cols {
+			int32s(col)
+		}
+		for _, col := range coefs {
+			floats(col)
+		}
 	}
 	p := c.plan
 	word(uint64(p.csr.Rows))

@@ -53,6 +53,9 @@ type IMEXStepper struct {
 	nodeV la.Vector
 	rhs   la.Vector
 	vNew  la.Vector
+	// resPower holds the step's resistor terms d²/R in row order, which
+	// the energy tally adds after every memristor term.
+	resPower la.Vector
 
 	// energy accumulates the dissipated energy ∫ Σ_b g_b·d_b² dt over
 	// every DCM branch b — memristors at g(x), resistors at 1/R (Sec.
@@ -85,6 +88,8 @@ func NewIMEX(c *Circuit) *IMEXStepper {
 		nodeV: la.NewVector(c.numNodes + 1),
 		rhs:   la.NewVector(c.nv),
 		vNew:  la.NewVector(c.nv),
+
+		resPower: la.NewVector(c.nr),
 	}
 	s.g[c.gUnit()], s.nodeV[c.vUnit()] = 1, 1
 	return s
@@ -191,34 +196,48 @@ func (s *IMEXStepper) Step(t, h float64, x la.Vector) error {
 // advanceSlowStates performs the explicit update of the slow states from
 // the freshly solved node voltages, accumulating the per-step dissipation
 // tally over every DCM branch into the energy integral. One pass over the
-// memristors computes each branch drop d, adds g·d² to the power and
+// gates loads each gate's three slot voltages once and runs its kind's
+// rows: a memristor row computes its drop d, adds g·d² to the power and
 // steps x through memristor.Model.Update, reusing the conductances s.g
-// that fillConductances computed from the same states. The resistor
-// drops follow, for the tally alone (d²/R each), and the VCDCG currents
-// i and controls s step through device.VCDCG.Advance: VCDCG k sits on
-// free node k, so its terminal voltages are vNew. Update keeps every
-// memristor state in [0,1] and Advance every finite current inside
-// ±IBoundFactor·IMax (Props. VI.2 and VI.5), so no pass after the step
-// re-imposes them.
+// that fillConductances computed from the same states; a resistor row
+// files d²/R in resPower, which is summed after every memristor term so
+// the tally adds its terms in row order, memristors first. The VCDCG
+// currents i and controls s then step through device.VCDCG.Advance:
+// VCDCG k sits on free node k, so its terminal voltages are vNew. Update
+// keeps every memristor state in [0,1] and Advance every finite current
+// inside ±IBoundFactor·IMax (Props. VI.2 and VI.5), so no pass after the
+// step re-imposes them.
+//
+//dmmvet:hotpath
 func (s *IMEXStepper) advanceSlowStates(h float64, x la.Vector) {
 	c := s.c
 	p := &c.Params
 	m := p.Mem
 	nodeV := s.nodeV
-	mb := &c.memBr
 	xs := x[c.xOff() : c.xOff()+c.nm]
-	g, sigma := s.g[:len(xs)], mb.sigma[:len(xs)]
-	var power float64
-	for j, xj := range xs {
-		d := nodeV[mb.node[j]] - mb.level(j, nodeV)
-		power += float64(g[j] * d * d)
-		xs[j] = m.Update(h, xj, sigma[j]*d, g[j])
-	}
-	rb := &c.resBr
+	g, res := s.g[:len(xs)], s.resPower
 	invR := 1 / p.R
-	for j := 0; j < rb.len(); j++ {
-		d := nodeV[rb.node[j]] - rb.level(j, nodeV)
-		power += float64(d * d * invR)
+	var power float64
+	j, k := 0, 0
+	for gi := range c.gates {
+		inst := &c.gates[gi]
+		v := inst.voltages(nodeV)
+		for q := range inst.rows.mem {
+			r := &inst.rows.mem[q]
+			d := v[r.slot] - r.level(&v)
+			power += float64(g[j] * d * d)
+			xs[j] = m.Update(h, xs[j], r.sigma*d, g[j])
+			j++
+		}
+		for q := range inst.rows.res {
+			r := &inst.rows.res[q]
+			d := v[r.slot] - r.level(&v)
+			res[k] = float64(d * d * invR)
+			k++
+		}
+	}
+	for _, e := range res {
+		power += e
 	}
 	s.energy += float64(h * power)
 	p.DCG.Advance(h, s.vNew[:c.nd], x[c.iOff():c.iOff()+c.nd], x[c.sOff():c.sOff()+c.nd])

@@ -13,7 +13,8 @@ import (
 // memristor as Clamp(x + h·DxDt(x, σ·d)), the VCDCGs through
 // FsOffset/DiDt/Fs with a finite current beyond ±IBoundFactor·IMax
 // clamped to that bound, and the dissipation tally over every DCM
-// branch (memristors g·d², then resistors d²/R). It reads the step's
+// branch (memristors g·d², then resistors d²/R), reading the branches
+// from the gates' solg parameter sets (refBranches). It reads the step's
 // solved voltages from st and returns the full next state (voltages
 // committed) with the energy increment h·Σ power the step must have
 // added.
@@ -22,17 +23,16 @@ func ReferenceSlowStep(st *IMEXStepper, h float64, pre la.Vector) (la.Vector, fl
 	p := &c.Params
 	next := pre.Clone()
 	var power float64
-	mb := &c.memBr
-	for j := 0; j < mb.len(); j++ {
-		d := st.nodeV[mb.node[j]] - mb.level(j, st.nodeV)
+	mem, res := c.refBranches()
+	for j, br := range mem {
+		d := st.nodeV[br.node] - br.level(st.nodeV)
 		xi := pre[c.xOff()+j]
 		power += float64(p.Mem.G(xi) * d * d)
-		next[c.xOff()+j] = memristor.Clamp(xi + float64(h*p.Mem.DxDt(xi, mb.sigma[j]*d)))
+		next[c.xOff()+j] = memristor.Clamp(xi + float64(h*p.Mem.DxDt(xi, br.sigma*d)))
 	}
-	rb := &c.resBr
 	invR := 1 / p.R
-	for j := 0; j < rb.len(); j++ {
-		d := st.nodeV[rb.node[j]] - rb.level(j, st.nodeV)
+	for _, br := range res {
+		d := st.nodeV[br.node] - br.level(st.nodeV)
 		power += float64(d * d * invR)
 	}
 	offset := p.DCG.FsOffset(pre[c.iOff() : c.iOff()+c.nd])
@@ -63,16 +63,16 @@ type SlowInputs struct {
 // just took from the state pre.
 func SlowStepInputs(st *IMEXStepper, pre la.Vector) SlowInputs {
 	c := st.c
-	mb := &c.memBr
+	mem, _ := c.refBranches()
 	in := SlowInputs{
-		Sigma: append([]float64(nil), mb.sigma...),
-		X:     append([]float64(nil), pre[c.xOff():c.xOff()+c.nm]...),
-		G:     append([]float64(nil), st.g[:c.nm]...),
-		I:     append([]float64(nil), pre[c.iOff():c.iOff()+c.nd]...),
-		S:     append([]float64(nil), pre[c.sOff():c.sOff()+c.nd]...),
+		X: append([]float64(nil), pre[c.xOff():c.xOff()+c.nm]...),
+		G: append([]float64(nil), st.g[:c.nm]...),
+		I: append([]float64(nil), pre[c.iOff():c.iOff()+c.nd]...),
+		S: append([]float64(nil), pre[c.sOff():c.sOff()+c.nd]...),
 	}
-	for j := 0; j < mb.len(); j++ {
-		in.D = append(in.D, st.nodeV[mb.node[j]]-mb.level(j, st.nodeV))
+	for _, br := range mem {
+		in.Sigma = append(in.Sigma, br.sigma)
+		in.D = append(in.D, st.nodeV[br.node]-br.level(st.nodeV))
 	}
 	for _, node := range c.dcgNodes {
 		in.V = append(in.V, st.nodeV[node])

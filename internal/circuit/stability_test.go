@@ -68,10 +68,10 @@ func equilibriumState(c *Circuit, bits []bool) la.Vector {
 			x[c.vOff()+fi] = nodeV[n]
 		}
 	}
-	mb := &c.memBr
-	for j := 0; j < mb.len(); j++ {
-		d := nodeV[mb.node[j]] - mb.level(j, nodeV)
-		if p.Mem.DxDt(0.5, mb.sigma[j]*d) > 0 {
+	mem, _ := c.refBranches()
+	for j, br := range mem {
+		d := nodeV[br.node] - br.level(nodeV)
+		if p.Mem.DxDt(0.5, br.sigma*d) > 0 {
 			x[c.xOff()+j] = 1
 		}
 	}

@@ -3,82 +3,8 @@ package circuit
 import (
 	"sync"
 
-	"repro/internal/device"
 	"repro/internal/la"
 )
-
-// branchSet is a structure-of-arrays view over the DCM branches of one
-// kind (memristive or resistive). Splitting by kind and laying the hot
-// fields out as parallel arrays straightens the per-step loops of Step and
-// Derivative: no per-branch struct loads, no mem/resistor branch inside
-// the loop body, and the VCVG level evaluates as one fused expression
-//
-//	l = a1·v[i1] + a2·v[i2] + ao·v[io] + dc
-//
-// because unused terminal slots are stored as index 0 with a zero
-// coefficient instead of a -1 sentinel that would need a branch.
-type branchSet struct {
-	node       []int32   // terminal node the branch hangs off
-	fi         []int32   // freeIdx[node], -1 when the terminal is pinned
-	i1, i2, io []int32   // resolved VCVG slot nodes (0 when the slot is unused)
-	a1, a2, ao []float64 // VCVG coefficients (0 when the slot is unused)
-	dc         []float64 // VCVG DC term
-	sigma      []float64 // memristor polarity; nil for the resistor set
-}
-
-func (s *branchSet) len() int { return len(s.node) }
-
-// newBranchSet returns an empty set with room for n branches; its int32
-// and float64 fields each share one backing array. Only a memristor set
-// carries sigma.
-func newBranchSet(n int, mem bool) branchSet {
-	ints := make([]int32, 5*n)
-	nf := 4 * n
-	if mem {
-		nf = 5 * n
-	}
-	floats := make([]float64, nf)
-	i32 := func(k int) []int32 { return ints[k*n : k*n : (k+1)*n] }
-	f64 := func(k int) []float64 { return floats[k*n : k*n : (k+1)*n] }
-	s := branchSet{
-		node: i32(0), fi: i32(1), i1: i32(2), i2: i32(3), io: i32(4),
-		a1: f64(0), a2: f64(1), ao: f64(2), dc: f64(3),
-	}
-	if mem {
-		s.sigma = f64(4)
-	}
-	return s
-}
-
-func (s *branchSet) add(node, fi int, slots [3]int32, v device.VCVG, sigma float64, mem bool) {
-	s.node = append(s.node, int32(node))
-	s.fi = append(s.fi, int32(fi))
-	a := [3]float64{v.A1, v.A2, v.Ao}
-	idx := [3]int32{}
-	for k := 0; k < 3; k++ {
-		if slots[k] < 0 {
-			a[k] = 0 // unused slot: contribute exactly nothing, branch-free
-		} else {
-			idx[k] = slots[k]
-		}
-	}
-	s.i1 = append(s.i1, idx[0])
-	s.i2 = append(s.i2, idx[1])
-	s.io = append(s.io, idx[2])
-	s.a1 = append(s.a1, a[0])
-	s.a2 = append(s.a2, a[1])
-	s.ao = append(s.ao, a[2])
-	s.dc = append(s.dc, v.DC)
-	if mem {
-		s.sigma = append(s.sigma, sigma)
-	}
-}
-
-// level evaluates the branch's VCVG target voltage from the node-voltage
-// vector.
-func (s *branchSet) level(j int, nodeV la.Vector) float64 {
-	return float64(s.a1[j]*nodeV[s.i1[j]]) + float64(s.a2[j]*nodeV[s.i2[j]]) + float64(s.ao[j]*nodeV[s.io[j]]) + s.dc[j]
-}
 
 // stampPlan is the Build-time compilation of the Kirchhoff assembly. The
 // voltage system the IMEX step solves is
@@ -163,7 +89,7 @@ func putPlanScratch(s *planScratch) {
 	planPool.free = append(planPool.free, s)
 }
 
-// buildPlan compiles the stamp plan from the branch sets. The pattern is
+// buildPlan compiles the stamp plan from the gates' DCM rows. The pattern is
 // value-independent by construction: every matrix term sits on an
 // explicit (zero) entry of the pattern, so the symbolic factorization
 // computed for it stays valid for every conductance assignment the
@@ -175,7 +101,8 @@ func putPlanScratch(s *planScratch) {
 // term is one more right-hand-side term g·dc. A branch on a pinned
 // terminal contributes nothing: the source absorbs its KCL row.
 //
-// Two walks over the branches file the terms with a stable counting
+// Two walks over the branches — each the memristor rows of every gate,
+// then the resistor rows — file the terms with a stable counting
 // sort. The first lists the matrix terms' rows and columns after the nv
 // shift diagonals and counts each row's couplings and DC terms;
 // la.CompilePattern maps every matrix term to its CSR entry. With every
@@ -184,7 +111,6 @@ func putPlanScratch(s *planScratch) {
 // entry, and by row with the couplings ahead of the DC terms.
 func (c *Circuit) buildPlan() *stampPlan {
 	nv := c.nv
-	sets := [2]*branchSet{&c.memBr, &c.resBr}
 	sc := getPlanScratch()
 	defer putPlanScratch(sc)
 
@@ -198,25 +124,28 @@ func (c *Circuit) buildPlan() *stampPlan {
 	couple, dc := sc.rhs[:nv], sc.rhs[nv:2*nv]
 	clear(couple)
 	clear(dc)
-	for _, set := range sets {
-		for j, fi := range set.fi {
-			if fi < 0 {
-				continue
-			}
-			rows, cols = append(rows, fi), append(cols, fi) // +g on the diagonal
-			slots := [3]int32{set.i1[j], set.i2[j], set.io[j]}
-			for k, coef := range [3]float64{set.a1[j], set.a2[j], set.ao[j]} {
-				if coef == 0 {
+	for res := 0; res < 2; res++ {
+		for gi := range c.gates {
+			inst := &c.gates[gi]
+			for _, r := range inst.kindRows(res == 1) {
+				fi := int32(c.freeIdx[inst.nodes[r.slot]])
+				if fi < 0 {
 					continue
 				}
-				if sf := c.freeIdx[slots[k]]; sf >= 0 {
-					rows, cols = append(rows, fi), append(cols, int32(sf))
-				} else {
-					couple[fi]++
+				rows, cols = append(rows, fi), append(cols, fi) // +g on the diagonal
+				for k, coef := range [3]float64{r.a1, r.a2, r.ao} {
+					if coef == 0 {
+						continue
+					}
+					if sf := c.freeIdx[inst.nodes[k]]; sf >= 0 {
+						rows, cols = append(rows, fi), append(cols, int32(sf))
+					} else {
+						couple[fi]++
+					}
 				}
-			}
-			if set.dc[j] != 0 {
-				dc[fi]++
+				if r.dc != 0 {
+					dc[fi]++
+				}
 			}
 		}
 	}
@@ -256,33 +185,38 @@ func (c *Circuit) buildPlan() *stampPlan {
 		p.a.put(e, gShift, 1)
 	}
 	k := nv // next matrix term
-	for s, set := range sets {
-		for j, fi := range set.fi {
-			if fi < 0 {
-				continue
-			}
-			b, r := int32(j), 1.0
-			if s == 1 {
-				b, r = gUnit, invR
-			}
-			p.a.put(entry[k], b, r)
-			k++
-			slots := [3]int32{set.i1[j], set.i2[j], set.io[j]}
-			for q, coef := range [3]float64{set.a1[j], set.a2[j], set.ao[j]} {
-				if coef == 0 {
+	for res := 0; res < 2; res++ {
+		j := int32(0) // next memristor
+		for gi := range c.gates {
+			inst := &c.gates[gi]
+			for _, row := range inst.kindRows(res == 1) {
+				b, r := j, 1.0
+				if res == 1 {
+					b, r = gUnit, invR
+				}
+				j++
+				fi := c.freeIdx[inst.nodes[row.slot]]
+				if fi < 0 {
 					continue
 				}
-				if sn := slots[q]; c.freeIdx[sn] >= 0 {
-					p.a.put(entry[k], b, float64(r*-coef))
-					k++
-				} else {
-					p.b.set(couple[fi], b, sn, float64(r*coef))
-					couple[fi]++
+				p.a.put(entry[k], b, r)
+				k++
+				for q, coef := range [3]float64{row.a1, row.a2, row.ao} {
+					if coef == 0 {
+						continue
+					}
+					if sn := inst.nodes[q]; c.freeIdx[sn] >= 0 {
+						p.a.put(entry[k], b, float64(r*-coef))
+						k++
+					} else {
+						p.b.set(couple[fi], b, sn, float64(r*coef))
+						couple[fi]++
+					}
 				}
-			}
-			if d := set.dc[j]; d != 0 {
-				p.b.set(dc[fi], b, vUnit, float64(r*d))
-				dc[fi]++
+				if d := row.dc; d != 0 {
+					p.b.set(dc[fi], b, vUnit, float64(r*d))
+					dc[fi]++
+				}
 			}
 		}
 	}

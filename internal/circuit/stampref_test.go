@@ -5,8 +5,60 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/device"
 	"repro/internal/la"
 )
+
+// refBranch is one DCM branch as the references read it, from its
+// gate's solg parameter set rather than the circuit's DCM rows.
+type refBranch struct {
+	node  int32    // terminal node the branch hangs off
+	slots [3]int32 // (v1, v2, vo) nodes; -1 for a NOT gate's missing v2
+	L     device.VCVG
+	sigma float64
+}
+
+// refBranches lists the DCM branches of c gate by gate, terminal by
+// terminal, from each gate's solg.Gate: the memristor branches (state
+// order), then the resistor branches. A gate's terminals are (in1, in2,
+// out), or (in, out) for a NOT gate.
+func (c *Circuit) refBranches() (mem, res []refBranch) {
+	for _, inst := range c.gates {
+		terms := []int32{inst.nodes[0], inst.nodes[1], inst.nodes[2]}
+		slots := [3]int32{terms[0], terms[1], terms[2]}
+		if len(inst.gate.DCMs) == 2 {
+			terms = []int32{inst.nodes[0], inst.nodes[2]}
+			slots[1] = -1
+		}
+		for t, dcm := range inst.gate.DCMs {
+			for _, br := range dcm.Branches {
+				rb := refBranch{node: terms[t], slots: slots, L: br.L, sigma: br.Sigma}
+				if br.Mem {
+					mem = append(mem, rb)
+				} else {
+					res = append(res, rb)
+				}
+			}
+		}
+	}
+	return mem, res
+}
+
+// level evaluates the branch's VCVG from the node voltages; a missing
+// slot contributes nothing.
+func (b *refBranch) level(nodeV la.Vector) float64 {
+	var v [3]float64
+	l := b.L
+	for k, n := range b.slots {
+		if n >= 0 {
+			v[k] = nodeV[n]
+		}
+	}
+	if b.slots[1] < 0 {
+		l.A2 = 0
+	}
+	return l.Eval(v[0], v[1], v[2])
+}
 
 // referenceStamp assembles shift·I + A and the right-hand side branch by
 // branch, the way a stamp into zeroed arrays does: the shift on every
@@ -14,8 +66,9 @@ import (
 // resistor branches after them at g = 1/R, each free-row branch's
 // g·1 on its diagonal and −g·coef per free VCVG slot; then the pinned-
 // slot couplings g·coef·v of every branch, the DC terms g·dc of every
-// branch, −i per VCDCG and shift·v. It reads only the branch sets and the
-// CSR pattern, never the plan's term lists.
+// branch, −i per VCDCG and shift·v. It reads only the gates' solg
+// parameter sets (refBranches) and the CSR pattern, never the DCM rows
+// or the plan's term lists.
 func (c *Circuit) referenceStamp(gm []float64, shift float64, nodeV, v, i la.Vector) (vals, rhs []float64) {
 	csr := c.plan.csr
 	at := func(r, col int32) int {
@@ -36,8 +89,10 @@ func (c *Circuit) referenceStamp(gm []float64, shift float64, nodeV, v, i la.Vec
 	}
 	var couplings, dcs []rhsOp
 	invR := 1 / c.Params.R
-	for s, set := range []*branchSet{&c.memBr, &c.resBr} {
-		for j, fi := range set.fi {
+	mem, res := c.refBranches()
+	for s, set := range [][]refBranch{mem, res} {
+		for j, br := range set {
+			fi := int32(c.freeIdx[br.node])
 			if fi < 0 {
 				continue
 			}
@@ -46,18 +101,18 @@ func (c *Circuit) referenceStamp(gm []float64, shift float64, nodeV, v, i la.Vec
 				g = gm[j]
 			}
 			vals[at(fi, fi)] += float64(g * 1)
-			for k, coef := range [3]float64{set.a1[j], set.a2[j], set.ao[j]} {
-				if coef == 0 {
+			for k, coef := range [3]float64{br.L.A1, br.L.A2, br.L.Ao} {
+				sn := br.slots[k]
+				if coef == 0 || sn < 0 {
 					continue
 				}
-				sn := [3]int32{set.i1[j], set.i2[j], set.io[j]}[k]
 				if sf := c.freeIdx[sn]; sf >= 0 {
 					vals[at(fi, int32(sf))] += float64(g * -coef)
 				} else {
 					couplings = append(couplings, rhsOp{fi, sn, g, coef})
 				}
 			}
-			if dc := set.dc[j]; dc != 0 {
+			if dc := br.L.DC; dc != 0 {
 				dcs = append(dcs, rhsOp{fi, 0, g, dc})
 			}
 		}

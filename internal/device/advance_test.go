@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/memristor"
 )
 
 // boundCurrent is the clamp Advance applies to a new current: a finite
@@ -22,9 +24,9 @@ func boundCurrent(d VCDCG, i float64) float64 {
 
 // TestAdvanceBitIdentical pins VCDCG.Advance to the per-generator update
 // through FsOffset, DiDt and Fs, with the new current bounded by
-// boundCurrent, bitwise, over hard and smooth ρ and current windows, a
-// missing smooth step, and inputs on every branch point of f_DCG, ρ and
-// the windows, including ±0, ±Inf and NaN.
+// boundCurrent, bitwise, over hard and smooth ρ and current windows and
+// inputs on every branch point of f_DCG, ρ and the windows, including
+// ±0, ±Inf and NaN.
 func TestAdvanceBitIdentical(t *testing.T) {
 	soft := DefaultVCDCG() // the circuit package's robust preset
 	soft.Ks, soft.Ki, soft.IMin = 5, 5, 0.5
@@ -33,9 +35,7 @@ func TestAdvanceBitIdentical(t *testing.T) {
 	mixed.DeltaIMax, mixed.DeltaI = 0, 0
 	fallback := soft // both windows fall back to DeltaI
 	fallback.DeltaIMin, fallback.DeltaIMax, fallback.DeltaI = 0, 0, 3
-	noStep := soft
-	noStep.Step = nil
-	models := []VCDCG{DefaultVCDCG(), soft, mixed, fallback, noStep}
+	models := []VCDCG{DefaultVCDCG(), soft, mixed, fallback}
 
 	nan, inf := math.NaN(), math.Inf(1)
 	rng := rand.New(rand.NewSource(11))
@@ -122,18 +122,20 @@ func TestAdvanceBoundsCurrent(t *testing.T) {
 
 // TestFsOffsetBitIdentical pins FsOffset, which picks each window's form
 // and width once per call, to the product of per-current windows
-// θ̃((iRef² - i²)/δ) evaluated one by one, bitwise, over the same window
+// θ̃₁((iRef² - i²)/δ) evaluated one by one through
+// memristor.NewSmoothStep(1), bitwise, over the same window
 // configurations and edge currents as TestAdvanceBitIdentical.
 func TestFsOffsetBitIdentical(t *testing.T) {
-	window := func(d VCDCG, iRef, i, delta float64) float64 {
+	step := memristor.NewSmoothStep(1)
+	window := func(iRef, i, delta float64) float64 {
 		arg := float64(iRef*iRef) - float64(i*i)
-		if delta <= 0 || d.Step == nil {
+		if delta <= 0 {
 			if arg > 0 {
 				return 1
 			}
 			return 0
 		}
-		return d.Step.Eval(arg / delta)
+		return step.Eval(arg / delta)
 	}
 	or := func(delta, fallback float64) float64 {
 		if delta > 0 {
@@ -147,10 +149,8 @@ func TestFsOffsetBitIdentical(t *testing.T) {
 	mixed.DeltaIMax, mixed.DeltaI = 0, 0
 	fallback := soft
 	fallback.DeltaIMin, fallback.DeltaIMax, fallback.DeltaI = 0, 0, 3
-	noStep := soft
-	noStep.Step = nil
 	rng := rand.New(rand.NewSource(5))
-	for mi, d := range []VCDCG{DefaultVCDCG(), soft, mixed, fallback, noStep} {
+	for mi, d := range []VCDCG{DefaultVCDCG(), soft, mixed, fallback} {
 		edges := []float64{0, math.Copysign(0, -1), d.IMin, -d.IMin, d.IMax, -d.IMax,
 			math.Nextafter(d.IMin, 0), math.Nextafter(d.IMax, 100), math.NaN(), math.Inf(1)}
 		for trial := 0; trial < 2000; trial++ {
@@ -163,8 +163,8 @@ func TestFsOffsetBitIdentical(t *testing.T) {
 			}
 			a, b := 1.0, 1.0
 			for _, i := range currents {
-				a *= window(d, d.IMin, i, or(d.DeltaIMin, d.DeltaI))
-				b *= window(d, d.IMax, i, or(d.DeltaIMax, d.DeltaI))
+				a *= window(d.IMin, i, or(d.DeltaIMin, d.DeltaI))
+				b *= window(d.IMax, i, or(d.DeltaIMax, d.DeltaI))
 			}
 			want := d.Ki * (a + b - 1)
 			if got := d.FsOffset(currents); math.Float64bits(got) != math.Float64bits(want) {
@@ -172,5 +172,38 @@ func TestFsOffsetBitIdentical(t *testing.T) {
 					mi, currents, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
+	}
+}
+
+// TestTheta1MatchesSmoothStep pins the VCDCG's fixed θ̃₁ to
+// memristor.NewSmoothStep(1).Eval, bitwise: on 0, 1, ±0, ±Inf, the
+// neighbours of 0 and 1, subnormals, and a dense grid of (0,1). A NaN
+// must stay NaN.
+func TestTheta1MatchesSmoothStep(t *testing.T) {
+	step := memristor.NewSmoothStep(1)
+	ys := []float64{0, math.Copysign(0, -1), 1, -1, 2, math.Inf(1), math.Inf(-1),
+		math.Nextafter(0, 1), math.Nextafter(0, -1), math.Nextafter(1, 0), math.Nextafter(1, 2),
+		math.SmallestNonzeroFloat64, 0x1p-1023, 0x1p-1030, 0x1p-1074 * 12345, -0x1p-1030,
+		0x1p-511, 0x1p-537, 0x1p-538, 0.5}
+	const grid = 1 << 20
+	for k := 1; k < grid; k++ {
+		ys = append(ys, float64(k)/grid)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 1<<16; k++ {
+		ys = append(ys, rng.Float64(), math.Ldexp(rng.Float64(), -rng.Intn(1074)))
+	}
+	for _, y := range ys {
+		got, want := theta1(y), step.Eval(y)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("theta1(%v) = %v (%#x), NewSmoothStep(1).Eval %v (%#x)",
+				y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if got := theta1(math.NaN()); !math.IsNaN(got) || !math.IsNaN(step.Eval(math.NaN())) {
+		t.Fatalf("theta1(NaN) = %v, NewSmoothStep(1).Eval(NaN) = %v, want NaN from both", got, step.Eval(math.NaN()))
+	}
+	if c := step.Coefficients(); c[0] != theta1C0 || c[1] != theta1C1 {
+		t.Fatalf("NewSmoothStep(1) coefficients %v, theta1 holds [%v %v]", c, theta1C0, theta1C1)
 	}
 }

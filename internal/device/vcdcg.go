@@ -1,10 +1,6 @@
 package device
 
-import (
-	"math"
-
-	"repro/internal/memristor"
-)
+import "math"
 
 // VCDCG holds the parameters of the voltage-controlled differential current
 // generator (Fig. 7 and Eqs. 23-24, 47). One VCDCG is attached to every
@@ -28,15 +24,35 @@ type VCDCG struct {
 	// Ki, Ks are the drive and bistability strengths in f_s; the stability
 	// picture of Fig. 10 requires Ki > (√3/18)·Ks.
 	Ki, Ks float64
-	// DeltaS, DeltaI are the smooth-step widths of ρ(s) (Eq. 44) and the
-	// current windows; ≤ 0 selects the hard step (Table II).
+	// DeltaS, DeltaI are the widths of the smooth step θ̃₁ in ρ(s)
+	// (Eq. 44) and the current windows; ≤ 0 selects the hard step
+	// (Table II).
 	DeltaS, DeltaI float64
 	// DeltaIMin, DeltaIMax optionally give the imin and imax windows their
 	// own widths (the windows act on i², so their natural scales imin² and
 	// imax² differ by orders of magnitude); ≤ 0 falls back to DeltaI.
 	DeltaIMin, DeltaIMax float64
-	// Step is the smooth step θ̃_r used when DeltaS/DeltaI > 0.
-	Step *memristor.SmoothStep
+}
+
+// The coefficients of θ̃₁(y) = 3y² − 2y³ as memristor.NewSmoothStep(1)
+// computes them, from its normalization: the nearest doubles below 3
+// and above −2, not 3 and −2.
+const theta1C0, theta1C1 = 2.9999999999999996, -1.9999999999999998
+
+// theta1 is the smooth step θ̃₁ (Eq. 37 at r = 1) of the VCDCG windows.
+// It performs memristor.SmoothStep.Eval's operations at r = 1 in the
+// same order, so it returns NewSmoothStep(1).Eval's bits, and the
+// compiler inlines it.
+//
+//dmmvet:hotpath
+func theta1(y float64) float64 {
+	if y <= 0 {
+		return 0
+	}
+	if y >= 1 {
+		return 1
+	}
+	return (float64(theta1C1*y) + theta1C0) * (y * y)
 }
 
 // DefaultVCDCG returns the Table II VCDCG: m0 = m1 = 400, q = 10, γ = 60,
@@ -47,7 +63,6 @@ func DefaultVCDCG() VCDCG {
 		M0: 400, M1: 400, Q: 10, Vc: 1, Gamma: 60,
 		IMin: 1e-8, IMax: 20, Ki: 1e-7, Ks: 1e-7,
 		DeltaS: 0, DeltaI: 0,
-		Step: memristor.NewSmoothStep(1),
 	}
 }
 
@@ -79,16 +94,16 @@ func (d VCDCG) FDCG(v float64) float64 {
 	return raw
 }
 
-// Rho evaluates ρ(s) = θ̃((s - 1/2)/δs) (Eq. 44); with δs ≤ 0 it is the hard
-// step at s = 1/2.
+// Rho evaluates ρ(s) = θ̃₁((s - 1/2)/δs + 1/2) (Eq. 44); with δs ≤ 0 it
+// is the hard step at s = 1/2.
 func (d VCDCG) Rho(s float64) float64 {
-	if d.DeltaS <= 0 || d.Step == nil {
+	if d.DeltaS <= 0 {
 		if s > 0.5 {
 			return 1
 		}
 		return 0
 	}
-	return d.Step.Eval((s-0.5)/d.DeltaS + 0.5)
+	return theta1((s-0.5)/d.DeltaS + 0.5)
 }
 
 // FsOffset computes the current-dependent constant of f_s (Eq. 47):
@@ -102,8 +117,8 @@ func (d VCDCG) Rho(s float64) float64 {
 // reproduces the three red lines of Fig. 10 — the figure plots the cubic
 // -ks·s(s-1)(2s-1) and marks its intersections with the level -c.
 //
-// Each window is θ̃((iRef² - i²)/δ): 1 when |i| < iRef and 0 when
-// |i| > iRef, the hard step when δ ≤ 0 or Step is nil. The window form
+// Each window is θ̃₁((iRef² - i²)/δ): 1 when |i| < iRef and 0 when
+// |i| > iRef, the hard step when δ ≤ 0. The window form
 // and each δ (DeltaIMin or DeltaIMax, falling back to DeltaI when ≤ 0)
 // are chosen once per call, not per current.
 func (d VCDCG) FsOffset(currents []float64) float64 {
@@ -114,8 +129,7 @@ func (d VCDCG) FsOffset(currents []float64) float64 {
 	if dMax <= 0 {
 		dMax = d.DeltaI
 	}
-	step := d.Step
-	hardMin, hardMax := dMin <= 0 || step == nil, dMax <= 0 || step == nil
+	hardMin, hardMax := dMin <= 0, dMax <= 0
 	min2, max2 := float64(d.IMin*d.IMin), float64(d.IMax*d.IMax)
 	a, b := 1.0, 1.0 // a hard window is 1 or 0, so its product is too
 	for _, i := range currents {
@@ -125,14 +139,14 @@ func (d VCDCG) FsOffset(currents []float64) float64 {
 				a = 0
 			}
 		} else {
-			a *= step.Eval(argMin / dMin)
+			a *= theta1(argMin / dMin)
 		}
 		if argMax := max2 - i2; hardMax {
 			if !(argMax > 0) {
 				b = 0
 			}
 		} else {
-			b *= step.Eval(argMax / dMax)
+			b *= theta1(argMax / dMax)
 		}
 	}
 	return d.Ki * (a + b - 1)
@@ -178,8 +192,8 @@ func (d VCDCG) Advance(h float64, v, i, s []float64) {
 	iBound := IBoundFactor * d.IMax
 	nm0, m1, vc, q, nq := -d.M0, d.M1, d.Vc, d.Q, -d.Q
 	gamma, nks := d.Gamma, -d.Ks
-	hardRho := d.DeltaS <= 0 || d.Step == nil
-	deltaS, step := d.DeltaS, d.Step
+	hardRho := d.DeltaS <= 0
+	deltaS := d.DeltaS
 	i, s = i[:len(v)], s[:len(v)]
 	for k, vk := range v {
 		ik, sk := i[k], s[k]
@@ -193,8 +207,8 @@ func (d VCDCG) Advance(h float64, v, i, s []float64) {
 				rhoBar = 1
 			}
 		} else {
-			rho = step.Eval((sk-0.5)/deltaS + 0.5)
-			rhoBar = step.Eval(((1-sk)-0.5)/deltaS + 0.5)
+			rho = theta1((sk-0.5)/deltaS + 0.5)
+			rhoBar = theta1(((1-sk)-0.5)/deltaS + 0.5)
 		}
 		// f_DCG(v) as f(|v|) mirrored: FDCG's odd-symmetry recursion unrolled.
 		a := vk

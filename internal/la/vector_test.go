@@ -58,6 +58,30 @@ func TestHasNaN(t *testing.T) {
 	if !(Vector{math.Inf(1)}).HasNaN() {
 		t.Fatal("missed Inf")
 	}
+	// Every length around the scan's unroll by four: finite values with
+	// ±MaxFloat64 at the ends pass, and NaN or ±Inf at any position, the
+	// tail the unroll leaves included, is found.
+	for n := 0; n <= 13; n++ {
+		v := make(Vector, n)
+		for k := range v {
+			v[k] = float64(k) - 6.5
+		}
+		if n > 0 {
+			v[0], v[n-1] = math.MaxFloat64, -math.MaxFloat64
+		}
+		if v.HasNaN() {
+			t.Fatalf("len %d: false positive on %v", n, v)
+		}
+		for k := 0; k < n; k++ {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				w := v.Clone()
+				w[k] = bad
+				if !w.HasNaN() {
+					t.Fatalf("len %d: missed %v at %d", n, bad, k)
+				}
+			}
+		}
+	}
 }
 
 func TestCloneIndependent(t *testing.T) {

@@ -133,9 +133,10 @@ func (st *poolState) reportSolved(i int, policy WinnerPolicy, icancel context.Ca
 // trajectories are reproducible regardless of scheduling; the winner
 // policy decides which verified equilibrium is returned and which
 // running attempts are cancelled (via context) once it can no longer be
-// beaten. A non-finite TEnd, H or
-// HMax, or a member other than the IMEX stepper on the capacitive form,
-// is an error.
+// beaten. A compile whose pins contradict a circuit constant launches
+// no attempt and returns unsolved at once, with a reason that says so.
+// A non-finite TEnd, H or HMax, or a member other than the IMEX stepper
+// on the capacitive form, is an error.
 func (pf *Portfolio) Solve(opts Options) (Result, error) {
 	if err := pf.member.check(); err != nil {
 		return Result{}, err
@@ -146,6 +147,9 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	//dmmvet:allow detflow — wall-clock telemetry only (Result.Wall); never feeds the trajectory or the winner policy
 	start := time.Now()
+	if pf.cs.pinConflict {
+		return Result{WinnerAttempt: -1, Reason: reasonPinConflict, Wall: time.Since(start)}, nil
+	}
 
 	ctx := opts.Ctx
 	if ctx == nil {

@@ -125,10 +125,10 @@ func FuzzReadOutAgreesWithVerification(f *testing.F) {
 	})
 }
 
-// TestReadOutPinConflictNeverStops: a caller pin that contradicts a circuit
-// constant can never verify, so its attempts run to the horizon instead of
-// stopping on a read-out that verification then rejects.
-func TestReadOutPinConflictNeverStops(t *testing.T) {
+// TestPinConflictLaunchesNoAttempt: a caller pin that contradicts a
+// circuit constant can never verify, so Solve launches no attempt and
+// says why at once, instead of integrating every attempt to its horizon.
+func TestPinConflictLaunchesNoAttempt(t *testing.T) {
 	bc := boolcirc.New()
 	a := bc.NewSignal()
 	k := bc.Const(false)
@@ -141,10 +141,14 @@ func TestReadOutPinConflictNeverStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solved || res.Reason != "time horizon reached" || res.T != opts.TEnd {
-		t.Fatalf("solved=%v reason=%q t=%g, want an unsolved run to the horizon", res.Solved, res.Reason, res.T)
+	if res.Solved || res.Reason != reasonPinConflict || res.Launched != 0 || res.Attempts != 0 ||
+		res.Steps != 0 || res.FEvals != 0 || res.T != 0 || res.WinnerAttempt != -1 {
+		t.Fatalf("solved=%v reason=%q launched=%d attempts=%d steps=%d fevals=%d t=%g winner=%d, want an unsolved run with no attempt and reason %q",
+			res.Solved, res.Reason, res.Launched, res.Attempts, res.Steps, res.FEvals, res.T, res.WinnerAttempt, reasonPinConflict)
 	}
-	if res.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", res.Attempts)
+	// The same circuit with consistent pins still integrates.
+	cs = Compile(bc, map[boolcirc.Signal]bool{o: true}, circuit.Default())
+	if res, err := cs.Solve(opts); err != nil || res.Launched == 0 || res.Steps == 0 {
+		t.Fatalf("consistent pins: launched=%d steps=%d err=%v, want attempts that integrate", res.Launched, res.Steps, err)
 	}
 }

@@ -32,7 +32,8 @@ type Compiled struct {
 	// Pins holds the imposed bits (constants plus caller pins).
 	Pins map[boolcirc.Signal]bool
 	// pinConflict records a caller pin that contradicts a circuit
-	// constant: the problem is unsatisfiable, so no read-out is taken.
+	// constant: the problem is unsatisfiable, so Solve launches no
+	// attempt.
 	pinConflict bool
 	// circ is the compiled circuit Eng holds, which the solver drives;
 	// every attempt integrates a Clone of it.
@@ -285,10 +286,16 @@ func (cs *Compiled) decodeWith(eng *circuit.Circuit, t float64, x la.Vector) boo
 // predicate holds exactly when the decoded assignment passes
 // BC.Satisfied and pinsRespected: an attempt stops at its first verified
 // read-out. A pin that contradicts a circuit constant makes the problem
-// unsatisfiable, and no read-out is ever taken.
+// unsatisfiable, and no read-out is ever taken (Solve launches no
+// attempt on such a compile).
 func (cs *Compiled) readOut(eng *circuit.Circuit, t float64, x la.Vector) bool {
 	return !cs.pinConflict && t > eng.Params.TRise && eng.GatesSatisfied(t, x)
 }
+
+// reasonPinConflict is the Result.Reason of a Solve on a compile whose
+// caller pins contradict a circuit constant: no assignment satisfies it,
+// so no attempt is launched.
+const reasonPinConflict = "a pin contradicts a circuit constant, so no equilibrium exists"
 
 func (cs *Compiled) pinsRespected(a boolcirc.Assignment) bool {
 	for s, v := range cs.Pins {
