@@ -445,7 +445,7 @@ func TestIMEXStepSpansFlightZeroAlloc(t *testing.T) {
 	x := c.InitialState(rand.New(rand.NewSource(1)))
 	tl := obs.NewTelemetry()
 	tl.Spans = obs.NewSpans()
-	tl.Flight = obs.NewFlightSet(0, 0, nil)
+	tl.Flight = obs.NewFlightSet(nil)
 	fl := tl.FlightFor(0)
 	st := circuit.NewIMEX(c)
 	st.Spans = tl.Spans

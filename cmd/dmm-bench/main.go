@@ -32,7 +32,7 @@ func main() {
 	os.Exit(realMain())
 }
 
-func realMain() int {
+func realMain() (code int) {
 	exp := flag.String("exp", "all", "experiment id (all, tableI, tableII, fig4, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, info, scaling-factor, scaling-ssp, ensemble, baselines, energy, sat3, diversity, ablation-c, hsweep, imex-spans)")
 	tEnd := flag.Float64("tend", 150, "per-attempt time horizon for dynamical experiments")
 	attempts := flag.Int("attempts", 4, "random restarts per instance")
@@ -49,8 +49,11 @@ func realMain() int {
 		return 1
 	}
 	defer func() {
+		// A failed profile, telemetry write or validation fails the
+		// run whatever its outcome.
 		if err := co.Finish(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
+			code = 1
 		}
 	}()
 

@@ -101,7 +101,7 @@ func spansAllocsPerStep(h float64) float64 {
 	x := c.InitialState(rand.New(rand.NewSource(1)))
 	tl := obs.NewTelemetry()
 	tl.Spans = obs.NewSpans()
-	tl.Flight = obs.NewFlightSet(0, 0, nil)
+	tl.Flight = obs.NewFlightSet(nil)
 	fl := tl.FlightFor(0)
 	s := circuit.NewIMEX(c)
 	s.Spans = tl.Spans
@@ -150,7 +150,7 @@ func imexSpans(writeJSON bool) error {
 		}
 		tl := obs.NewTelemetry()
 		tl.Spans = obs.NewSpans()
-		tl.Flight = obs.NewFlightSet(0, 0, nil)
+		tl.Flight = obs.NewFlightSet(nil)
 		fl := tl.FlightFor(0)
 		if s := runScalarSpans(steps, h, tl.Spans, fl, tl); rep == 0 || s.SolveWallNs < doc.On.SolveWallNs {
 			doc.On = s

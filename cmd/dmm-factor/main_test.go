@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,6 +48,37 @@ func TestConflictingPinsExitTwo(t *testing.T) {
 		if code != 2 || !strings.Contains(stdout.String(), "(a pin contradicts a circuit constant") {
 			t.Errorf("-n %s: exit %d, stdout %q, stderr %q; want exit 2 naming the pin conflict", n, code, stdout.String(), stderr.String())
 		}
+	}
+}
+
+// TestFinishErrorFailsTheRun: a heap profile that cannot be written used
+// to be reported on stderr while the command still exited 0 (solved) or
+// 2 (unsolved). A failed Finish must now fail the run with status 1.
+func TestFinishErrorFailsTheRun(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "missing", "x.prof")
+	for _, args := range [][]string{
+		{"-n", "15"},
+		{"-n", "2021", "-tend", "0.5", "-attempts", "1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append(args, "-memprofile", prof), &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), "x.prof") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 naming the profile", args, code, stderr.String())
+		}
+	}
+}
+
+// TestFlightDumpValidates: -telemetry-validate re-reads the -flight dump
+// of an unsolved run against the record schema, next to the event
+// stream, and the run keeps its unsolved status.
+func TestFlightDumpValidates(t *testing.T) {
+	dir := t.TempDir()
+	flight := filepath.Join(dir, "flight.jsonl")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-n", "2021", "-tend", "0.5", "-attempts", "1",
+		"-flight", flight, "-telemetry", filepath.Join(dir, "events.jsonl"), "-telemetry-validate"}, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stdout.String(), "flight: "+flight+" validates against the record schema") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 2 and the flight dump validated", code, stdout.String(), stderr.String())
 	}
 }
 

@@ -34,7 +34,7 @@ func main() {
 
 // run is the command with its arguments and output streams passed in; it
 // returns the exit status.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("dmm-sat", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	file := fs.String("f", "", "DIMACS CNF file (omit to generate a random 3-SAT instance)")
@@ -91,8 +91,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer func() {
+		// A failed profile, telemetry write or validation fails the
+		// run whatever its outcome.
 		if err := co.Finish(stdout); err != nil {
 			fmt.Fprintln(stderr, err)
+			code = 1
 		}
 	}()
 

@@ -30,7 +30,7 @@ func main() {
 
 // run is the command with its arguments and output streams passed in; it
 // returns the exit status.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("dmm-subsetsum", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	valuesFlag := fs.String("values", "3,5,6", "comma-separated positive integers")
@@ -71,8 +71,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer func() {
+		// A failed profile, telemetry write or validation fails the
+		// run whatever its outcome.
 		if err := co.Finish(stdout); err != nil {
 			fmt.Fprintln(stderr, err)
+			code = 1
 		}
 	}()
 

@@ -10,9 +10,11 @@ import (
 	"testing"
 )
 
-// fencedImports are the standard packages the solver must not link:
-// the -listen server and the cmds' flag and profile wiring need them,
-// and they live in internal/obs/cmdobs, which only the cmds import.
+// fencedImports are the standard packages the solver must not link.
+// The cmds' flag and profile wiring needs flag and runtime/pprof, and it
+// lives in internal/obs/cmdobs, which only the cmds import. No package of
+// the module serves over a network; net and net/http stay fenced so
+// that none starts to from inside the solver.
 var fencedImports = map[string]bool{
 	"net":           true,
 	"net/http":      true,

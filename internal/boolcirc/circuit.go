@@ -121,12 +121,6 @@ func (c *Circuit) Const(v bool) Signal {
 	return s
 }
 
-// IsConst reports whether s is a constant and its value.
-func (c *Circuit) IsConst(s Signal) (bool, bool) {
-	v, ok := c.constVal[s]
-	return v, ok
-}
-
 // Constants returns the constant-signal map (signal -> value).
 func (c *Circuit) Constants() map[Signal]bool {
 	out := make(map[Signal]bool, len(c.constVal))

@@ -188,11 +188,6 @@ func (b *Builder) PinBit(n Node, bit bool) {
 	b.pins[n] = device.RampSource{Target: v, TRise: b.params.TRise}
 }
 
-// PinVoltage pins a node to an arbitrary target voltage.
-func (b *Builder) PinVoltage(n Node, v float64) {
-	b.pins[n] = device.RampSource{Target: v, TRise: b.params.TRise}
-}
-
 func (b *Builder) checkNodes(nodes ...Node) {
 	for _, n := range nodes {
 		if int(n) < 0 || int(n) >= b.numNodes {
@@ -203,6 +198,3 @@ func (b *Builder) checkNodes(nodes ...Node) {
 
 // NumGates returns the number of gates added so far.
 func (b *Builder) NumGates() int { return len(b.gates) }
-
-// NumNodes returns the number of allocated nodes.
-func (b *Builder) NumNodes() int { return b.numNodes }

@@ -32,10 +32,8 @@ func TestAdvanceBitIdentical(t *testing.T) {
 	soft.Ks, soft.Ki, soft.IMin = 5, 5, 0.5
 	soft.DeltaS, soft.DeltaIMin, soft.DeltaIMax = 0.2, 0.25, 40
 	mixed := soft // smooth imin window, hard imax window
-	mixed.DeltaIMax, mixed.DeltaI = 0, 0
-	fallback := soft // both windows fall back to DeltaI
-	fallback.DeltaIMin, fallback.DeltaIMax, fallback.DeltaI = 0, 0, 3
-	models := []VCDCG{DefaultVCDCG(), soft, mixed, fallback}
+	mixed.DeltaIMax = 0
+	models := []VCDCG{DefaultVCDCG(), soft, mixed}
 
 	nan, inf := math.NaN(), math.Inf(1)
 	rng := rand.New(rand.NewSource(11))
@@ -137,20 +135,12 @@ func TestFsOffsetBitIdentical(t *testing.T) {
 		}
 		return step.Eval(arg / delta)
 	}
-	or := func(delta, fallback float64) float64 {
-		if delta > 0 {
-			return delta
-		}
-		return fallback
-	}
 	soft := DefaultVCDCG()
 	soft.IMin, soft.DeltaIMin, soft.DeltaIMax = 0.5, 0.25, 40
 	mixed := soft
-	mixed.DeltaIMax, mixed.DeltaI = 0, 0
-	fallback := soft
-	fallback.DeltaIMin, fallback.DeltaIMax, fallback.DeltaI = 0, 0, 3
+	mixed.DeltaIMax = 0
 	rng := rand.New(rand.NewSource(5))
-	for mi, d := range []VCDCG{DefaultVCDCG(), soft, mixed, fallback} {
+	for mi, d := range []VCDCG{DefaultVCDCG(), soft, mixed} {
 		edges := []float64{0, math.Copysign(0, -1), d.IMin, -d.IMin, d.IMax, -d.IMax,
 			math.Nextafter(d.IMin, 0), math.Nextafter(d.IMax, 100), math.NaN(), math.Inf(1)}
 		for trial := 0; trial < 2000; trial++ {
@@ -163,8 +153,8 @@ func TestFsOffsetBitIdentical(t *testing.T) {
 			}
 			a, b := 1.0, 1.0
 			for _, i := range currents {
-				a *= window(d.IMin, i, or(d.DeltaIMin, d.DeltaI))
-				b *= window(d.IMax, i, or(d.DeltaIMax, d.DeltaI))
+				a *= window(d.IMin, i, d.DeltaIMin)
+				b *= window(d.IMax, i, d.DeltaIMax)
 			}
 			want := d.Ki * (a + b - 1)
 			if got := d.FsOffset(currents); math.Float64bits(got) != math.Float64bits(want) {

@@ -24,13 +24,13 @@ type VCDCG struct {
 	// Ki, Ks are the drive and bistability strengths in f_s; the stability
 	// picture of Fig. 10 requires Ki > (√3/18)·Ks.
 	Ki, Ks float64
-	// DeltaS, DeltaI are the widths of the smooth step θ̃₁ in ρ(s)
-	// (Eq. 44) and the current windows; ≤ 0 selects the hard step
-	// (Table II).
-	DeltaS, DeltaI float64
-	// DeltaIMin, DeltaIMax optionally give the imin and imax windows their
-	// own widths (the windows act on i², so their natural scales imin² and
-	// imax² differ by orders of magnitude); ≤ 0 falls back to DeltaI.
+	// DeltaS is the width of the smooth step θ̃₁ in ρ(s) (Eq. 44); ≤ 0
+	// selects the hard step (Table II).
+	DeltaS float64
+	// DeltaIMin, DeltaIMax are the widths δi of the imin and imax current
+	// windows, each its own (the windows act on i², so their natural
+	// scales imin² and imax² differ by orders of magnitude); ≤ 0 selects
+	// the hard step (Table II).
 	DeltaIMin, DeltaIMax float64
 }
 
@@ -62,7 +62,6 @@ func DefaultVCDCG() VCDCG {
 	return VCDCG{
 		M0: 400, M1: 400, Q: 10, Vc: 1, Gamma: 60,
 		IMin: 1e-8, IMax: 20, Ki: 1e-7, Ks: 1e-7,
-		DeltaS: 0, DeltaI: 0,
 	}
 }
 
@@ -118,18 +117,10 @@ func (d VCDCG) Rho(s float64) float64 {
 // -ks·s(s-1)(2s-1) and marks its intersections with the level -c.
 //
 // Each window is θ̃₁((iRef² - i²)/δ): 1 when |i| < iRef and 0 when
-// |i| > iRef, the hard step when δ ≤ 0. The window form
-// and each δ (DeltaIMin or DeltaIMax, falling back to DeltaI when ≤ 0)
-// are chosen once per call, not per current.
+// |i| > iRef, the hard step when δ ≤ 0, with δ = DeltaIMin or
+// DeltaIMax. The window form is chosen once per call, not per current.
 func (d VCDCG) FsOffset(currents []float64) float64 {
-	dMin, dMax := d.DeltaIMin, d.DeltaIMax
-	if dMin <= 0 {
-		dMin = d.DeltaI
-	}
-	if dMax <= 0 {
-		dMax = d.DeltaI
-	}
-	hardMin, hardMax := dMin <= 0, dMax <= 0
+	hardMin, hardMax := d.DeltaIMin <= 0, d.DeltaIMax <= 0
 	min2, max2 := float64(d.IMin*d.IMin), float64(d.IMax*d.IMax)
 	a, b := 1.0, 1.0 // a hard window is 1 or 0, so its product is too
 	for _, i := range currents {
@@ -139,14 +130,14 @@ func (d VCDCG) FsOffset(currents []float64) float64 {
 				a = 0
 			}
 		} else {
-			a *= theta1(argMin / dMin)
+			a *= theta1(argMin / d.DeltaIMin)
 		}
 		if argMax := max2 - i2; hardMax {
 			if !(argMax > 0) {
 				b = 0
 			}
 		} else {
-			b *= theta1(argMax / dMax)
+			b *= theta1(argMax / d.DeltaIMax)
 		}
 	}
 	return d.Ki * (a + b - 1)

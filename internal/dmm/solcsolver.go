@@ -27,16 +27,10 @@ func (s SOLCSolver) SolveInverse(c *boolcirc.Circuit, pins map[boolcirc.Signal]b
 	if p.Vc == 0 {
 		p = circuit.Default()
 	}
+	// Solve fills H, HMax and TEnd with solc.DefaultOptions' values; its
+	// own MaxAttempts and Seed fills differ from them, so those two are
+	// filled here.
 	opts, d := s.Options, solc.DefaultOptions()
-	if opts.H == 0 {
-		opts.H = d.H
-	}
-	if opts.HMax == 0 {
-		opts.HMax = d.HMax
-	}
-	if opts.TEnd == 0 {
-		opts.TEnd = d.TEnd
-	}
 	if opts.MaxAttempts == 0 {
 		opts.MaxAttempts = d.MaxAttempts
 	}

@@ -156,20 +156,6 @@ func (m *CSR) MulVec(dst, v Vector) {
 	}
 }
 
-// MulVecAdd computes dst += c * m*v. dst must not alias v.
-func (m *CSR) MulVecAdd(dst Vector, c float64, v Vector) {
-	if len(v) != m.Cols || len(dst) != m.Rows {
-		panic("la: CSR.MulVecAdd shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += float64(m.Val[k] * v[m.ColIdx[k]])
-		}
-		dst[i] += float64(c * s)
-	}
-}
-
 // At returns m[i,j] (zero when not stored). Intended for tests; O(row nnz).
 func (m *CSR) At(i, j int) float64 {
 	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {

@@ -83,18 +83,6 @@ func TestCSRMulVecKnown(t *testing.T) {
 	}
 }
 
-func TestCSRMulVecAdd(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, 1)
-	m := b.Compile()
-	dst := Vector{10, 20}
-	m.MulVecAdd(dst, 2, Vector{1, 2})
-	if dst[0] != 12 || dst[1] != 24 {
-		t.Fatalf("got %v, want [12 24]", dst)
-	}
-}
-
 // Property: CSR.MulVec agrees with the dense expansion on random sparse
 // matrices.
 func TestCSRMatchesDenseProperty(t *testing.T) {

@@ -38,13 +38,6 @@ func (v Vector) Zero() {
 	}
 }
 
-// Fill sets every component to c.
-func (v Vector) Fill(c float64) {
-	for i := range v {
-		v[i] = c
-	}
-}
-
 // Add sets v = v + w.
 func (v Vector) Add(w Vector) {
 	for i := range v {

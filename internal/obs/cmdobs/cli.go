@@ -1,21 +1,20 @@
 // Package cmdobs is the command-line half of the telemetry layer: the
-// observability flags the four cmds share (-telemetry, -metrics-dump,
-// -cpuprofile, -memprofile, -listen, -spans, -flight) and the -listen
-// exposition server. It lives apart from package obs, which holds the
-// instruments themselves, so that only the cmds link flag, runtime/pprof
-// and net/http: every other program that links the solver (the
-// benchmark, the examples, the test binaries) carries none of them.
+// observability flags the four cmds share (-telemetry,
+// -telemetry-validate, -metrics-dump, -cpuprofile, -memprofile, -spans,
+// -flight). Every output they request goes to a file or to stdout.
+// The package lives apart from package obs, which holds the instruments
+// themselves, so that only the cmds link flag and runtime/pprof: every
+// other program that links the solver (the benchmark, the examples, the
+// test binaries) carries neither.
 package cmdobs
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -36,7 +35,6 @@ type CmdObs struct {
 	metricsDump   bool
 	cpuProfile    string
 	memProfile    string
-	listenAddr    string
 	spans         bool
 	flightPath    string
 
@@ -47,7 +45,6 @@ type CmdObs struct {
 	cpuFile    *os.File
 	traceFile  *os.File
 	flightFile *os.File
-	server     *Server
 }
 
 // BindFlags registers the shared observability flags on fs and returns
@@ -55,20 +52,19 @@ type CmdObs struct {
 func BindFlags(prog string, fs *flag.FlagSet) *CmdObs {
 	co := &CmdObs{prog: prog}
 	fs.StringVar(&co.telemetryPath, "telemetry", "", "write attempt-lifecycle JSONL events and a final metrics snapshot to this file")
-	fs.BoolVar(&co.validate, "telemetry-validate", false, "re-read the -telemetry file after the run and validate it against the event schema")
+	fs.BoolVar(&co.validate, "telemetry-validate", false, "re-read the -telemetry and -flight files after the run and validate them against their schemas")
 	fs.BoolVar(&co.metricsDump, "metrics-dump", false, "print the final metrics snapshot as indented JSON")
 	fs.StringVar(&co.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&co.memProfile, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&co.listenAddr, "listen", "", "serve /metrics, /healthz, /debug/phases and /debug/flight on this address for the duration of the run")
 	fs.BoolVar(&co.spans, "spans", false, "profile the IMEX step hot loop by phase and print the breakdown table (included in -metrics-dump JSON)")
-	fs.StringVar(&co.flightPath, "flight", "", "record per-attempt flight rings and dump diverged/cancelled attempts as JSONL to this file")
+	fs.StringVar(&co.flightPath, "flight", "", "record per-attempt flight rings and dump unsolved attempts as JSONL to this file")
 	return co
 }
 
 // Enabled reports whether any telemetry output was requested (profiles
 // alone do not count; they need no Telemetry instance).
 func (co *CmdObs) Enabled() bool {
-	return co.telemetryPath != "" || co.metricsDump || co.listenAddr != "" || co.spans || co.flightPath != ""
+	return co.telemetryPath != "" || co.metricsDump || co.spans || co.flightPath != ""
 }
 
 // Start opens the profile and telemetry outputs. On success co.Telemetry
@@ -106,20 +102,7 @@ func (co *CmdObs) Start() error {
 				return fmt.Errorf("%s: %w", co.prog, err)
 			}
 			co.flightFile = f
-			co.Telemetry.Flight = obs.NewFlightSet(0, 0, f)
-		} else if co.listenAddr != "" {
-			// No dump sink, but keep rings in memory so /debug/flight
-			// has post-mortem trajectories to serve.
-			co.Telemetry.Flight = obs.NewFlightSet(0, 0, nil)
-		}
-		if co.listenAddr != "" {
-			srv, err := Serve(co.listenAddr, co.Telemetry)
-			if err != nil {
-				co.close()
-				return fmt.Errorf("%s: %w", co.prog, err)
-			}
-			co.server = srv
-			fmt.Fprintf(os.Stderr, "%s: serving telemetry on http://%s\n", co.prog, srv.Addr())
+			co.Telemetry.Flight = obs.NewFlightSet(f)
 		}
 	}
 	return nil
@@ -149,8 +132,8 @@ func (co *CmdObs) stopCPU() {
 // Finish closes out the run: stops the CPU profile, writes the heap
 // profile, emits the final metrics snapshot into the trace, prints the
 // -metrics-dump JSON and the summary table to w, and optionally
-// re-validates the written JSONL. Safe to call when Start never ran or
-// failed.
+// re-validates the written telemetry and flight JSONL. Safe to call when
+// Start never ran or failed.
 func (co *CmdObs) Finish(w io.Writer) error {
 	co.stopCPU()
 	var firstErr error
@@ -158,14 +141,6 @@ func (co *CmdObs) Finish(w io.Writer) error {
 		if err := writeHeapProfile(co.memProfile); err != nil {
 			firstErr = fmt.Errorf("%s: %w", co.prog, err)
 		}
-	}
-	if co.server != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := co.server.Shutdown(ctx); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: listen: %w", co.prog, err)
-		}
-		cancel()
-		co.server = nil
 	}
 	if co.Telemetry != nil {
 		snap := co.Telemetry.EmitSnapshot()
@@ -201,13 +176,14 @@ func (co *CmdObs) Finish(w io.Writer) error {
 				firstErr = fmt.Errorf("%s: %w", co.prog, err)
 			}
 		}
+		dumped := 0
 		if fs := co.Telemetry.Flight; fs != nil {
 			if err := fs.Err(); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("%s: flight: %w", co.prog, err)
 			}
 			if co.flightFile != nil {
-				if n := fs.Dumped(); n > 0 {
-					fmt.Fprintf(w, "flight recorder: %d records dumped to %s\n", n, co.flightPath)
+				if dumped = fs.Dumped(); dumped > 0 {
+					fmt.Fprintf(w, "flight recorder: %d records dumped to %s\n", dumped, co.flightPath)
 				}
 				if err := co.flightFile.Close(); err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("%s: flight: %w", co.prog, err)
@@ -216,10 +192,19 @@ func (co *CmdObs) Finish(w io.Writer) error {
 			}
 		}
 		if co.validate && co.telemetryPath != "" {
-			if err := co.validateFile(); err != nil && firstErr == nil {
+			if err := validateFile(co.telemetryPath, obs.ValidateJSONL); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", co.prog, err)
 			} else if err == nil {
 				fmt.Fprintf(w, "telemetry: %s validates against the event schema\n", co.telemetryPath)
+			}
+		}
+		// A run whose attempts all solved dumps nothing, and an empty
+		// flight file has nothing to check.
+		if co.validate && dumped > 0 {
+			if err := validateFile(co.flightPath, obs.ValidateFlightJSONL); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", co.prog, err)
+			} else if err == nil {
+				fmt.Fprintf(w, "flight: %s validates against the record schema\n", co.flightPath)
 			}
 		}
 		co.Telemetry = nil
@@ -227,13 +212,13 @@ func (co *CmdObs) Finish(w io.Writer) error {
 	return firstErr
 }
 
-func (co *CmdObs) validateFile() error {
-	f, err := os.Open(co.telemetryPath)
+func validateFile(path string, validate func(io.Reader) error) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return obs.ValidateJSONL(f)
+	return validate(f)
 }
 
 func writeHeapProfile(path string) error {

@@ -5,24 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// Flight sizing defaults: each attempt keeps the most recent
-// DefaultFlightCap accepted-step records, and a FlightSet retains the
-// rings of the DefaultFlightKeep most recently launched attempts for
-// /debug/flight.
-const (
-	DefaultFlightCap  = 512
-	DefaultFlightKeep = 16
-)
-
-// flightFields is the per-record word count of the ring storage.
-const flightFields = 5
+// flightCap is the record capacity of every attempt's flight ring: the
+// most recent accepted steps an attempt keeps for its post-mortem dump.
+const flightCap = 512
 
 // FlightRecord is one accepted integration step in an attempt's flight
 // ring: the post-mortem trajectory sample dumped as JSONL on divergence
@@ -44,25 +33,18 @@ type FlightRecord struct {
 	SatFrac float64 `json:"sat_frac"`
 }
 
-// Flight is one attempt's bounded flight ring: a lock-free single-writer
-// ring buffer of the most recent accepted-step records. The integration
-// goroutine is the only writer (Record, Physics); concurrent readers (the
-// /debug/flight endpoint) snapshot slots under a per-slot seqlock — every
-// stored word lives in a typed atomic, so reads are race-free and a torn
-// slot is detected by its sequence word and skipped. A nil *Flight disables recording; every method is
-// nil-receiver safe and the write path allocates nothing.
+// Flight is one attempt's bounded flight ring: a single-writer ring of
+// the most recent accepted-step records. The attempt's integration
+// goroutine writes it (Physics, Record) and, once the attempt ends, reads
+// it back through FlightSet.Retire, so the ring needs no synchronisation.
+// A nil *Flight disables recording; every method is nil-receiver safe and
+// the write path allocates nothing.
 type Flight struct {
-	attempt int
-	mask    int             // ring capacity - 1 (capacity is a power of two)
-	head    atomic.Int64    // records ever written; head & mask is the next slot
-	seq     []atomic.Uint64 // per-slot seqlock word (odd while the slot is being written)
-	data    []atomic.Uint64 // flightFields words per slot
-
-	// Single-writer accumulation state between Record commits. These
-	// plain fields are only ever touched by the attempt's integration
-	// goroutine.
-	t        float64
-	step     int64
+	attempt  int
+	mask     int   // ring capacity - 1 (capacity is a power of two)
+	head     int64 // records ever written; head & mask is the next slot
+	recs     []FlightRecord
+	t        float64 // dynamical time reached by the last record
 	lastDvDt float64
 	lastSat  float64
 }
@@ -74,12 +56,7 @@ func newFlight(attempt, capRecords int) *Flight {
 	for n < capRecords {
 		n <<= 1
 	}
-	return &Flight{
-		attempt: attempt,
-		mask:    n - 1,
-		seq:     make([]atomic.Uint64, n),
-		data:    make([]atomic.Uint64, n*flightFields),
-	}
+	return &Flight{attempt: attempt, mask: n - 1, recs: make([]FlightRecord, n)}
 }
 
 // Physics notes the latest decimated physics-probe sample; it rides on
@@ -95,8 +72,7 @@ func (f *Flight) Physics(satFrac, maxDvDt float64) {
 }
 
 // Record commits one accepted step of size h: it advances the attempt's
-// dynamical time and publishes the record into the ring under the slot's
-// seqlock.
+// dynamical time and writes the record into the ring.
 //
 //dmmvet:hotpath
 func (f *Flight) Record(h float64) {
@@ -104,17 +80,15 @@ func (f *Flight) Record(h float64) {
 		return
 	}
 	f.t += h
-	f.step++
-	slot := int(f.head.Load()) & f.mask
-	f.seq[slot].Add(1) // odd: writers in the slot
-	d := f.data[slot*flightFields : (slot+1)*flightFields]
-	d[0].Store(uint64(f.step))
-	d[1].Store(math.Float64bits(f.t))
-	d[2].Store(math.Float64bits(h))
-	d[3].Store(math.Float64bits(f.lastDvDt))
-	d[4].Store(math.Float64bits(f.lastSat))
-	f.seq[slot].Add(1) // even again: slot stable
-	f.head.Add(1)
+	f.recs[int(f.head)&f.mask] = FlightRecord{
+		Attempt: f.attempt,
+		Step:    f.head + 1,
+		T:       f.t,
+		H:       h,
+		MaxDvDt: f.lastDvDt,
+		SatFrac: f.lastSat,
+	}
+	f.head++
 }
 
 // Len returns the number of records currently held (≤ capacity).
@@ -122,125 +96,59 @@ func (f *Flight) Len() int {
 	if f == nil {
 		return 0
 	}
-	n := f.head.Load()
-	if c := int64(f.mask + 1); n > c {
-		n = c
-	}
-	return int(n)
+	return int(min(f.head, int64(f.mask+1)))
 }
 
-// Records snapshots the ring's current contents, oldest first. It is
-// safe against a concurrently stepping writer: slots caught mid-write
-// are skipped, and records are re-sorted by step so a wrap during the
-// scan cannot reorder the dump.
+// Records copies the ring's current contents, oldest first.
 func (f *Flight) Records() []FlightRecord {
 	if f == nil {
 		return nil
 	}
-	head := f.head.Load()
-	lo := head - int64(f.mask+1)
-	if lo < 0 {
-		lo = 0
+	out := make([]FlightRecord, 0, f.Len())
+	for i := f.head - int64(f.Len()); i < f.head; i++ {
+		out = append(out, f.recs[int(i)&f.mask])
 	}
-	out := make([]FlightRecord, 0, head-lo)
-	var d [flightFields]uint64
-	for i := lo; i < head; i++ {
-		slot := int(i) & f.mask
-		ok := false
-		for try := 0; try < 4 && !ok; try++ {
-			s1 := f.seq[slot].Load()
-			if s1&1 != 0 {
-				continue
-			}
-			for j := range d {
-				d[j] = f.data[slot*flightFields+j].Load()
-			}
-			ok = f.seq[slot].Load() == s1
-		}
-		if !ok {
-			continue
-		}
-		out = append(out, FlightRecord{
-			Attempt: f.attempt,
-			Step:    int64(d[0]),
-			T:       math.Float64frombits(d[1]),
-			H:       math.Float64frombits(d[2]),
-			MaxDvDt: math.Float64frombits(d[3]),
-			SatFrac: math.Float64frombits(d[4]),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
-	// A wrap during the scan can surface the same step twice; keep the
-	// first of each.
-	dedup := out[:0]
-	var prev int64 = -1
-	for _, r := range out {
-		if r.Step != prev {
-			dedup = append(dedup, r)
-			prev = r.Step
-		}
-	}
-	return dedup
+	return out
 }
 
 // FlightSet owns the flight rings of one run: it hands a fresh ring to
-// every launched attempt, retains the most recent rings for
-// /debug/flight, and dumps retired rings as JSONL onto the configured
-// sink when an attempt diverges or is cancelled.
+// every launched attempt and dumps a retired ring as JSONL onto the
+// configured sink when its attempt diverges or is cancelled. Racing
+// attempts retire concurrently, so the sink and its tallies are guarded.
 type FlightSet struct {
 	mu      sync.Mutex
-	cap     int
-	keep    int
-	rings   []*Flight // most recently launched last
-	sink    io.Writer // JSONL dump target; nil keeps rings in memory only
+	sink    io.Writer // JSONL dump target; nil records without dumping
 	sinkErr error
 	dumped  int
 }
 
-// NewFlightSet returns a flight-recorder set keeping `keep` recent
-// attempt rings of `capRecords` records each (defaults apply when ≤ 0).
-// sink, when non-nil, receives the JSONL dump of every retired-with-dump
-// ring.
-func NewFlightSet(capRecords, keep int, sink io.Writer) *FlightSet {
-	if capRecords <= 0 {
-		capRecords = DefaultFlightCap
-	}
-	if keep <= 0 {
-		keep = DefaultFlightKeep
-	}
-	return &FlightSet{cap: capRecords, keep: keep, sink: sink}
+// NewFlightSet returns a flight-recorder set whose rings keep the last
+// flightCap accepted steps of each attempt. sink, when non-nil, receives
+// the JSONL dump of every retired-with-dump ring.
+func NewFlightSet(sink io.Writer) *FlightSet {
+	return &FlightSet{sink: sink}
 }
 
-// Attempt registers and returns a fresh ring for the given attempt
-// index (nil from a nil set, so callers thread it unconditionally).
+// Attempt returns a fresh ring for the given attempt index (nil from a
+// nil set, so callers thread it unconditionally).
 func (fs *FlightSet) Attempt(attempt int) *Flight {
 	if fs == nil {
 		return nil
 	}
-	f := newFlight(attempt, fs.cap)
-	fs.mu.Lock()
-	fs.rings = append(fs.rings, f)
-	if len(fs.rings) > fs.keep {
-		fs.rings = append(fs.rings[:0], fs.rings[len(fs.rings)-fs.keep:]...)
-	}
-	fs.mu.Unlock()
-	return f
+	return newFlight(attempt, flightCap)
 }
 
-// Retire ends an attempt's recording. With dump set (divergence and
-// cancellation post-mortems) the ring's records are written as JSONL to
-// the sink; the ring stays retained for /debug/flight either way. Write
-// errors are sticky and reported by Err.
+// Retire ends an attempt's recording on the attempt's own goroutine.
+// With dump set (divergence and cancellation post-mortems) the ring's
+// records are written as JSONL to the sink. Write errors are sticky and
+// reported by Err.
 func (fs *FlightSet) Retire(f *Flight, dump bool) {
-	if fs == nil || f == nil || !dump {
+	if fs == nil || f == nil || !dump || fs.sink == nil {
 		return
 	}
 	recs := f.Records()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.sink == nil {
-		return
-	}
 	enc := json.NewEncoder(fs.sink)
 	for i := range recs {
 		if err := enc.Encode(&recs[i]); err != nil {
@@ -271,27 +179,6 @@ func (fs *FlightSet) Err() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.sinkErr
-}
-
-// WriteJSONL writes every retained ring's current records as JSON lines
-// (the /debug/flight payload), oldest attempt first.
-func (fs *FlightSet) WriteJSONL(w io.Writer) error {
-	if fs == nil {
-		return nil
-	}
-	fs.mu.Lock()
-	rings := append([]*Flight(nil), fs.rings...)
-	fs.mu.Unlock()
-	enc := json.NewEncoder(w)
-	for _, f := range rings {
-		recs := f.Records()
-		for i := range recs {
-			if err := enc.Encode(&recs[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // ValidateFlightJSONL checks a flight-recorder dump against the record

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -21,9 +20,6 @@ func TestFlightNilSafe(t *testing.T) {
 	fs.Retire(nil, true)
 	if fs.Dumped() != 0 || fs.Err() != nil {
 		t.Fatal("nil FlightSet must be inert")
-	}
-	if err := fs.WriteJSONL(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -74,7 +70,7 @@ func TestFlightRingWrap(t *testing.T) {
 }
 
 func TestFlightWriteZeroAlloc(t *testing.T) {
-	f := newFlight(0, DefaultFlightCap)
+	f := newFlight(0, flightCap)
 	allocs := testing.AllocsPerRun(1000, func() {
 		f.Physics(0.5, 1)
 		f.Record(1e-3)
@@ -84,63 +80,17 @@ func TestFlightWriteZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFlightConcurrentReader races the /debug/flight reader against a
-// stepping writer; under -race this proves the seqlock keeps every
-// access on typed atomics, and the dedup/sort keeps dumps monotone.
-func TestFlightConcurrentReader(t *testing.T) {
-	f := newFlight(0, 32)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				recs := f.Records()
-				for i := 1; i < len(recs); i++ {
-					if recs[i].Step <= recs[i-1].Step {
-						t.Errorf("snapshot not strictly increasing: %d then %d",
-							recs[i-1].Step, recs[i].Step)
-						return
-					}
-				}
-			}
-		}
-	}()
-	for i := 0; i < 50_000; i++ {
-		f.Physics(float64(i%3), 1)
-		f.Record(1e-3)
-	}
-	close(done)
-	wg.Wait()
-}
-
+// TestFlightSetRetainAndDump checks that Retire dumps a ring only when
+// asked (divergence, cancellation) and that the dump passes the schema.
 func TestFlightSetRetainAndDump(t *testing.T) {
 	var sink bytes.Buffer
-	fs := NewFlightSet(8, 2, &sink)
+	fs := NewFlightSet(&sink)
 
-	f0 := fs.Attempt(0)
 	f1 := fs.Attempt(1)
-	f2 := fs.Attempt(2) // evicts f0 from the retained window
-	for i, f := range []*Flight{f0, f1, f2} {
-		for s := 0; s <= i; s++ {
+	f2 := fs.Attempt(2)
+	for i, f := range []*Flight{f1, f2} {
+		for s := 0; s <= i+1; s++ {
 			f.Record(1e-3)
-		}
-	}
-
-	var all bytes.Buffer
-	if err := fs.WriteJSONL(&all); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(all.String(), `"attempt":0`) {
-		t.Fatalf("evicted ring still in /debug/flight payload:\n%s", all.String())
-	}
-	for _, want := range []string{`"attempt":1`, `"attempt":2`} {
-		if !strings.Contains(all.String(), want) {
-			t.Fatalf("payload missing %s:\n%s", want, all.String())
 		}
 	}
 
@@ -171,7 +121,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestFlightSetSinkErrorSticky(t *testing.T) {
-	fs := NewFlightSet(8, 4, &failWriter{n: 1})
+	fs := NewFlightSet(&failWriter{n: 1})
 	f := fs.Attempt(0)
 	f.Record(1e-3)
 	f.Record(1e-3)

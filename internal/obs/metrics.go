@@ -1,11 +1,11 @@
 // Package obs is the unified telemetry layer of the solver stack: a
 // stdlib-only metrics registry (atomic counters, gauges and fixed-bucket
-// histograms, snapshotable as JSON or Prometheus text), a structured
-// JSONL event tracer for the attempt lifecycle of the parallel restart
-// portfolio, phase spans, flight-recorder rings and convergence-time
-// statistics. The cmds' flags and the -listen server that exposes these
-// instruments live in the subpackage cmdobs, so linking the solver links
-// no flag, runtime/pprof or net/http.
+// histograms, snapshotable as JSON), a structured JSONL event tracer for
+// the attempt lifecycle of the parallel restart portfolio, phase spans,
+// flight-recorder rings and convergence-time statistics. Every output
+// goes to a file or to stdout; the cmds' flags that request them live in
+// the subpackage cmdobs, so linking the solver links no
+// flag or runtime/pprof.
 //
 // The paper's evidence is dynamical — convergence-time distributions
 // across restarts, dissipated energy, voltage trajectories — so the
@@ -267,48 +267,6 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 		}
 	}
 	return math.Inf(1)
-}
-
-// Delta returns the change from prev to s: counters and histogram counts
-// are subtracted (interval rates for /metrics scrape deltas), gauges keep
-// the current value (last-wins semantics have no meaningful difference).
-// Instruments absent from prev are taken whole; instruments absent from
-// s are dropped. A nil prev yields a copy of s. Spans and Conv attach-
-// ments are not differenced and are left nil on the result.
-func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
-	d := &Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-	}
-	for n, v := range s.Counters {
-		if prev != nil {
-			v -= prev.Counters[n]
-		}
-		d.Counters[n] = v
-	}
-	for n, v := range s.Gauges {
-		d.Gauges[n] = v
-	}
-	for n, h := range s.Histograms {
-		dh := HistogramSnapshot{
-			Bounds: append([]float64(nil), h.Bounds...),
-			Counts: append([]int64(nil), h.Counts...),
-			Count:  h.Count,
-			Sum:    h.Sum,
-		}
-		if prev != nil {
-			if ph, ok := prev.Histograms[n]; ok && len(ph.Counts) == len(dh.Counts) {
-				for i := range dh.Counts {
-					dh.Counts[i] -= ph.Counts[i]
-				}
-				dh.Count -= ph.Count
-				dh.Sum -= ph.Sum
-			}
-		}
-		d.Histograms[n] = dh
-	}
-	return d
 }
 
 // Snapshot copies every instrument's current state.

@@ -81,48 +81,6 @@ func TestHistogramQuantileAndMean(t *testing.T) {
 	}
 }
 
-// TestSnapshotDelta pins the interval-rate helper used by scrape deltas:
-// counters and histogram mass subtract, gauges keep the current value,
-// instruments missing from prev are taken whole.
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", []float64{1, 2})
-	c.Add(5)
-	g.Set(1.5)
-	h.Observe(0.5)
-	prev := r.Snapshot()
-	c.Add(3)
-	g.Set(9)
-	h.Observe(1.5)
-	h.Observe(0.5)
-	r.Counter("new").Add(2) // absent from prev
-	cur := r.Snapshot()
-
-	d := cur.Delta(prev)
-	if d.Counters["c"] != 3 {
-		t.Fatalf("counter delta = %d, want 3", d.Counters["c"])
-	}
-	if d.Counters["new"] != 2 {
-		t.Fatalf("new counter delta = %d, want 2 (taken whole)", d.Counters["new"])
-	}
-	if d.Gauges["g"] != 9 {
-		t.Fatalf("gauge delta = %g, want current value 9", d.Gauges["g"])
-	}
-	dh := d.Histograms["h"]
-	if dh.Count != 2 || dh.Counts[0] != 1 || dh.Counts[1] != 1 {
-		t.Fatalf("histogram delta = %+v, want 2 observations split 1/1", dh)
-	}
-	if math.Abs(dh.Sum-2.0) > 1e-12 {
-		t.Fatalf("histogram delta sum = %g, want 2.0", dh.Sum)
-	}
-	// nil prev clones the snapshot.
-	if d2 := cur.Delta(nil); d2.Counters["c"] != 8 {
-		t.Fatalf("nil-prev delta counter = %d, want 8", d2.Counters["c"])
-	}
-}
-
 // TestConcurrentCounters exercises the atomic instruments from many
 // goroutines; run under -race this doubles as the data-race check.
 func TestConcurrentCounters(t *testing.T) {

@@ -2,6 +2,8 @@
 // parallel restart portfolio (internal/solc) and the experiment harness
 // ensemble fan-outs (internal/experiments). Work items are claimed in
 // index order, so a pool of size 1 degenerates to a plain sequential loop.
+// ForEach's workers are the only goroutines the module's non-test code
+// starts, and each ForEach call joins its own before it returns.
 package par
 
 import (
@@ -18,28 +20,6 @@ func Limit(n int) int {
 	}
 	return n
 }
-
-// bg tracks every goroutine started by Go, so Join can act as a
-// process-exit barrier; the obs tests use it to join the exposition
-// server's goroutine.
-var bg sync.WaitGroup
-
-// Go runs fn on its own goroutine. It exists for the few long-lived
-// service goroutines (the obs exposition server) that do not fit the
-// bounded ForEach pool; everything fan-out shaped must keep using
-// ForEach. Callers own fn's termination — typically a Shutdown call plus
-// a private done channel — and Join offers a global barrier over every
-// Go-started goroutine for orderly process exit and leak-checking tests.
-func Go(fn func()) {
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		fn()
-	}()
-}
-
-// Join blocks until every goroutine started by Go has returned.
-func Join() { bg.Wait() }
 
 // ForEach runs fn(ctx, i) for every i in [0, n) on at most Limit(parallelism)
 // goroutines and blocks until every started call returns. Indices are

@@ -56,7 +56,7 @@ func TestFlightDumpOnForcedDivergence(t *testing.T) {
 	cs := compileProduct(t, 3, 2, 15)
 	var sink bytes.Buffer
 	tl := obs.NewTelemetry()
-	tl.Flight = obs.NewFlightSet(0, 0, &sink)
+	tl.Flight = obs.NewFlightSet(&sink)
 	tl.Spans = obs.NewSpans()
 
 	opts := flightOpts()
@@ -94,7 +94,7 @@ func TestFlightSolvedRunDoesNotDump(t *testing.T) {
 	cs := compileProduct(t, 3, 2, 15)
 	var sink bytes.Buffer
 	tl := obs.NewTelemetry()
-	tl.Flight = obs.NewFlightSet(0, 0, &sink)
+	tl.Flight = obs.NewFlightSet(&sink)
 	tl.Spans = obs.NewSpans()
 
 	opts := flightOpts()

@@ -192,17 +192,18 @@ func (o Options) checkFinite() error {
 	return nil
 }
 
-// withDefaults fills zero-valued fields with DefaultOptions-compatible
-// settings.
+// withDefaults fills each H, HMax and TEnd that is ≤ 0 with its
+// DefaultOptions value, and raises MaxAttempts to at least 1.
 func (o Options) withDefaults() Options {
+	d := DefaultOptions()
 	if o.H <= 0 {
-		o.H = 1e-3
+		o.H = d.H
 	}
 	if o.HMax <= 0 {
-		o.HMax = 1e-1
+		o.HMax = d.HMax
 	}
 	if o.TEnd <= 0 {
-		o.TEnd = 200
+		o.TEnd = d.TEnd
 	}
 	if o.MaxAttempts < 1 {
 		o.MaxAttempts = 1
